@@ -13,10 +13,9 @@ Wire protocol (deliberately minimal, stdlib sockets only):
 
 * Each frame is a **4-byte big-endian length prefix** followed by that
   many bytes of one CRC-stamped JSON record line — the same
-  :func:`~repro.synthesis.engine.encode_record` /
-  :func:`~repro.synthesis.engine.decode_record` codec the disk store
-  uses, so a torn or corrupted frame decodes to ``None`` and is treated
-  as a miss rather than trusted.
+  :func:`~repro.fsutil.encode_record` / :func:`~repro.fsutil.decode_record`
+  codec as the append log on disk, so a torn or corrupted frame decodes
+  to ``None`` and is treated as a miss rather than trusted.
 * Requests: ``{"op": "get", "k": key}``, ``{"op": "put", "k": key,
   "v": bool}``, ``{"op": "ping"}``, ``{"op": "stats"}``.
 * Replies: ``get`` → ``{"ok": true, "hit": bool, "v": bool}``; ``put``
@@ -46,7 +45,8 @@ import threading
 import time
 
 from .. import faults
-from ..synthesis.engine import OracleCache, decode_record, encode_record
+from ..fsutil import decode_record, encode_record
+from ..synthesis.engine import OracleCache
 from ..trace.log import get_logger
 
 _log = get_logger("repro.cluster.cachetier")

@@ -40,8 +40,8 @@ from concurrent.futures.process import BrokenProcessPool
 SITE_ENGINE_BATCH = "engine.batch"      # ParallelChecker pool dispatch
 SITE_ENGINE_WORKER = "engine.worker"    # one equivalence check in a worker
 SITE_ORACLE_QUERY = "oracle.query"      # every full oracle query
-SITE_CACHE_LOAD = "cache.load"          # DiskStore JSONL load
-SITE_CACHE_FLUSH = "cache.flush"        # DiskStore JSONL append
+SITE_CACHE_LOAD = "cache.load"          # verdict-store JSONL load
+SITE_CACHE_FLUSH = "cache.flush"        # verdict-store JSONL append
 SITE_PLAN_COMPILE = "eval.plan_compile"  # batched-eval plan compilation
 SITE_SCHEDULER_JOB = "scheduler.job"    # scheduler job execution
 SITE_SERVER_REQUEST = "server.request"  # HTTP request/response path

@@ -1,11 +1,16 @@
 """Crash-safe file writes shared by the CLI, exporters and cache stores.
 
 Every user-facing artifact the stack dumps — ``--stats-json`` payloads,
-Chrome traces, flamegraphs, compacted verdict stores — goes through
+Chrome traces, flamegraphs, compacted append logs — goes through
 ``write-to-temp + os.replace``: a crash mid-dump leaves either the old
 file or no file, never a half-written one.  The temp file lives in the
 destination's directory so the final rename stays on one filesystem
 (``os.replace`` is only atomic within a filesystem).
+
+:class:`AppendLog` is the one durable record log under the verdict
+store, the rewrite-rule library and the telemetry corpus: CRC-stamped
+JSONL lines, appended in batches of one ``O_APPEND`` write each, and a
+loader that quarantines a damaged file and compacts the survivors.
 """
 
 from __future__ import annotations
@@ -13,6 +18,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
+import weakref
+import zlib
+from pathlib import Path
+
+from . import faults
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -41,3 +52,183 @@ def atomic_write_json(path, payload, indent: int | None = None,
     """Serialize ``payload`` as JSON and write it atomically."""
     text = json.dumps(payload, indent=indent, default=default)
     atomic_write_text(path, text + "\n")
+
+
+# ---------------------------------------------------------------------------
+# The durable append log
+# ---------------------------------------------------------------------------
+
+
+def encode_record(rec: dict) -> str:
+    """One JSONL line for ``rec``, stamped with a CRC-32 of its body.
+
+    The checksum covers the canonical serialization of the record *without*
+    the ``crc`` field (compact separators, sorted keys), so any decoder can
+    recompute it without caring about field order.
+    """
+    body = json.dumps(rec, separators=(",", ":"), sort_keys=True)
+    stamped = dict(rec)
+    stamped["crc"] = zlib.crc32(body.encode())
+    return json.dumps(stamped, separators=(",", ":"), sort_keys=True)
+
+
+def decode_record(line: str):
+    """Parse one JSONL line; ``None`` if torn, merged or CRC-mismatched.
+
+    Lines without a ``crc`` field (stores written before checksumming) are
+    accepted as-is — the old best-effort trust level, kept so warm caches
+    survive the upgrade; each store's loader still checks the fields.
+    """
+    try:
+        rec = json.loads(line)
+    except (json.JSONDecodeError, ValueError):
+        return None
+    if not isinstance(rec, dict):
+        return None
+    if "crc" in rec:
+        crc = rec.pop("crc")
+        body = json.dumps(rec, separators=(",", ":"), sort_keys=True)
+        if crc != zlib.crc32(body.encode()):
+            return None
+    return rec
+
+
+def _warn(event: str, **fields) -> None:
+    from .trace.log import get_logger  # deferred: repro.trace imports us
+
+    get_logger("repro.fsutil").warning(event, **fields)
+
+
+class AppendLog:
+    """One append-only JSONL file of CRC-stamped records.
+
+    :meth:`append` queues a record; every ``flush_every`` records (and
+    on :meth:`flush`) the queue lands as **one** ``os.write`` on an
+    ``O_APPEND`` descriptor, so processes sharing the file interleave
+    whole batches, never bytes.  The file is created by the first flush
+    that succeeds.  A flush that fails is counted in ``write_errors``;
+    with ``requeue`` its records stay queued for the next flush,
+    otherwise they are dropped (and any exception is swallowed, not
+    just ``OSError``).  ``load_site`` / ``flush_site`` name the
+    :mod:`repro.faults` sites fired on load and flush.
+
+    Given an ``owner``, the log flushes when the owner is collected or
+    at interpreter exit, whichever comes first; the exit hook holds the
+    log, never the owner, so a dropped store is freed.
+    """
+
+    def __init__(self, path, owner=None, *, flush_every: int = 1,
+                 load_site: str | None = None, flush_site: str | None = None,
+                 requeue: bool = True):
+        self.path = Path(path)
+        self.flush_every = flush_every
+        self.load_site = load_site
+        self.flush_site = flush_site
+        self.requeue = requeue
+        self._pending: list[str] = []
+        self._lock = threading.RLock()
+        self.appended = 0
+        self.corrupt_lines = 0
+        self.load_errors = 0
+        self.write_errors = 0
+        self.quarantined: Path | None = None
+        if owner is not None:
+            weakref.finalize(owner, self.flush)
+
+    def load(self, accept, repair: bool = True) -> bool:
+        """Feed each record in the file to ``accept``; whether it was read.
+
+        A line that is torn, fails its CRC, or that ``accept`` returns
+        false for counts in ``corrupt_lines``.  If any did and ``repair``
+        is set, the file moves aside to ``<name>.quarantine`` and the
+        accepted records are rewritten atomically, so a bad line is
+        scrubbed once instead of re-skipped forever.  A missing file is
+        an empty log; an unreadable one counts in ``load_errors``.
+        """
+        try:
+            if self.load_site is not None:
+                faults.fire(self.load_site)
+            if not self.path.exists():
+                return False
+            text = self.path.read_text()
+        except OSError as exc:
+            self.load_errors += 1
+            _warn("append log unreadable; starting empty",
+                  path=str(self.path), error=str(exc))
+            return False
+        survivors = []
+        for line in text.splitlines():
+            if not line.strip():
+                continue
+            rec = decode_record(line)
+            if rec is not None and accept(rec):
+                survivors.append(line)
+            else:
+                self.corrupt_lines += 1
+        if self.corrupt_lines and repair:
+            self._quarantine(survivors)
+        return True
+
+    def _quarantine(self, survivors: list) -> None:
+        # Both steps go through os.replace, so a crash at any point leaves
+        # the old file, the quarantined copy, or the compacted log.
+        quarantine = self.path.with_name(self.path.name + ".quarantine")
+        try:
+            os.replace(self.path, quarantine)
+        except OSError:
+            self.load_errors += 1
+            return
+        self.quarantined = quarantine
+        _warn("quarantined corrupt append log", path=str(quarantine),
+              corrupt_lines=self.corrupt_lines)
+        text = "".join(encode_record(decode_record(line)) + "\n"
+                       for line in survivors)
+        try:
+            atomic_write_text(self.path, text)
+        except OSError:
+            # The quarantined copy still holds the data; appends resume
+            # into a fresh file on the next flush.
+            self.write_errors += 1
+
+    def append(self, rec: dict) -> None:
+        """Queue one record; raises ``TypeError``/``ValueError`` if it
+        does not serialize."""
+        line = encode_record(rec)
+        with self._lock:
+            self._pending.append(line)
+            self.appended += 1
+            full = len(self._pending) >= self.flush_every
+        if full:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the queued records in one ``O_APPEND`` write; never
+        raises for a failed write."""
+        with self._lock:
+            if not self._pending:
+                return
+            pending, self._pending = self._pending, []
+            payload = ("\n".join(pending) + "\n").encode()
+            try:
+                # A torn_write rule truncates the payload (a crash
+                # mid-append); the raising kinds fail the write.
+                if self.flush_site is not None:
+                    payload = faults.corrupt(self.flush_site, payload)
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                fd = os.open(
+                    self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+                )
+                try:
+                    os.write(fd, payload)
+                finally:
+                    os.close(fd)
+            except Exception as exc:
+                if self.requeue and not isinstance(exc, OSError):
+                    raise
+                self.write_errors += 1
+                if self.requeue:
+                    self._pending = pending  # the next flush retries
+                else:
+                    _warn("append log flush failed; records dropped",
+                          path=str(self.path),
+                          error=f"{type(exc).__name__}: {exc}")

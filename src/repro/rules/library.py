@@ -1,15 +1,10 @@
 """The persistent, indexed rewrite-rule library.
 
-One library per target ISA, stored as an append-only CRC-stamped JSONL
-file next to the verdict store (``rules_<target>.jsonl`` under the cache
-directory).  Records reuse the verdict store's line format
-(:func:`repro.synthesis.engine.encode_record` /
-:func:`~repro.synthesis.engine.decode_record`): a per-line CRC-32 catches
-torn or merged appends, a corrupt file is quarantined to
-``<path>.quarantine`` and the surviving rules are rewritten atomically
-(:func:`repro.fsutil.atomic_write_text`), and every batch lands as one
-``os.write`` on an ``O_APPEND`` descriptor so concurrent processes
-interleave whole batches.  Load failures of any kind degrade to an empty
+One library per target ISA, stored next to the verdict store
+(``rules_<target>.jsonl`` under the cache directory) as a
+:class:`repro.fsutil.AppendLog`: CRC-stamped lines, batches of 32, fault
+site ``rules.load``, a failed flush re-queues, and a corrupt file is
+quarantined and compacted.  Load failures of any kind degrade to an empty
 library — the compile falls back to full synthesis, it never fails.
 
 Matching is two dictionary lookups on the spec's abstraction keys
@@ -24,7 +19,6 @@ returned, so soundness never rests on the generalization step.
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
 import threading
@@ -33,8 +27,8 @@ from pathlib import Path
 
 from .. import faults
 from ..errors import CancelledError, ReproError
-from ..synthesis.engine import decode_record, default_cache_dir, encode_record
-from ..trace.log import get_logger
+from ..fsutil import AppendLog
+from ..synthesis.engine import default_cache_dir
 from .codec import (
     FORMAT_VERSION,
     RuleCodecError,
@@ -47,8 +41,6 @@ from .codec import (
 #: candidate instantiations tried per spec before giving up (each failed
 #: re-check costs one oracle query, so the cap bounds fast-path overhead)
 MAX_CANDIDATES = 4
-
-_log = get_logger("repro.rules")
 
 
 def rules_file(directory: str | os.PathLike | None, target: str) -> Path:
@@ -116,111 +108,35 @@ class RuleLibrary:
     tests' default).
     """
 
-    FLUSH_EVERY = 32
-
     def __init__(self, path: str | os.PathLike | None = None,
                  target: str = "hvx"):
-        self.path = Path(path) if path is not None else None
         self.target = target
         self._lock = threading.RLock()
         self._by_exact: dict[str, Rule] = {}
         self._by_lhs: dict[str, list[Rule]] = {}
         self._roots: set[str] = set()
         self._seen: set[tuple[str, str]] = set()
-        self._pending: list[str] = []
-        self.corrupt_lines = 0
-        self.load_errors = 0
-        self.write_errors = 0
-        self.quarantined: Path | None = None
-        if self.path is not None:
-            self._load()
-        atexit.register(self.flush)
+        self.log = None
+        if path is not None:
+            self.log = AppendLog(path, self, flush_every=32,
+                                 load_site=faults.SITE_RULES_LOAD)
+            self.log.load(self._load_record)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._seen)
 
-    # -- persistence -------------------------------------------------------
-
-    def _load(self) -> None:
-        try:
-            faults.fire(faults.SITE_RULES_LOAD)
-            if not self.path.exists():
-                return
-            text = self.path.read_text()
-        except OSError:
-            # Unreadable library: compile everything the slow way rather
-            # than failing; the path stays writable for fresh rules.
-            self.load_errors += 1
-            _log.warning("rule library unreadable; running without it",
-                         path=str(self.path))
-            return
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            rec = decode_record(line)
-            rule = Rule.from_record(rec) if rec is not None else None
-            if rule is None:
-                self.corrupt_lines += 1
-                continue
-            if rule.target != self.target:
-                # Someone pointed two targets at one file; keep only ours.
-                self.corrupt_lines += 1
-                continue
-            self._index(rule)
-        if self.corrupt_lines:
-            self._quarantine_and_compact()
-
-    def _quarantine_and_compact(self) -> None:
-        quarantine = self.path.with_name(self.path.name + ".quarantine")
-        try:
-            os.replace(self.path, quarantine)
-        except OSError:
-            self.load_errors += 1
-            return
-        self.quarantined = quarantine
-        _log.warning("quarantined corrupt rule library",
-                     path=str(quarantine), corrupt_lines=self.corrupt_lines)
-        lines = [encode_record(rule.to_record())
-                 for rule in self._iter_rules()]
-        try:
-            from ..fsutil import atomic_write_text
-
-            atomic_write_text(
-                self.path, "\n".join(lines) + "\n" if lines else ""
-            )
-        except OSError:
-            self.write_errors += 1
-
-    def _iter_rules(self):
-        seen = set()
-        for rules in self._by_lhs.values():
-            for rule in rules:
-                key = (rule.exact, _rhs_dump(rule.rhs))
-                if key not in seen:
-                    seen.add(key)
-                    yield rule
+    def _load_record(self, rec: dict) -> bool:
+        rule = Rule.from_record(rec)
+        # A rule for another target means two targets share one file.
+        if rule is None or rule.target != self.target:
+            return False
+        self._index(rule)
+        return True
 
     def flush(self) -> None:
-        """Append pending rules in one ``O_APPEND`` write; best-effort."""
-        with self._lock:
-            if not self._pending or self.path is None:
-                return
-            pending = self._pending
-            self._pending = []
-            payload = ("\n".join(pending) + "\n").encode()
-            try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                fd = os.open(
-                    self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-                )
-                try:
-                    os.write(fd, payload)
-                finally:
-                    os.close(fd)
-            except OSError:
-                self.write_errors += 1
-                self._pending = pending + self._pending
+        if self.log is not None:
+            self.log.flush()
 
     # -- indexing ----------------------------------------------------------
 
@@ -303,10 +219,8 @@ class RuleLibrary:
         with self._lock:
             if not self._index(rule):
                 return False
-            if self.path is not None:
-                self._pending.append(encode_record(rule.to_record()))
-                if len(self._pending) >= self.FLUSH_EVERY:
-                    self.flush()
+        if self.log is not None:
+            self.log.append(rule.to_record())
         return True
 
 

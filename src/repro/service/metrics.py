@@ -21,6 +21,7 @@ import threading
 from collections import deque
 
 from ..numerics import quantile as _nearest_rank
+from ..synthesis.stats import COUNTERS
 
 #: histogram reservoir size — quantiles are computed over the most recent
 #: observations only
@@ -242,63 +243,10 @@ def observe_synthesis_stats(registry: MetricsRegistry, stats: dict) -> None:
     lifetime while histograms track the per-job distribution.
     """
     totals = stats.get("totals", {})
-    registry.counter(
-        "repro_oracle_queries_total",
-        "equivalence queries issued by finished jobs",
-    ).inc(totals.get("queries", 0))
-    registry.counter(
-        "repro_oracle_cache_hits_total",
-        "queries answered from the two-level verdict cache",
-    ).inc(totals.get("cache_hits", 0))
-    registry.counter(
-        "repro_oracle_cache_misses_total",
-        "queries that required a full differential pass",
-    ).inc(totals.get("cache_misses", 0))
-    registry.counter(
-        "repro_oracle_counterexamples_total",
-        "new refuting valuations discovered",
-    ).inc(totals.get("counterexamples", 0))
-    registry.counter(
-        "repro_fingerprint_hits_total",
-        "queries answered from an observational-equivalence class",
-    ).inc(totals.get("fingerprint_hits", 0))
-    registry.counter(
-        "repro_classes_formed_total",
-        "denotation-fingerprint equivalence classes formed",
-    ).inc(totals.get("classes_formed", 0))
-    registry.counter(
-        "repro_class_splits_total",
-        "class invalidations after a distinguishing valuation extended "
-        "the fingerprint set",
-    ).inc(totals.get("class_splits", 0))
-    registry.counter(
-        "repro_queries_saved_total",
-        "oracle queries avoided by equivalence-class dedup",
-    ).inc(totals.get("queries_saved", 0))
-    registry.counter(
-        "repro_pruned_grammar_hits_total",
-        "placeholder enumerations served by a precomputed pruned grammar",
-    ).inc(totals.get("pruned_grammar_hits", 0))
-    registry.counter(
-        "repro_retries_total",
-        "worker-pool batch resubmissions after a crashed dispatch",
-    ).inc(totals.get("retries", 0))
-    registry.counter(
-        "repro_rule_hits_total",
-        "specs answered by the rewrite-rule pattern-match fast path",
-    ).inc(totals.get("rule_hits", 0))
-    registry.counter(
-        "repro_rule_misses_total",
-        "specs the rule library could not answer (fell through to CEGIS)",
-    ).inc(totals.get("rule_misses", 0))
-    registry.counter(
-        "repro_rules_mined_total",
-        "fresh syntheses generalized into persisted rewrite rules",
-    ).inc(totals.get("rules_mined", 0))
-    registry.counter(
-        "repro_rule_recheck_failures_total",
-        "instantiated rule candidates refuted by the full-bank re-check",
-    ).inc(totals.get("rule_recheck_failures", 0))
+    for counter in COUNTERS:
+        if counter.metric is not None:
+            registry.counter(counter.metric, counter.help).inc(
+                totals.get(counter.name, 0))
     stages = stats.get("stages", {})
     for name in _STAGE_METRICS:
         stage = stages.get(name)

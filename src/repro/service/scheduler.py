@@ -660,8 +660,8 @@ class JobScheduler:
             "records": len(report.records),
             "segments": report.segments,
             "corrupt_lines": report.corrupt_lines,
-            "appended": self.telemetry.appended,
-            "write_errors": self.telemetry.write_errors,
+            "appended": self.telemetry.log.appended,
+            "write_errors": self.telemetry.log.write_errors,
             "groups": summarize_groups(report.records),
         }
 

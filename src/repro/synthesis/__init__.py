@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from ..ir import expr as ir_expr
 from ..targets import nodes as N, resolve_target
-from .engine import DiskStore, OracleCache, ParallelChecker
+from .engine import OracleCache, ParallelChecker
 from .lifting import Lifter, LiftStep, lift
 from .lowering import Lowerer, LoweringOptions, lower
 from .oracle import LAYOUT_DEINTERLEAVED, LAYOUT_INORDER, Oracle, denote

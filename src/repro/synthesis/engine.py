@@ -33,18 +33,16 @@ for a renamed twin is exactly as trustworthy as a fresh differential pass.
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
 import hashlib
-import json
 import os
 import threading
-import zlib
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 from .. import faults
 from ..faults import RetryPolicy
+from ..fsutil import AppendLog
 from ..hvx import isa as hvx_isa
 from ..ir import expr as ir_expr
 from ..trace.core import NULL_SPAN as _NULL_CTX
@@ -144,232 +142,42 @@ def spec_key(spec, seed: int = 0, rounds: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Persistent verdict / counterexample store
+# Verdict / counterexample cache
 # ---------------------------------------------------------------------------
-
-
-def encode_record(rec: dict) -> str:
-    """One JSONL line for ``rec``, stamped with a CRC-32 of its body.
-
-    The checksum covers the canonical serialization of the record *without*
-    the ``crc`` field (compact separators, sorted keys), so any decoder can
-    recompute it without caring about field order.
-    """
-    body = json.dumps(rec, separators=(",", ":"), sort_keys=True)
-    stamped = dict(rec)
-    stamped["crc"] = zlib.crc32(body.encode())
-    return json.dumps(stamped, separators=(",", ":"), sort_keys=True)
-
-
-def decode_record(line: str):
-    """Parse one JSONL line; ``None`` if torn, merged or CRC-mismatched.
-
-    Lines without a ``crc`` field (stores written before checksumming) are
-    accepted as-is — the old best-effort trust level, kept so warm caches
-    survive the upgrade.
-    """
-    try:
-        rec = json.loads(line)
-    except (json.JSONDecodeError, ValueError):
-        return None
-    if not isinstance(rec, dict):
-        return None
-    if "crc" in rec:
-        crc = rec.pop("crc")
-        body = json.dumps(rec, separators=(",", ":"), sort_keys=True)
-        if crc != zlib.crc32(body.encode()):
-            return None
-    return rec
-
-
-class DiskStore:
-    """Append-only JSONL store for verdicts and counterexample indices.
-
-    Lines are self-describing records::
-
-        {"t": "v", "k": "<query key>", "v": 0 | 1}
-        {"t": "c", "k": "<spec key>",  "i": <bank index>}
-
-    The store is safe to share between concurrent writers — threads in one
-    process (every method takes the store lock) and multiple processes
-    appending to the same file.  Each flush lands as **one**
-    ``os.write`` on an ``O_APPEND`` descriptor, so batches from different
-    processes interleave at line-batch granularity rather than mid-line;
-    the loader additionally tolerates the failure modes concurrency can
-    still produce — torn or merged lines never parse (and new records
-    carry a per-line CRC-32, so even a corruption that *does* parse is
-    caught), and duplicate records (two processes proving the same
-    verdict) are idempotent.  A store found corrupt at load time is
-    quarantined: the damaged file moves aside to ``<path>.quarantine``
-    and the surviving records are rewritten atomically, so a bad line is
-    scrubbed once instead of re-skipped forever.  Writes are buffered and
-    flushed periodically, on :meth:`close` and at interpreter exit; a
-    flush that fails with ``OSError`` re-queues its records rather than
-    losing them or crashing synthesis.
-    """
-
-    FLUSH_EVERY = 128
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._verdicts: dict[str, bool] = {}
-        self._counterexamples: dict[str, list[int]] = {}
-        self._pending: list[str] = []
-        self._lock = threading.RLock()
-        self.corrupt_lines = 0
-        self.load_errors = 0
-        self.write_errors = 0
-        self.quarantined: Path | None = None
-        self._load()
-        atexit.register(self.close)
-
-    def _load(self) -> None:
-        try:
-            faults.fire(faults.SITE_CACHE_LOAD)
-            if not self.path.exists():
-                return
-            text = self.path.read_text()
-        except OSError:
-            self.load_errors += 1
-            return
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            rec = decode_record(line)
-            if rec is None:
-                self.corrupt_lines += 1
-                continue
-            if rec.get("t") == "v" and "k" in rec and "v" in rec:
-                self._verdicts[rec["k"]] = bool(rec["v"])
-            elif rec.get("t") == "c" and "k" in rec and "i" in rec:
-                bucket = self._counterexamples.setdefault(rec["k"], [])
-                if rec["i"] not in bucket:
-                    bucket.append(rec["i"])
-            else:
-                self.corrupt_lines += 1
-        if self.corrupt_lines:
-            self._quarantine_and_compact()
-
-    def _quarantine_and_compact(self) -> None:
-        """Move a damaged store aside and rewrite the surviving records.
-
-        The quarantine rename and the compacted rewrite both go through
-        ``os.replace``, so a crash at any point leaves either the old
-        file, the quarantined copy, or the fully compacted store — never
-        a half-written one.
-        """
-        quarantine = self.path.with_name(self.path.name + ".quarantine")
-        try:
-            os.replace(self.path, quarantine)
-        except OSError:
-            self.load_errors += 1
-            return
-        self.quarantined = quarantine
-        lines = [
-            encode_record({"t": "v", "k": key, "v": int(verdict)})
-            for key, verdict in self._verdicts.items()
-        ]
-        lines.extend(
-            encode_record({"t": "c", "k": key, "i": index})
-            for key, bucket in self._counterexamples.items()
-            for index in bucket
-        )
-        try:
-            from ..fsutil import atomic_write_text
-
-            atomic_write_text(
-                self.path, "\n".join(lines) + "\n" if lines else ""
-            )
-        except OSError:
-            # The quarantined copy still holds the data; appends resume
-            # into a fresh file on the next flush.
-            self.write_errors += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._verdicts)
-
-    def get_verdict(self, key: str) -> bool | None:
-        with self._lock:
-            return self._verdicts.get(key)
-
-    def put_verdict(self, key: str, verdict: bool) -> None:
-        with self._lock:
-            if key in self._verdicts:
-                return
-            self._verdicts[key] = verdict
-            self._pending.append(
-                encode_record({"t": "v", "k": key, "v": int(verdict)})
-            )
-            if len(self._pending) >= self.FLUSH_EVERY:
-                self.flush()
-
-    def counterexample_indices(self, key: str) -> list[int]:
-        with self._lock:
-            return list(self._counterexamples.get(key, ()))
-
-    def add_counterexample(self, key: str, index: int) -> None:
-        with self._lock:
-            bucket = self._counterexamples.setdefault(key, [])
-            if index in bucket:
-                return
-            bucket.append(index)
-            self._pending.append(
-                encode_record({"t": "c", "k": key, "i": index})
-            )
-            if len(self._pending) >= self.FLUSH_EVERY:
-                self.flush()
-
-    def flush(self) -> None:
-        with self._lock:
-            if not self._pending:
-                return
-            pending = self._pending
-            self._pending = []
-            payload = ("\n".join(pending) + "\n").encode()
-            try:
-                # Fault site cache.flush: a torn_write rule truncates the
-                # payload (simulating a crash mid-append); an oserror rule
-                # raises before the write, exercising the re-queue path.
-                payload = faults.corrupt(faults.SITE_CACHE_FLUSH, payload)
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                # One O_APPEND write per batch: the kernel appends
-                # atomically with respect to other appenders, so concurrent
-                # processes sharing a cache dir interleave whole batches,
-                # not bytes.
-                fd = os.open(
-                    self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-                )
-                try:
-                    os.write(fd, payload)
-                finally:
-                    os.close(fd)
-            except OSError:
-                # Keep the records queued; the next flush (or close at
-                # exit) retries.  Synthesis never fails over cache I/O.
-                self.write_errors += 1
-                self._pending = pending + self._pending
-
-    def close(self) -> None:
-        self.flush()
 
 
 @dataclasses.dataclass
 class OracleCache:
-    """Two-level verdict cache: in-process map over an optional disk store.
+    """Verdict cache: in-process maps over an optional append log.
+
+    With a log (:meth:`with_disk`) every verdict and counterexample
+    index is also a line of ``oracle.jsonl``::
+
+        {"t": "v", "k": "<query key>", "v": 0 | 1}
+        {"t": "c", "k": "<spec key>",  "i": <bank index>}
+
+    loaded once when the cache opens and appended through
+    :class:`~repro.fsutil.AppendLog` (batches of 128; fault sites
+    ``cache.load`` / ``cache.flush``; a failed flush re-queues).  A
+    record of any other shape is corrupt: a wrongly typed verdict
+    replayed forever would be a permanent false accept.
 
     Safe to share between threads: the compilation service hands one cache
     to every worker so concurrent jobs warm each other.  Verdicts are pure
     functions of their key, so a lost race is just a duplicate proof —
-    the lock only protects the dict/store bookkeeping, never a verdict's
-    validity.
+    the lock only protects the maps, never a verdict's validity.
     """
 
-    store: DiskStore | None = None
+    store: AppendLog | None = None
     _verdicts: dict = dataclasses.field(default_factory=dict)
     _counterexamples: dict = dataclasses.field(default_factory=dict)
     _lock: threading.RLock = dataclasses.field(
         default_factory=threading.RLock, repr=False
+    )
+    #: counterexample indices loaded from the store; replayed after this
+    #: cache's own (``_counterexamples``), in file order
+    _stored_counterexamples: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False
     )
 
     @classmethod
@@ -377,48 +185,64 @@ class OracleCache:
         """A cache backed by ``<directory>/oracle.jsonl`` (default dir if
         ``None``)."""
         directory = Path(directory) if directory else default_cache_dir()
-        return cls(store=DiskStore(directory / CACHE_FILE_NAME))
+        cache = cls()
+        cache.store = AppendLog(
+            directory / CACHE_FILE_NAME, cache, flush_every=128,
+            load_site=faults.SITE_CACHE_LOAD,
+            flush_site=faults.SITE_CACHE_FLUSH,
+        )
+        cache.store.load(cache._load_record)
+        return cache
+
+    def _load_record(self, rec: dict) -> bool:
+        key, kind = rec.get("k"), rec.get("t")
+        if not isinstance(key, str):
+            return False
+        verdict, index = rec.get("v"), rec.get("i")
+        if kind == "v" and type(verdict) is int and verdict in (0, 1):
+            self._verdicts[key] = bool(verdict)
+            return True
+        if kind == "c" and type(index) is int and index >= 0:
+            bucket = self._stored_counterexamples.setdefault(key, [])
+            if index not in bucket:
+                bucket.append(index)
+            return True
+        return False
 
     def lookup(self, key: str) -> bool | None:
         with self._lock:
-            verdict = self._verdicts.get(key)
-            if verdict is None and self.store is not None:
-                verdict = self.store.get_verdict(key)
-                if verdict is not None:
-                    self._verdicts[key] = verdict
-            return verdict
+            return self._verdicts.get(key)
 
     def record(self, key: str, verdict: bool) -> None:
         with self._lock:
+            fresh = key not in self._verdicts
             self._verdicts[key] = verdict
-            if self.store is not None:
-                self.store.put_verdict(key, verdict)
+            if fresh and self.store is not None:
+                self.store.append({"t": "v", "k": key, "v": int(verdict)})
 
     def counterexample_indices(self, skey: str) -> list[int]:
         with self._lock:
-            indices = list(self._counterexamples.get(skey, ()))
-            if self.store is not None:
-                for i in self.store.counterexample_indices(skey):
-                    if i not in indices:
-                        indices.append(i)
-            return indices
+            own = self._counterexamples.get(skey, [])
+            stored = self._stored_counterexamples.get(skey, ())
+            return own + [i for i in stored if i not in own]
 
     def record_counterexample(self, skey: str, index: int) -> None:
         with self._lock:
             bucket = self._counterexamples.setdefault(skey, [])
-            if index not in bucket:
-                bucket.append(index)
-            if self.store is not None:
-                self.store.add_counterexample(skey, index)
+            if index in bucket:
+                return
+            bucket.append(index)
+            stored = self._stored_counterexamples.get(skey, ())
+            if self.store is not None and index not in stored:
+                self.store.append({"t": "c", "k": skey, "i": index})
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._verdicts)
 
     def flush(self) -> None:
-        with self._lock:
-            if self.store is not None:
-                self.store.flush()
+        if self.store is not None:
+            self.store.flush()
 
 
 # ---------------------------------------------------------------------------

@@ -41,19 +41,68 @@ class StageStats:
     pruned_grammar_hits: int = 0
 
 
-#: StageStats counter fields summed by merged_with / totals / as_dict
-_COUNTER_FIELDS = (
-    "queries", "cache_hits", "cache_misses", "counterexamples",
-    "batched_evals", "fallback_evals", "fingerprint_hits",
-    "classes_formed", "class_splits", "queries_saved",
-    "pruned_grammar_hits",
+@dataclass(frozen=True)
+class Counter:
+    """One synthesis counter: its stats field, whether it is kept per
+    stage (on :class:`StageStats`) or per run (on
+    :class:`SynthesisStats`), and its service ``/metrics`` counter
+    (``metric=None``: not exported there)."""
+
+    name: str
+    per_stage: bool = True
+    metric: str | None = None
+    help: str = ""
+
+
+#: Every synthesis counter, declared once.  ``as_dict()`` totals, the
+#: telemetry record's ``totals`` and the service's ``/metrics`` counters
+#: are all derived from this table, in this order.
+COUNTERS = (
+    Counter("queries", metric="repro_oracle_queries_total",
+            help="equivalence queries issued by finished jobs"),
+    Counter("cache_hits", metric="repro_oracle_cache_hits_total",
+            help="queries answered from the two-level verdict cache"),
+    Counter("cache_misses", metric="repro_oracle_cache_misses_total",
+            help="queries that required a full differential pass"),
+    Counter("counterexamples", metric="repro_oracle_counterexamples_total",
+            help="new refuting valuations discovered"),
+    Counter("batched_evals"),
+    Counter("fallback_evals"),
+    Counter("fingerprint_hits", metric="repro_fingerprint_hits_total",
+            help="queries answered from an observational-equivalence "
+                 "class"),
+    Counter("classes_formed", metric="repro_classes_formed_total",
+            help="denotation-fingerprint equivalence classes formed"),
+    Counter("class_splits", metric="repro_class_splits_total",
+            help="class invalidations after a distinguishing valuation "
+                 "extended the fingerprint set"),
+    Counter("queries_saved", metric="repro_queries_saved_total",
+            help="oracle queries avoided by equivalence-class dedup"),
+    Counter("pruned_grammar_hits", metric="repro_pruned_grammar_hits_total",
+            help="placeholder enumerations served by a precomputed pruned "
+                 "grammar"),
+    Counter("retries", per_stage=False, metric="repro_retries_total",
+            help="worker-pool batch resubmissions after a crashed dispatch"),
+    Counter("rule_hits", per_stage=False, metric="repro_rule_hits_total",
+            help="specs answered by the rewrite-rule pattern-match fast "
+                 "path"),
+    Counter("rule_misses", per_stage=False, metric="repro_rule_misses_total",
+            help="specs the rule library could not answer (fell through "
+                 "to CEGIS)"),
+    Counter("rules_mined", per_stage=False, metric="repro_rules_mined_total",
+            help="fresh syntheses generalized into persisted rewrite rules"),
+    Counter("rule_recheck_failures", per_stage=False,
+            metric="repro_rule_recheck_failures_total",
+            help="instantiated rule candidates refuted by the full-bank "
+                 "re-check"),
 )
 
-#: SynthesisStats-level rewrite-rule counters (not per-stage: a rule hit
-#: answers a whole spec before any stage starts)
-_RULE_FIELDS = (
-    "rule_hits", "rule_misses", "rules_mined", "rule_recheck_failures",
-)
+#: StageStats counter fields summed by merged_with / totals / as_dict
+_COUNTER_FIELDS = tuple(c.name for c in COUNTERS if c.per_stage)
+
+#: SynthesisStats-level counters (not per stage: a retry redoes a whole
+#: batch, and a rule hit answers a whole spec before any stage starts)
+_RUN_FIELDS = tuple(c.name for c in COUNTERS if not c.per_stage)
 
 
 @dataclass
@@ -250,8 +299,7 @@ class SynthesisStats:
                 setattr(merged, fname,
                         getattr(mine, fname) + getattr(theirs, fname))
         out.expressions = self.expressions + other.expressions
-        out.retries = self.retries + other.retries
-        for fname in _RULE_FIELDS:
+        for fname in _RUN_FIELDS:
             setattr(out, fname,
                     getattr(self, fname) + getattr(other, fname))
         return out
@@ -286,7 +334,6 @@ class SynthesisStats:
                     f: sum(getattr(s, f) for s in self.stages.values())
                     for f in _COUNTER_FIELDS
                 },
-                "retries": self.retries,
-                **{f: getattr(self, f) for f in _RULE_FIELDS},
+                **{f: getattr(self, f) for f in _RUN_FIELDS},
             },
         }

@@ -31,6 +31,8 @@ import time
 import uuid
 from pathlib import Path
 
+from ..synthesis.stats import COUNTERS
+
 #: bump when a field's meaning changes; additive optional fields do not
 #: require a bump (readers must tolerate unknown fields)
 SCHEMA_VERSION = 1
@@ -41,13 +43,7 @@ GIT_REV_ENV = "REPRO_GIT_REV"
 
 #: SynthesisStats totals folded into every record (a missing counter
 #: records as 0 so schema-1 readers can sum without guarding)
-COUNTER_FIELDS = (
-    "queries", "cache_hits", "cache_misses", "counterexamples",
-    "batched_evals", "fallback_evals", "fingerprint_hits",
-    "classes_formed", "class_splits", "queries_saved",
-    "pruned_grammar_hits", "retries", "rule_hits", "rule_misses",
-    "rules_mined", "rule_recheck_failures",
-)
+COUNTER_FIELDS = tuple(c.name for c in COUNTERS)
 
 _git_rev_cache: str | None = None
 

@@ -1,8 +1,10 @@
 """Tests for the memoization layer (:mod:`repro.synthesis.engine`).
 
 Covers canonical query keying (rename-insensitive, layout/seed/tag
-sensitive), the append-only JSONL disk store, two-level verdict caching,
-and counterexample-bank persistence across Oracle instances.
+sensitive), the verdict store on disk (``OracleCache.with_disk``; the
+append log it sits on has its own contract suite in
+``test_append_log.py``), and counterexample-bank persistence across
+Oracle instances.
 """
 
 import json
@@ -10,12 +12,12 @@ import json
 import pytest
 
 from repro.hvx import isa as H
+from repro.fsutil import decode_record, encode_record
 from repro.ir import builder as B
 from repro.synthesis import valuation
 from repro.synthesis.engine import (
     CACHE_DIR_ENV,
     CACHE_FILE_NAME,
-    DiskStore,
     OracleCache,
     default_cache_dir,
     query_key,
@@ -88,24 +90,25 @@ class TestQueryKey:
 
 
 class TestDiskStore:
+    """The verdict store on disk, opened by ``OracleCache.with_disk``."""
+
     def test_missing_file_is_empty(self, tmp_path):
-        store = DiskStore(tmp_path / "oracle.jsonl")
+        store = OracleCache.with_disk(tmp_path)
         assert len(store) == 0
-        assert store.get_verdict("nope") is None
+        assert store.lookup("nope") is None
         assert store.counterexample_indices("nope") == []
 
     def test_roundtrip(self, tmp_path):
-        path = tmp_path / "oracle.jsonl"
-        store = DiskStore(path)
-        store.put_verdict("k1", True)
-        store.put_verdict("k2", False)
-        store.add_counterexample("s1", 3)
-        store.add_counterexample("s1", 5)
-        store.close()
+        store = OracleCache.with_disk(tmp_path)
+        store.record("k1", True)
+        store.record("k2", False)
+        store.record_counterexample("s1", 3)
+        store.record_counterexample("s1", 5)
+        store.flush()
 
-        reloaded = DiskStore(path)
-        assert reloaded.get_verdict("k1") is True
-        assert reloaded.get_verdict("k2") is False
+        reloaded = OracleCache.with_disk(tmp_path)
+        assert reloaded.lookup("k1") is True
+        assert reloaded.lookup("k2") is False
         assert reloaded.counterexample_indices("s1") == [3, 5]
 
     def test_corrupt_lines_skipped(self, tmp_path):
@@ -118,15 +121,43 @@ class TestDiskStore:
             + json.dumps({"t": "c", "k": "s", "i": 2}) + "\n"
             + '{"t": "v", "k": "trunc'  # interrupted final write
         )
-        store = DiskStore(path)
-        assert store.get_verdict("good") is True
+        store = OracleCache.with_disk(tmp_path)
+        assert store.lookup("good") is True
         assert store.counterexample_indices("s") == [2]
         assert len(store) == 1
 
+    @pytest.mark.parametrize("record", [
+        {"t": "v", "k": "K", "v": "0"},    # truthy string: a false accept
+        {"t": "v", "k": "K", "v": True},   # bool, not the int 0 or 1
+        {"t": "v", "k": "K", "v": 2},
+        {"t": "v", "k": "K", "v": 1.0},
+        {"t": "v", "k": 7, "v": 1},        # non-string key
+        {"t": "v", "k": "K"},              # no verdict
+        {"t": "c", "k": "K", "i": "x"},    # later compared with 0 <= i
+        {"t": "c", "k": "K", "i": -1},
+        {"t": "c", "k": "K", "i": 2.0},
+        {"t": "c", "k": None, "i": 2},
+    ])
+    def test_mistyped_records_are_corrupt(self, tmp_path, record):
+        """A CRC-valid (or legacy) record with a wrongly typed field is
+        counted and quarantined like a CRC failure, never replayed."""
+        path = tmp_path / "oracle.jsonl"
+        good = {"t": "v", "k": "good", "v": 0}
+        for line in (encode_record(record), json.dumps(record)):
+            path.write_text(encode_record(good) + "\n" + line + "\n")
+            store = OracleCache.with_disk(tmp_path)
+            assert store.store.corrupt_lines == 1
+            assert store.store.quarantined is not None
+            assert store.lookup("K") is None
+            assert store.counterexample_indices("K") == []
+            assert store.lookup("good") is False
+            assert [decode_record(x) for x in path.read_text().splitlines()] \
+                == [good]
+
     def test_writes_are_buffered_until_flush(self, tmp_path):
         path = tmp_path / "oracle.jsonl"
-        store = DiskStore(path)
-        store.put_verdict("k", True)
+        store = OracleCache.with_disk(tmp_path)
+        store.record("k", True)
         assert not path.exists()  # buffered
         store.flush()
         assert path.exists()
@@ -135,23 +166,31 @@ class TestDiskStore:
         assert isinstance(crc, int)  # every new record is checksummed
         assert rec == {"t": "v", "k": "k", "v": 1}
 
-    def test_flush_every_threshold(self, tmp_path):
-        path = tmp_path / "oracle.jsonl"
-        store = DiskStore(path)
-        for i in range(DiskStore.FLUSH_EVERY):
-            store.put_verdict(f"k{i}", i % 2 == 0)
-        # the threshold write happened without an explicit flush
-        assert len(path.read_text().splitlines()) == DiskStore.FLUSH_EVERY
-
     def test_duplicates_not_rewritten(self, tmp_path):
         path = tmp_path / "oracle.jsonl"
-        store = DiskStore(path)
-        store.put_verdict("k", True)
-        store.put_verdict("k", True)
-        store.add_counterexample("s", 1)
-        store.add_counterexample("s", 1)
-        store.close()
+        store = OracleCache.with_disk(tmp_path)
+        store.record("k", True)
+        store.record("k", True)
+        store.record_counterexample("s", 1)
+        store.record_counterexample("s", 1)
+        store.flush()
         assert len(path.read_text().splitlines()) == 2
+
+    def test_own_counterexamples_replay_before_stored_ones(self, tmp_path):
+        """The oracle's replay window evicts from the front, so the order
+        is part of the verdict-count contract: this cache's own indices
+        first, then the stored ones in file order."""
+        first = OracleCache.with_disk(tmp_path)
+        for index in (3, 5, 8):
+            first.record_counterexample("s", index)
+        first.flush()
+        second = OracleCache.with_disk(tmp_path)
+        second.record_counterexample("s", 7)
+        second.record_counterexample("s", 5)
+        assert second.counterexample_indices("s") == [7, 5, 3, 8]
+        second.flush()  # only the new index is appended
+        assert OracleCache.with_disk(tmp_path).counterexample_indices("s") \
+            == [3, 5, 8, 7]
 
 
 class TestOracleMemoization:
@@ -249,13 +288,13 @@ class TestConcurrentWriters:
         import threading
 
         path = tmp_path / "oracle.jsonl"
-        store = DiskStore(path)
+        store = OracleCache.with_disk(tmp_path)
         barrier = threading.Barrier(8)
 
         def writer(t):
             barrier.wait()
             for i in range(200):
-                store.put_verdict(f"k{t}-{i}", (t + i) % 2 == 0)
+                store.record(f"k{t}-{i}", (t + i) % 2 == 0)
                 if i % 50 == 0:
                     store.flush()
 
@@ -266,37 +305,38 @@ class TestConcurrentWriters:
             th.start()
         for th in threads:
             th.join()
-        store.close()
+        store.flush()
 
         lines = path.read_text().splitlines()
         assert len(lines) == 8 * 200  # no duplicates, no losses
         for line in lines:
             rec = json.loads(line)  # raises if any line tore
             assert rec["t"] == "v"
-        reloaded = DiskStore(path)
+        reloaded = OracleCache.with_disk(tmp_path)
         assert len(reloaded) == 8 * 200
-        assert reloaded.get_verdict("k3-101") is ((3 + 101) % 2 == 0)
+        assert reloaded.lookup("k3-101") is ((3 + 101) % 2 == 0)
 
     def test_two_stores_appending_to_one_file(self, tmp_path):
         # Two *instances* on one path model two processes sharing a cache
         # dir: each is blind to the other's in-memory state, so both may
         # prove the same verdict — the duplicate must be idempotent.
         path = tmp_path / "oracle.jsonl"
-        first, second = DiskStore(path), DiskStore(path)
-        first.put_verdict("shared", True)
-        second.put_verdict("shared", True)
-        first.put_verdict("first-only", False)
-        second.put_verdict("second-only", True)
-        second.add_counterexample("s", 7)
+        first = OracleCache.with_disk(tmp_path)
+        second = OracleCache.with_disk(tmp_path)
+        first.record("shared", True)
+        second.record("shared", True)
+        first.record("first-only", False)
+        second.record("second-only", True)
+        second.record_counterexample("s", 7)
         first.flush()
         second.flush()
 
         for line in path.read_text().splitlines():
             assert isinstance(json.loads(line), dict)
-        merged = DiskStore(path)
-        assert merged.get_verdict("shared") is True
-        assert merged.get_verdict("first-only") is False
-        assert merged.get_verdict("second-only") is True
+        merged = OracleCache.with_disk(tmp_path)
+        assert merged.lookup("shared") is True
+        assert merged.lookup("first-only") is False
+        assert merged.lookup("second-only") is True
         assert merged.counterexample_indices("s") == [7]
         assert len(merged) == 3
 
@@ -307,10 +347,10 @@ class TestConcurrentWriters:
         barrier = threading.Barrier(4)
 
         def hammer(t):
-            own = DiskStore(path)
+            own = OracleCache.with_disk(tmp_path)
             barrier.wait()
             for i in range(100):
-                own.put_verdict(f"w{t}-{i}", True)
+                own.record(f"w{t}-{i}", True)
                 own.flush()  # every record races with the other writers
 
         threads = [

@@ -20,7 +20,8 @@ from repro.hvx import program_listing
 from repro.pipeline import compile_pipeline
 from repro.service import CompileRequest, CompileServer, ServiceClient
 from repro.service.protocol import JOB_DONE
-from repro.synthesis.engine import DiskStore, OracleCache, decode_record
+from repro.fsutil import decode_record
+from repro.synthesis.engine import OracleCache
 from repro.workloads.base import get
 
 WORKLOAD = "mul"
@@ -74,7 +75,7 @@ class TestTornCachePlan:
     def test_compile_clean_and_store_reloads_valid(self, tmp_path,
                                                    clean_reference):
         wl = get(WORKLOAD)
-        cache = OracleCache(store=DiskStore(tmp_path / "oracle.jsonl"))
+        cache = OracleCache.with_disk(tmp_path)
         with faults.injected(faults.load_plan("torn-cache")):
             compiled = compile_pipeline(wl.build(), cache=cache)
             cache.flush()
@@ -82,13 +83,13 @@ class TestTornCachePlan:
 
         # The persisted store is never *corrupt*: a fresh load skips any
         # torn tail, quarantines, and leaves a fully decodable file.
-        store = DiskStore(tmp_path / "oracle.jsonl")
+        store = OracleCache.with_disk(tmp_path)
         for line in (tmp_path / "oracle.jsonl").read_text().splitlines():
             assert decode_record(line) is not None
 
         # Every surviving verdict must agree with a clean recompile that
         # warm-loads it: wrong verdicts would change the output program.
-        warm = compile_pipeline(wl.build(), cache=OracleCache(store=store))
+        warm = compile_pipeline(wl.build(), cache=store)
         assert listings(warm) == clean_reference
 
 

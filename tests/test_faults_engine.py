@@ -2,8 +2,9 @@
 
 Two hardening layers under test: the ParallelChecker's bounded retry +
 process→thread→serial degrade ladder (verdicts must never change, only
-the execution mode), and the DiskStore's CRC-checksummed records with
-quarantine + compaction of corrupt stores.
+the execution mode), and the verdict store's CRC-checksummed records
+under its ``cache.load`` / ``cache.flush`` fault sites (the log contract
+every store shares is in ``test_append_log.py``).
 """
 
 import json
@@ -14,14 +15,13 @@ import pytest
 from repro import faults
 from repro import workloads  # noqa: F401 - populate the registry
 from repro.faults import FaultPlan, FaultRule, RetryPolicy
+from repro.fsutil import decode_record, encode_record
 from repro.ir import builder as B
 from repro.synthesis.engine import (
     MODE_SERIAL,
     MODE_THREAD,
-    DiskStore,
+    OracleCache,
     ParallelChecker,
-    decode_record,
-    encode_record,
 )
 from repro.synthesis.oracle import LAYOUT_INORDER, Oracle
 from repro.types import U8, U16
@@ -170,53 +170,22 @@ class TestCrcRecords:
 
 
 class TestDiskStoreResilience:
-    def write_store(self, path, verdicts):
-        store = DiskStore(path)
+    """The verdict store on disk under its fault sites."""
+
+    def write_store(self, directory, verdicts):
+        store = OracleCache.with_disk(directory)
         for key, verdict in verdicts.items():
-            store.put_verdict(key, verdict)
+            store.record(key, verdict)
         store.flush()
         return store
-
-    def test_corrupt_line_is_quarantined_and_compacted(self, tmp_path):
-        path = tmp_path / "oracle.jsonl"
-        self.write_store(path, {"a": True, "b": False})
-        # Corrupt record "a" in a way that still parses as JSON.
-        lines = path.read_text().splitlines()
-        damaged = []
-        for line in lines:
-            rec = json.loads(line)
-            if rec["k"] == "a":
-                rec["v"] = 1 - rec["v"]  # bit flip, stale CRC
-                line = json.dumps(rec)
-            damaged.append(line)
-        path.write_text("\n".join(damaged) + "\n")
-
-        store = DiskStore(path)
-        assert store.corrupt_lines == 1
-        assert store.get_verdict("a") is None      # never a wrong verdict
-        assert store.get_verdict("b") is False     # survivor kept
-        quarantine = tmp_path / "oracle.jsonl.quarantine"
-        assert store.quarantined == quarantine and quarantine.exists()
-        # The compacted store is fully valid: every line decodes.
-        for line in path.read_text().splitlines():
-            assert decode_record(line) is not None
-
-    def test_torn_tail_line_is_dropped(self, tmp_path):
-        path = tmp_path / "oracle.jsonl"
-        self.write_store(path, {"a": True})
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"t": "v", "k": "torn')  # crashed writer's tail
-        store = DiskStore(path)
-        assert store.corrupt_lines == 1
-        assert store.get_verdict("a") is True
 
     def test_duplicate_records_are_idempotent(self, tmp_path):
         path = tmp_path / "oracle.jsonl"
         line = encode_record({"t": "v", "k": "a", "v": 1})
         path.write_text(line + "\n" + line + "\n")
-        store = DiskStore(path)
-        assert store.corrupt_lines == 0
-        assert store.get_verdict("a") is True
+        store = OracleCache.with_disk(tmp_path)
+        assert store.store.corrupt_lines == 0
+        assert store.lookup("a") is True
 
     def test_legacy_store_without_crcs_warm_loads(self, tmp_path):
         path = tmp_path / "oracle.jsonl"
@@ -224,54 +193,53 @@ class TestDiskStoreResilience:
             json.dumps({"t": "v", "k": "old", "v": 1}) + "\n"
             + json.dumps({"t": "c", "k": "spec", "i": 4}) + "\n"
         )
-        store = DiskStore(path)
-        assert store.corrupt_lines == 0
-        assert store.get_verdict("old") is True
+        store = OracleCache.with_disk(tmp_path)
+        assert store.store.corrupt_lines == 0
+        assert store.lookup("old") is True
         assert store.counterexample_indices("spec") == [4]
 
     def test_injected_torn_flush_never_corrupts_reload(self, tmp_path):
         """A flush torn mid-line costs at most the torn record: the next
         load skips it, quarantines, and compacts to a fully valid file."""
         path = tmp_path / "oracle.jsonl"
-        store = DiskStore(path)
+        store = OracleCache.with_disk(tmp_path)
         for i in range(8):
-            store.put_verdict(f"k{i}", i % 2 == 0)
+            store.record(f"k{i}", i % 2 == 0)
         with faults.injected(FaultPlan(rules=[
             FaultRule(site=faults.SITE_CACHE_FLUSH, kind="torn_write",
                       every=1),
         ])):
             store.flush()
 
-        reloaded = DiskStore(path)
-        assert reloaded.corrupt_lines == 1     # exactly the torn tail
+        reloaded = OracleCache.with_disk(tmp_path)
+        assert reloaded.store.corrupt_lines == 1     # exactly the torn tail
         for i in range(8):
-            verdict = reloaded.get_verdict(f"k{i}")
+            verdict = reloaded.lookup(f"k{i}")
             assert verdict in (None, i % 2 == 0)   # right or absent
         for line in path.read_text().splitlines():
             assert decode_record(line) is not None
 
     def test_injected_flush_oserror_requeues_pending(self, tmp_path):
         path = tmp_path / "oracle.jsonl"
-        store = DiskStore(path)
-        store.put_verdict("a", True)
+        store = OracleCache.with_disk(tmp_path)
+        store.record("a", True)
         with faults.injected(FaultPlan(rules=[
             FaultRule(site=faults.SITE_CACHE_FLUSH, kind="oserror",
                       every=1),
         ])):
             store.flush()
-        assert store.write_errors == 1
+        assert store.store.write_errors == 1
         assert not path.exists()
         store.flush()  # fault cleared: the re-queued record lands
-        assert DiskStore(path).get_verdict("a") is True
+        assert OracleCache.with_disk(tmp_path).lookup("a") is True
 
     def test_injected_load_oserror_starts_empty_not_crashed(self, tmp_path):
-        path = tmp_path / "oracle.jsonl"
-        self.write_store(path, {"a": True})
+        self.write_store(tmp_path, {"a": True})
         with faults.injected(FaultPlan(rules=[
             FaultRule(site=faults.SITE_CACHE_LOAD, kind="oserror",
                       every=1),
         ])):
-            store = DiskStore(path)
-        assert store.load_errors == 1
-        assert store.get_verdict("a") is None
+            store = OracleCache.with_disk(tmp_path)
+        assert store.store.load_errors == 1
+        assert store.lookup("a") is None
         assert len(store) == 0

@@ -27,6 +27,7 @@ from repro import workloads  # noqa: F401 - populate the registry
 from repro.cli import main
 from repro.faults import FaultPlan, FaultRule
 from repro.frontend import lower_pipeline
+from repro.fsutil import decode_record, encode_record
 from repro.ir import builder as B
 from repro.pipeline import _is_trivial, compile_pipeline
 from repro.rules import (
@@ -41,7 +42,6 @@ from repro.rules.codec import Abstraction, decode_node
 from repro.service.protocol import CompileRequest
 from repro.sim import measure
 from repro.synthesis import RakeSelector
-from repro.synthesis.engine import encode_record
 from repro.synthesis.oracle import Oracle
 from repro.synthesis.stats import SynthesisStats
 from repro.targets import resolve_target
@@ -241,13 +241,14 @@ def test_corrupt_lines_are_quarantined_and_compacted(tmp_path):
         fh.write('{"not": "a rule record"}\n')
         fh.write("torn garbage\n")
     reloaded = RuleLibrary(path)
-    assert reloaded.corrupt_lines == 2
-    assert reloaded.quarantined is not None and reloaded.quarantined.exists()
+    assert reloaded.log.corrupt_lines == 2
+    assert reloaded.log.quarantined is not None
+    assert reloaded.log.quarantined.exists()
     assert len(reloaded) == 1
     assert reloaded.match(spec, Oracle()) is not None
     # The compacted file is clean on the next load.
     clean = RuleLibrary(path)
-    assert clean.corrupt_lines == 0
+    assert clean.log.corrupt_lines == 0
     assert len(clean) == 1
 
 
@@ -262,7 +263,7 @@ def test_rules_load_fault_degrades_to_empty_library(tmp_path):
         FaultRule(site=faults.SITE_RULES_LOAD, kind="oserror", on_nth=1),
     ])):
         library = RuleLibrary(path)
-    assert library.load_errors == 1
+    assert library.log.load_errors == 1
     assert len(library) == 0
     assert library.match(spec, Oracle()) is None
     # The compile itself is unaffected: full synthesis, correct result.
@@ -305,8 +306,6 @@ def test_tampered_library_still_compiles_correctly(tmp_path):
     library = RuleLibrary(path)
     compile_pipeline(get("mul").build(), backend="rake", rules=library)
     library.flush()
-    from repro.synthesis.engine import decode_record
-
     tampered_lines = []
     for line in path.read_text().splitlines():
         rec = decode_record(line)

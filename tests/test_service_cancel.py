@@ -105,7 +105,7 @@ class TestCancelledCompileLeavesSoundCaches:
         store_path = tmp_path / "oracle.jsonl"
         assert_store_is_sound(store_path)
         reloaded = OracleCache.with_disk(tmp_path)
-        for key, verdict in reloaded.store._verdicts.items():
+        for key, verdict in reloaded._verdicts.items():
             assert isinstance(verdict, bool)
             assert cache.lookup(key) == verdict  # duplicates are idempotent
 

@@ -60,7 +60,7 @@ class TestFlushFaults:
                 source="test", workload=WORKLOAD, target="hvx", wall_s=1.0))
         assert rid is not None  # append succeeded; the flush ate the fault
         assert plan.injected_total() >= 1
-        assert store.write_errors >= 1
+        assert store.log.write_errors >= 1
         assert read_store(tmp_path).records == []  # batch dropped, not torn
 
     def test_torn_write_caught_by_crc_and_quarantined(self, tmp_path):
@@ -114,7 +114,7 @@ class TestFlushFaults:
         rid = emit(store, build_record(source="test", workload=WORKLOAD,
                                        target="hvx", wall_s=1.0))
         assert rid is not None
-        assert store.write_errors == 1
+        assert store.log.write_errors == 1
 
 
 class TestWarmReplayWithTelemetry:

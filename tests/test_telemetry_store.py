@@ -1,16 +1,17 @@
 """The telemetry corpus: record schema, segment store, aggregation.
 
-The store reuses the verdict store's CRC-stamped JSONL contract, so the
-tests mirror that suite's shape: roundtrip, torn/corrupt lines, multi-
-segment merge, quarantine + atomic compaction — plus the schema gate
-(records from an unknown future schema are skipped, not fatal) and the
+Each segment is an append log, whose shared contract (torn/corrupt
+lines, quarantine + atomic compaction, batching, dropped failed flushes)
+is in ``test_append_log.py``.  This suite covers what telemetry adds:
+roundtrip, multi-segment merge, the schema gate (records from an unknown
+future schema are skipped, not fatal), read-only reads, and the
 aggregation layer the ``repro perf`` commands sit on.
 """
 
 import json
 import os
 
-from repro.synthesis.engine import decode_record, encode_record
+from repro.fsutil import decode_record, encode_record
 from repro.telemetry import (
     TelemetryStore,
     build_record,
@@ -74,15 +75,6 @@ class TestStore:
         assert report.corrupt_lines == 0
         assert [r["id"] for r in report.records] == [rid]
 
-    def test_append_batches_until_flush_every(self, tmp_path):
-        store = TelemetryStore(tmp_path)
-        for _ in range(store.FLUSH_EVERY - 1):
-            store.append(make_record())
-        assert not segment_files(tmp_path)  # still buffered
-        store.append(make_record())  # hits FLUSH_EVERY -> auto-flush
-        assert len(segment_files(tmp_path)) == 1
-        assert len(read_store(tmp_path).records) == store.FLUSH_EVERY
-
     def test_multi_segment_merge_sorted_by_ts(self, tmp_path):
         for i in range(3):
             store = TelemetryStore(tmp_path)
@@ -93,24 +85,6 @@ class TestStore:
         report = read_store(tmp_path)
         assert [r["workload"] for r in report.records] == [
             "wl2", "wl1", "wl0"]  # ts order, not segment order
-
-    def test_corrupt_line_quarantined_and_compacted(self, tmp_path):
-        store = TelemetryStore(tmp_path)
-        good = make_record()
-        emit(store, good)
-        with open(store.segment, "a") as fh:
-            fh.write("garbage not a crc-stamped line\n")
-        emit(store, make_record(workload="add"))
-
-        report = read_store(tmp_path, repair=True)
-        assert report.corrupt_lines == 1
-        assert len(report.records) == 2  # both good records survive
-        assert len(report.quarantined) == 1
-        assert report.quarantined[0].exists()
-        # compacted segment is clean on the second read
-        again = read_store(tmp_path)
-        assert again.corrupt_lines == 0
-        assert len(again.records) == 2
 
     def test_repair_false_leaves_segment_untouched(self, tmp_path):
         store = TelemetryStore(tmp_path)
@@ -147,7 +121,7 @@ class TestStore:
         store = TelemetryStore(blocker / "store")  # parent is a file
         assert emit(store, make_record()) is not None  # id still returned
         store.flush()
-        assert store.write_errors >= 1
+        assert store.log.write_errors >= 1
         assert read_store(blocker / "store").records == []
 
     def test_missing_directory_reads_empty(self, tmp_path):
@@ -157,7 +131,7 @@ class TestStore:
     def test_unencodable_record_returns_none(self, tmp_path):
         store = TelemetryStore(tmp_path)
         assert store.append({"schema": 1, "oops": object()}) is None
-        assert store.appended == 0
+        assert store.log.appended == 0
 
     def test_emit_through_none_store_is_noop(self):
         assert emit(None, make_record()) is None
