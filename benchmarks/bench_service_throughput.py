@@ -3,7 +3,7 @@
 Boots an in-process :class:`~repro.service.server.CompileServer`, warms
 the shared verdict cache by compiling a Table-1 subset once, then
 measures steady-state requests/sec and per-request latency (p50/p95) at
-1, 4 and 16 concurrent clients hammering ``POST /compile`` + poll.  The
+1, 4 and 16 concurrent clients hammering ``POST /compile`` + long-poll.  The
 warm numbers isolate service overhead — scheduling, coalescing, HTTP,
 JSON — from synthesis itself, which the cache answers.  Results land in
 ``benchmarks/results/service_throughput.json``.
@@ -11,8 +11,10 @@ JSON — from synthesis itself, which the cache answers.  Results land in
 ``--smoke`` is the CI entry point: it spawns a real ``python -m repro
 serve`` subprocess on an ephemeral port, occupies its single worker with
 a distinct request, submits two identical requests that must coalesce
-onto one job (asserted via ``/metrics``), then exercises ``POST
-/shutdown`` and requires a clean exit.
+onto one job (asserted via ``/metrics``), requires the wait on that cold
+blocker to take exactly one status read (the long-poll answers when the
+job finishes; a count, unlike a latency, does not depend on how fast the
+runner is), then exercises ``POST /shutdown`` and requires a clean exit.
 
 ``--cluster`` measures the multi-node path with real processes — one
 ``repro cache-server``, two ``repro serve`` workers sharing the tier,
@@ -134,6 +136,19 @@ def run_throughput(requests_per_level: int, workers: int) -> dict:
         server.shutdown()
 
 
+def _count_status_calls(client) -> list:
+    """Wrap ``client.status`` to record the job id of every call."""
+    calls = []
+    status = client.status
+
+    def counted(job_id, wait=0.0):
+        calls.append(job_id)
+        return status(job_id, wait=wait)
+
+    client.status = counted
+    return calls
+
+
 def run_smoke() -> int:
     """Boot the real daemon subprocess; prove coalescing and shutdown."""
     with tempfile.TemporaryDirectory(prefix="repro-service-") as tmp:
@@ -168,12 +183,21 @@ def run_smoke() -> int:
                 print("FAIL: identical submissions did not coalesce",
                       file=sys.stderr)
                 return 1
+            status_calls = _count_status_calls(client)
             for submitted in (blocker, first):
                 view = client.wait(submitted["id"], timeout=300)
                 if view.state != "done":
                     print(f"FAIL: job {submitted['id']} ended "
                           f"{view.state}: {view.error}", file=sys.stderr)
                     return 1
+            blocker_reads = status_calls.count(blocker["id"])
+            if blocker_reads != 1:
+                print(f"FAIL: waiting on the cold blocker took "
+                      f"{blocker_reads} status reads, want 1 long-poll",
+                      file=sys.stderr)
+                return 1
+            print(f"status reads to wait out the cold blocker: "
+                  f"{blocker_reads}")
             coalesced = client.metrics().get("repro_jobs_coalesced_total", 0)
             if coalesced < 1:
                 print(f"FAIL: /metrics reports {coalesced} coalesced jobs",

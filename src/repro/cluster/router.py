@@ -17,9 +17,10 @@ changing a line.  What it adds underneath:
   decide eligibility; the ring walk skips ineligible nodes, so a dead
   node costs one hop, not an error.
 * **Failover re-dispatch** — when the node owning a job stops answering
-  status polls, the router re-submits the original request to the next
-  eligible node *with the same idempotency key* and the job's remaining
-  deadline budget, then aliases the public job id onto the replacement.
+  status reads (or dies holding a long-poll ``GET /jobs/<id>?wait=S``),
+  the router re-submits the original request to the next eligible node
+  *with the same idempotency key* and the job's remaining deadline
+  budget, then aliases the public job id onto the replacement.
   Compiles are deterministic pure functions of the request, so a replay
   returns the byte-identical selection the dead node would have; the
   idempotency key makes the replay additionally safe against the racy
@@ -43,18 +44,23 @@ import json
 import signal
 import threading
 import time
-import urllib.error
-import urllib.request
 import uuid
+from collections import deque
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 from .. import faults
 from ..errors import NoHealthyNodeError, ProtocolError
+from ..service.client import connect, exchange
 from ..service.coalesce import request_key
 from ..service.metrics import MetricsRegistry
-from ..service.protocol import JOB_TIMEOUT, PROTOCOL_VERSION, CompileRequest
+from ..service.protocol import (
+    JOB_TIMEOUT,
+    PROTOCOL_VERSION,
+    CompileRequest,
+    parse_wait,
+)
+from ..service.server import DaemonHTTPServer, JsonHandler
 from ..trace.log import get_logger
 from .membership import WorkerNode
 
@@ -65,8 +71,13 @@ _log = get_logger("repro.cluster.router")
 VNODES = 64
 
 #: timeout for one router → worker hop (forwards, proxies, probes); the
-#: worker answers submissions and polls from memory, so slow means sick
+#: worker answers submissions and status reads from memory, so slow means
+#: sick.  A long-poll's hop gets its window on top.
 HOP_TIMEOUT_S = 5.0
+
+#: idle keep-alive connections kept per worker node; more concurrent hops
+#: than this open extra connections that are closed after use
+IDLE_CONNECTIONS_PER_NODE = 8
 
 #: Retry-After hint when no node is eligible — probes run on this order
 NO_NODE_RETRY_AFTER_S = 1.0
@@ -123,36 +134,14 @@ class _RoutedJob:
         self.failovers = 0
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(JsonHandler):
     """Routes one HTTP exchange to the owning :class:`ClusterRouter`."""
 
     router: "ClusterRouter" = None  # patched per router instance
-    protocol_version = "HTTP/1.1"
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if not self.router.quiet:
             super().log_message(format, *args)
-
-    def _send_json(self, status: int, payload: dict,
-                   headers: dict | None = None) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"request body is not valid JSON: {exc}")
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         url = urlsplit(self.path)
@@ -164,13 +153,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 if "format=json" in (url.query or ""):
                     self._send_json(200, self.router.metrics.as_dict())
                 else:
-                    body = self.router.metrics.render_text().encode()
-                    self.send_response(200)
-                    self.send_header("Content-Type",
-                                     "text/plain; charset=utf-8")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
+                    self._send_text(200, self.router.metrics.render_text())
             elif len(parts) == 2 and parts[0] == "jobs":
                 status, payload = self.router.job_status(
                     parts[1], query=url.query
@@ -178,6 +161,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 self._send_json(status, payload)
             else:
                 self._send_json(404, {"error": f"no route GET {url.path}"})
+        except ProtocolError as exc:
+            self._send_json(400, {"error": str(exc)})
         except NoHealthyNodeError as exc:
             self._shed(exc)
         except Exception as exc:  # never kill the connection thread
@@ -187,10 +172,9 @@ class _RouterHandler(BaseHTTPRequestHandler):
         url = urlsplit(self.path)
         parts = [p for p in url.path.split("/") if p]
         try:
+            body = self._read_json()
             if parts == ["compile"]:
-                status, payload, headers = self.router.submit(
-                    self._read_json()
-                )
+                status, payload, headers = self.router.submit(body)
                 self._send_json(status, payload, headers=headers)
             elif (len(parts) == 3 and parts[0] == "jobs"
                     and parts[2] == "cancel"):
@@ -198,6 +182,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 self._send_json(status, payload)
             elif parts == ["shutdown"]:
                 self._send_json(200, {"draining": True})
+                self.wfile.flush()  # before the shutdown closes the socket
                 self.router.request_shutdown()
             else:
                 self._send_json(404, {"error": f"no route POST {url.path}"})
@@ -251,6 +236,9 @@ class ClusterRouter:
         self.hop_timeout_s = hop_timeout_s
         self.health_interval_s = health_interval_s
         self._ring = _Ring(self.nodes)
+        # Forwards, status hops and probes share each node's idle
+        # keep-alive connections.
+        self._idle = {node.node_id: deque() for node in self.nodes}
         self._jobs: dict[str, _RoutedJob] = {}
         self._jobs_lock = threading.Lock()
         self.metrics = MetricsRegistry()
@@ -258,8 +246,7 @@ class ClusterRouter:
         self.started_mono = time.monotonic()
         handler = type("BoundRouterHandler", (_RouterHandler,),
                        {"router": self})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = DaemonHTTPServer((host, port), handler)
         self._serve_thread: threading.Thread | None = None
         self._probe_stop = threading.Event()
         self._probe_thread: threading.Thread | None = None
@@ -306,33 +293,36 @@ class ClusterRouter:
     # -- one router → worker hop -------------------------------------------
 
     def _hop(self, node: WorkerNode, method: str, path: str,
-             payload: dict | None = None):
-        """One HTTP exchange with a worker; returns ``(status, dict)``.
+             payload: dict | None = None, wait_s: float = 0.0):
+        """One HTTP exchange with a worker over one of its pooled
+        connections; returns ``(status, dict)``.
 
-        Transport failures raise ``OSError`` — the caller owns marking
-        the node and walking on.
+        ``wait_s`` extends the hop timeout by a long-poll window.
+        Transport failures, a reply cut off mid-body included, raise
+        ``OSError`` — the caller owns marking the node and walking on.
         """
         data = json.dumps(payload).encode() if payload is not None else None
         headers = {ROUTED_BY_HEADER: self.router_id}
         if data:
             headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(
-            node.url + path, data=data, method=method, headers=headers
-        )
+        idle = self._idle[node.node_id]
         try:
-            with urllib.request.urlopen(
-                req, timeout=self.hop_timeout_s
-            ) as resp:
-                body = resp.read().decode()
-                status = resp.status
-        except urllib.error.HTTPError as exc:
-            body = exc.read().decode()
-            status = exc.code
-        except urllib.error.URLError as exc:
-            raise OSError(f"node {node.node_id} unreachable: {exc.reason}")
+            conn = idle.pop()
+        except IndexError:
+            conn = connect(node.url)
+        try:
+            status, body, _ = exchange(
+                conn, method, path, data, headers, self.hop_timeout_s + wait_s,
+            )
+        except OSError as exc:
+            raise OSError(f"node {node.node_id} unreachable: {exc}") from exc
+        if len(idle) < IDLE_CONNECTIONS_PER_NODE:
+            idle.append(conn)
+        else:
+            conn.close()
         try:
             decoded = json.loads(body) if body else {}
-        except json.JSONDecodeError:
+        except ValueError:
             decoded = {"error": "worker returned invalid JSON"}
         return status, decoded
 
@@ -411,7 +401,13 @@ class ClusterRouter:
     # -- status + failover -------------------------------------------------
 
     def job_status(self, public_id: str, query: str | None = None):
-        """``GET /jobs/<id>`` with failover; returns ``(status, dict)``."""
+        """``GET /jobs/<id>`` with failover; returns ``(status, dict)``.
+
+        A long-poll (``?wait=S``) is forwarded as is, on a hop whose
+        timeout is extended by S; a node that dies while holding it is
+        failed over like one that stops answering.
+        """
+        wait_s = parse_wait(query)
         with self._jobs_lock:
             job = self._jobs.get(public_id)
         if job is None:
@@ -419,13 +415,14 @@ class ClusterRouter:
         suffix = f"?{query}" if query else ""
         try:
             status, reply = self._hop(
-                job.node, "GET", f"/jobs/{job.current_id}{suffix}"
+                job.node, "GET", f"/jobs/{job.current_id}{suffix}",
+                wait_s=wait_s,
             )
         except OSError:
             job.node.dispatch_failed()
             job.node.mark_dead()
             self._refresh_eligible_gauge()
-            return self._failover(job, suffix)
+            return self._failover(job, suffix, wait_s)
         if status == 200:
             job.node.dispatch_ok()
             reply["id"] = job.public_id
@@ -435,12 +432,12 @@ class ClusterRouter:
             # and lost its in-memory table. Same cure as a dead node.
             _log.warning("node lost job; failing over",
                          node=job.node.node_id, job=job.public_id)
-            return self._failover(job, suffix)
+            return self._failover(job, suffix, wait_s)
         return status, reply
 
-    def _failover(self, job: _RoutedJob, suffix: str):
-        """Re-dispatch one stranded job and answer the poll that found
-        it stranded."""
+    def _failover(self, job: _RoutedJob, suffix: str, wait_s: float):
+        """Re-dispatch one stranded job and answer the status read that
+        found it stranded."""
         remaining = None
         if job.deadline_mono is not None:
             remaining = job.deadline_mono - time.monotonic()
@@ -483,7 +480,8 @@ class ClusterRouter:
                          from_node=dead.node_id, to_node=node.node_id,
                          failovers=job.failovers)
             status, reply = self._hop(
-                node, "GET", f"/jobs/{job.current_id}{suffix}"
+                node, "GET", f"/jobs/{job.current_id}{suffix}",
+                wait_s=wait_s,
             )
             if status == 200:
                 reply["id"] = job.public_id
@@ -636,6 +634,9 @@ class ClusterRouter:
         self._httpd.server_close()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
+        for idle in self._idle.values():
+            while idle:
+                idle.pop().close()
 
 
 def serve_cluster(

@@ -415,10 +415,11 @@ def builtin_plans() -> dict:
                       every=1, latency_s=0.02),
         ]),
         "socket-reset": FaultPlan(name="socket-reset", seed=17, rules=[
-            # One HTTP exchange is reset mid-flight; the polling client's
-            # transient retry must absorb it.
+            # One HTTP exchange is reset mid-flight — the 2nd, the first
+            # status read after a submit; the waiting client's transient
+            # retry must absorb it.
             FaultRule(site=SITE_SERVER_REQUEST, kind=KIND_SOCKET_RESET,
-                      on_nth=3, max_fires=1),
+                      on_nth=2, max_fires=1),
         ]),
         "cachetier-outage": FaultPlan(name="cachetier-outage", seed=23, rules=[
             # The shared cache tier goes dark: every get and put fails.

@@ -13,7 +13,7 @@ request coalescer, and exposes the whole thing as JSON over HTTP:
   deadlines, cooperative cancellation, worker pool
 * :mod:`repro.service.metrics`  — counters/gauges/histograms for /metrics
 * :mod:`repro.service.server`   — the HTTP daemon (stdlib ``http.server``)
-* :mod:`repro.service.client`   — a blocking/polling Python client
+* :mod:`repro.service.client`   — a blocking, long-polling Python client
 
 See ``docs/service.md`` for the wire API and lifecycle semantics.
 """

@@ -1,11 +1,13 @@
-"""A blocking/polling Python client for the compilation service.
+"""A blocking Python client for the compilation service.
 
 Wraps the HTTP API in typed calls: ``submit`` returns a job id,
 ``status`` a :class:`~repro.service.protocol.JobView`, and ``compile``
-blocks — submit, poll with capped exponential backoff, return the
-terminal :class:`JobView`.  The CLI's ``submit``/``status`` subcommands
-and the service tests and benchmark all go through this class, so the
-wire format has exactly one reader and one writer.
+blocks — submit, long-poll ``GET /jobs/<id>?wait=S`` until the job is
+terminal, return the terminal :class:`JobView`.  The CLI's
+``submit``/``status`` subcommands and the service tests and benchmark
+all go through this class, so the wire format has exactly one reader and
+one writer.  Each thread keeps one keep-alive connection to the server
+(:func:`exchange`, which the cluster router's hops share).
 
 Transport errors surface as :class:`~repro.errors.ServiceError`; protocol
 violations (bad JSON, version mismatch) as
@@ -13,10 +15,12 @@ violations (bad JSON, version mismatch) as
 
 Retry semantics:
 
-* Transient connection failures during **GET** requests — a polling
-  client racing a server restart, a reset socket — are retried with
-  capped exponential backoff before surfacing as the typed
-  :class:`~repro.errors.ServiceUnavailable`.
+* Transient connection failures during **GET** requests — a waiting
+  client racing a server restart, a reset socket, a reply cut off
+  mid-body — are retried with capped exponential backoff before
+  surfacing as the typed :class:`~repro.errors.ServiceUnavailable`.
+  Reopening a kept-alive connection that the server closed while it sat
+  idle sends nothing twice and is not a retry.
 * ``POST /compile`` is retried too, but only because :meth:`submit`
   stamps a client-generated **idempotency key** into every request it
   sends: a retry after a dropped connection replays onto the job the
@@ -36,12 +40,14 @@ resilience path exercising instead of inferring it from latency.
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 import uuid
 from dataclasses import replace
+from urllib.parse import urlsplit
 
 from ..errors import (
     CircuitOpenError,
@@ -51,12 +57,7 @@ from ..errors import (
     ServiceUnavailable,
 )
 from ..faults import RetryPolicy
-from .protocol import CompileRequest, JobView
-
-#: polling schedule for :meth:`ServiceClient.wait`
-POLL_INITIAL_S = 0.05
-POLL_MAX_S = 1.0
-POLL_BACKOFF = 1.5
+from .protocol import MAX_WAIT_S, CompileRequest, JobView
 
 #: cap on how long one honored Retry-After hint may sleep — a server
 #: deep in breaker cooldown should fail fast to the caller, not wedge it
@@ -65,6 +66,40 @@ MAX_RETRY_AFTER_S = 5.0
 
 def _default_retry() -> RetryPolicy:
     return RetryPolicy(attempts=3, base_s=0.05, max_s=0.5)
+
+
+def connect(url: str) -> http.client.HTTPConnection:
+    """An unopened keep-alive connection to the host and port of ``url``
+    (``http://host:port``); it opens on its first :func:`exchange`."""
+    parts = urlsplit(url)
+    return http.client.HTTPConnection(parts.hostname, parts.port)
+
+
+def exchange(conn: http.client.HTTPConnection, method: str, path: str,
+             body: bytes | None, headers: dict, timeout: float):
+    """One request and its whole reply on a keep-alive connection;
+    returns ``(status, body bytes, headers)``.
+
+    A connection the peer closed while it sat idle is reopened first,
+    before anything is sent.  Any later failure closes the connection
+    and raises ``OSError`` — including a reply cut off mid-body, which
+    ``http.client`` reports as an ``HTTPException`` — so the caller's
+    retry rules decide whether the request goes out again.
+    """
+    if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+        conn.close()  # EOF (or a stray byte) on an idle connection
+    conn.timeout = timeout
+    if conn.sock is not None:
+        conn.sock.settimeout(timeout)
+    try:
+        conn.request(method, path, body=body, headers=headers)
+        reply = conn.getresponse()
+        return reply.status, reply.read(), reply.headers
+    except BaseException as exc:
+        conn.close()  # never reuse a connection left mid-exchange
+        if isinstance(exc, http.client.HTTPException):
+            raise OSError(f"bad HTTP reply: {exc!r}") from exc
+        raise
 
 
 class ServiceClient:
@@ -79,6 +114,7 @@ class ServiceClient:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retry = retry if retry is not None else _default_retry()
+        self._local = threading.local()  # .conn: this thread's connection
         #: visible retry-path accounting; never consulted by the client
         self.stats = {
             "get_retries": 0,
@@ -89,58 +125,52 @@ class ServiceClient:
     # -- transport ---------------------------------------------------------
 
     def _request(self, method: str, path: str, payload: dict | None = None,
-                 idempotent: bool = False,
-                 headers: dict | None = None):
+                 idempotent: bool = False, wait_s: float = 0.0):
         """One HTTP exchange; returns ``(status, body, headers)``.
 
         ``idempotent=True`` opts a non-GET request into the transient
         connection retry — the caller asserts a replay is safe.
+        ``wait_s`` extends the socket timeout by a long-poll window.
         """
-        url = f"{self.base_url}{path}"
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = connect(self.base_url)
         data = json.dumps(payload).encode() if payload is not None else None
-        req_headers = dict(headers or {})
-        if data:
-            req_headers.setdefault("Content-Type", "application/json")
-        req = urllib.request.Request(
-            url, data=data, method=method, headers=req_headers,
-        )
+        headers = {"Content-Type": "application/json"} if data else {}
         retryable = method == "GET" or idempotent
         attempts = self.retry.attempts if retryable else 0
         last: Exception | None = None
         for attempt in range(attempts + 1):
             try:
-                with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                    return resp.status, resp.read().decode(), dict(
-                        resp.headers
-                    )
-            except urllib.error.HTTPError as exc:
-                # The server answered; HTTP-level errors are never
-                # transport failures and are mapped by the caller.
-                return exc.code, exc.read().decode(), dict(exc.headers or {})
-            except (urllib.error.URLError, OSError) as exc:
-                # urllib wraps ConnectionResetError & friends in URLError.
+                status, body, reply_headers = exchange(
+                    conn, method, path, data, headers,
+                    self.timeout + wait_s,
+                )
+                # HTTP-level errors are answers, not transport failures;
+                # the caller maps them.
+                return status, body.decode(), reply_headers
+            except OSError as exc:
                 last = exc
                 if attempt < attempts:
                     self.stats[
                         "get_retries" if method == "GET" else "post_retries"
                     ] += 1
                     self.retry.sleep(attempt)
-        reason = getattr(last, "reason", last)
         if retryable:
             raise ServiceUnavailable(
                 f"cannot reach compile server at {self.base_url} "
-                f"after {attempts + 1} attempts: {reason}"
+                f"after {attempts + 1} attempts: {last}"
             ) from last
         raise ServiceError(
-            f"cannot reach compile server at {self.base_url}: {reason}"
+            f"cannot reach compile server at {self.base_url}: {last}"
         ) from last
 
     def _request_json(self, method: str, path: str,
                       payload: dict | None = None,
                       idempotent: bool = False,
-                      headers: dict | None = None) -> dict:
+                      wait_s: float = 0.0) -> dict:
         status, body, resp_headers = self._request(
-            method, path, payload, idempotent=idempotent, headers=headers
+            method, path, payload, idempotent=idempotent, wait_s=wait_s
         )
         try:
             decoded = json.loads(body) if body else {}
@@ -157,7 +187,7 @@ class ServiceClient:
         return decoded
 
     @staticmethod
-    def _shed_error(decoded: dict, headers: dict) -> ServiceError:
+    def _shed_error(decoded: dict, headers) -> ServiceError:
         """Map one 503 body+headers to the typed shed exception, carrying
         the server's Retry-After hint either way."""
         retry_after = decoded.get("retry_after_s")
@@ -216,8 +246,16 @@ class ServiceClient:
                 time.sleep(max(0.0, exc.retry_after_s))
         raise AssertionError("unreachable")
 
-    def status(self, job_id: str) -> JobView:
-        return JobView.from_dict(self._request_json("GET", f"/jobs/{job_id}"))
+    def status(self, job_id: str, wait: float = 0.0) -> JobView:
+        """The job's view; with ``wait`` > 0 the server holds the reply
+        until the job is terminal or ``wait`` seconds pass (long-poll,
+        clamped to :data:`~repro.service.protocol.MAX_WAIT_S`)."""
+        path = f"/jobs/{job_id}"
+        if wait > 0:
+            path += f"?wait={wait:.3f}"
+        return JobView.from_dict(
+            self._request_json("GET", path, wait_s=wait)
+        )
 
     def trace(self, job_id: str) -> dict | None:
         """The job's serialized span tree (``GET /jobs/<id>?trace=1``).
@@ -233,11 +271,14 @@ class ServiceClient:
         return bool(reply.get("cancelled"))
 
     def wait(self, job_id: str, timeout: float | None = None) -> JobView:
-        """Poll until the job is terminal (capped exponential backoff)."""
+        """Block until the job is terminal: each long-poll returns the
+        moment the job finishes, or after one window."""
         deadline = time.monotonic() + timeout if timeout is not None else None
-        delay = POLL_INITIAL_S
         while True:
-            view = self.status(job_id)
+            window = MAX_WAIT_S
+            if deadline is not None:
+                window = min(window, max(0.0, deadline - time.monotonic()))
+            view = self.status(job_id, wait=window)
             if view.terminal:
                 return view
             if deadline is not None and time.monotonic() >= deadline:
@@ -245,8 +286,6 @@ class ServiceClient:
                     f"timed out waiting for job {job_id} "
                     f"(last state: {view.state})"
                 )
-            time.sleep(delay)
-            delay = min(POLL_MAX_S, delay * POLL_BACKOFF)
 
     def compile(self, request: CompileRequest,
                 timeout: float | None = None) -> JobView:

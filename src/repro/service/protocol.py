@@ -13,7 +13,9 @@ Python client both (de)serialize exclusively through ``to_dict`` /
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
+from urllib.parse import parse_qs
 
 from ..errors import ProtocolError
 
@@ -26,7 +28,10 @@ from ..errors import ProtocolError
 #: twice, a different admission behaviour, so this is a meaning change.
 #: Job views additionally carry the serving ``node_id`` (and, through a
 #: cluster router, ``routed_by``).
-PROTOCOL_VERSION = 3
+#: v4: ``GET /jobs/<id>?wait=S`` holds the reply until the job is
+#: terminal or S seconds pass — a v3 server would answer at once and a v4
+#: client waiting on it would spin, so this is a meaning change.
+PROTOCOL_VERSION = 4
 
 BACKENDS = ("rake", "baseline")
 
@@ -47,6 +52,32 @@ JOB_STATES = (
 
 #: states a job can never leave
 TERMINAL_STATES = (JOB_DONE, JOB_FAILED, JOB_CANCELLED, JOB_TIMEOUT)
+
+#: longest one ``GET /jobs/<id>?wait=S`` long-poll holds its reply; larger
+#: windows are clamped, so a waiter re-asks at least this often
+MAX_WAIT_S = 10.0
+
+
+def parse_wait(query: str | None) -> float:
+    """The long-poll window ``S`` of ``GET /jobs/<id>?wait=S``, in seconds.
+
+    No ``wait`` means 0 (answer at once); a window above
+    :data:`MAX_WAIT_S` is clamped to it.  Anything but a finite,
+    non-negative number is a :class:`ProtocolError` (HTTP 400).
+    """
+    values = parse_qs(query or "", keep_blank_values=True).get("wait")
+    if not values:
+        return 0.0
+    try:
+        wait = float(values[-1])
+    except ValueError:
+        wait = math.nan
+    if not math.isfinite(wait) or wait < 0:
+        raise ProtocolError(
+            f"wait must be a finite number of seconds >= 0, "
+            f"got {values[-1]!r}"
+        )
+    return min(wait, MAX_WAIT_S)
 
 
 def _require_version(data: dict, kind: str) -> None:

@@ -586,11 +586,6 @@ class JobScheduler:
             self.breaker.release_probe()
         if tracer is not None:
             job.trace = tracer.tree()
-        with self._cond:
-            job.run_s = run_s
-            self._inflight -= 1
-            self.metrics.gauge("repro_jobs_inflight").set(self._inflight)
-            self._finish_locked(job, state, error=error, result=result)
         self.metrics.histogram("repro_job_run_seconds").observe(run_s)
         if result is not None and result.degraded:
             self.metrics.counter("repro_degraded_jobs_total").inc()
@@ -609,6 +604,13 @@ class JobScheduler:
                         "target": job.request.target},
             ).observe(run_s)
             self._emit_telemetry(job, result, run_s)
+        # Finish last: a waiter woken by ``done`` reads /metrics and the
+        # telemetry corpus with this job already in them.
+        with self._cond:
+            job.run_s = run_s
+            self._inflight -= 1
+            self.metrics.gauge("repro_jobs_inflight").set(self._inflight)
+            self._finish_locked(job, state, error=error, result=result)
         if error is None:
             _log.info("job finished", job=job.id, state=state,
                       run_s=round(run_s, 4))

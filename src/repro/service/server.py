@@ -7,7 +7,10 @@ Endpoints (see ``docs/service.md`` for schemas):
   in-flight job.  ``503`` when the queue is full, ``400`` on protocol
   errors, ``409`` once shutdown has begun.
 * ``GET  /jobs/<id>``        — the job's :class:`JobView` (result inline
-  once terminal).  ``404`` for unknown ids.
+  once terminal).  ``?wait=S`` long-polls: the reply is held until the
+  job is terminal or S seconds pass (``400`` for a malformed S, clamped
+  to :data:`~repro.service.protocol.MAX_WAIT_S`).  ``404`` for unknown
+  ids.
 * ``POST /jobs/<id>/cancel`` — cooperative cancellation.
 * ``GET  /healthz``          — liveness + protocol version + uptime.
 * ``GET  /metrics``          — Prometheus-style text
@@ -26,13 +29,14 @@ is flushed to disk, and only then does the HTTP loop stop.
 from __future__ import annotations
 
 import json
+import math
 import signal
+import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
-
-import math
 
 from .. import faults
 from ..errors import (
@@ -42,7 +46,7 @@ from ..errors import (
     ServiceError,
 )
 from ..trace.log import get_logger
-from .protocol import PROTOCOL_VERSION, CompileRequest
+from .protocol import PROTOCOL_VERSION, CompileRequest, parse_wait
 from .scheduler import JobScheduler
 
 _log = get_logger("repro.service.server")
@@ -54,28 +58,112 @@ def _wants_trace(query: str | None) -> bool:
     return any(v.lower() in ("1", "true", "yes") for v in values)
 
 
-class _Handler(BaseHTTPRequestHandler):
+class DaemonHTTPServer(ThreadingHTTPServer):
+    """The HTTP loop of both daemons, the worker and the cluster router.
+
+    Peers keep their connections open between exchanges, and an accepted
+    connection outlives the listener: closing only the listening socket
+    would leave a peer's pooled connection answered by a daemon that is
+    gone.  :meth:`server_close` therefore also shuts down every accepted
+    connection that is still open (:meth:`close_connections`).
+    """
+
+    daemon_threads = True
+    #: listen backlog: the stdlib default of 5 drops the SYNs of clients
+    #: that connect at once, and each dropped one waits out a 1 s
+    #: retransmit before its first request
+    request_queue_size = 128
+
+    def __init__(self, address, handler):
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut down every open accepted connection; peers see EOF."""
+        with self._open_lock:
+            accepted = list(self._open)
+        for conn in accepted:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the peer already closed it
+                pass
+
+    def server_close(self):
+        super().server_close()
+        self.close_connections()
+
+    def handle_error(self, request, client_address):
+        # A peer that hung up mid-reply, or a connection shut down by
+        # close_connections, is not a fault of the daemon.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
+class JsonHandler(BaseHTTPRequestHandler):
+    """Reply plumbing both daemons' handlers share.
+
+    Connections stay open between exchanges (HTTP/1.1 keep-alive), so a
+    reply must not wait on the peer's delayed ACK: it is buffered and
+    sent as one write (``wbufsize = -1``, flushed after each request)
+    with Nagle off.
+    """
+
+    protocol_version = "HTTP/1.1"
+    wbufsize = -1
+    disable_nagle_algorithm = True
+
+    def _send_json(self, status: int, payload: dict,
+                   headers: dict | None = None) -> None:
+        self._send(status, json.dumps(payload).encode(), "application/json",
+                   headers)
+
+    def _send_text(self, status: int, text: str) -> None:
+        self._send(status, text.encode(), "text/plain; charset=utf-8")
+
+    def _send(self, status: int, body: bytes, content_type: str,
+              headers: dict | None = None) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _read_json(self) -> dict:
+        """The request body as JSON (``{}`` when empty).  Every POST reads
+        it before answering: the connection's next request follows it."""
+        length = int(self.headers.get("Content-Length", 0) or 0)
+        raw = self.rfile.read(length) if length else b""
+        if not raw:
+            return {}
+        try:
+            return json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ProtocolError(f"request body is not valid JSON: {exc}")
+
+
+class _Handler(JsonHandler):
     """Routes one HTTP exchange to the owning :class:`CompileServer`."""
 
     service: "CompileServer" = None  # patched per server instance
-    protocol_version = "HTTP/1.1"
 
     # -- plumbing ----------------------------------------------------------
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if not self.service.quiet:
             super().log_message(format, *args)
-
-    def _send_json(self, status: int, payload: dict,
-                   headers: dict | None = None) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
 
     def _inject_request_fault(self) -> bool:
         """Fire the ``server.request`` site; ``True`` when the connection
@@ -91,24 +179,6 @@ class _Handler(BaseHTTPRequestHandler):
                 pass
             return True
         return False
-
-    def _send_text(self, status: int, text: str) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"request body is not valid JSON: {exc}")
 
     # -- routes ------------------------------------------------------------
 
@@ -128,16 +198,22 @@ class _Handler(BaseHTTPRequestHandler):
                 else:
                     self._send_text(200, self.service.metrics.render_text())
             elif len(parts) == 2 and parts[0] == "jobs":
+                wait_s = parse_wait(url.query)
                 job = self.service.scheduler.get(parts[1])
                 if job is None:
                     self._send_json(404, {"error": f"unknown job {parts[1]}"})
                 else:
+                    # Long-poll: hold the reply until the job is terminal
+                    # or the window closes.
+                    job.done.wait(wait_s)
                     payload = job.view().to_dict()
                     if _wants_trace(url.query):
                         payload["trace"] = job.trace
                     self._send_json(200, payload)
             else:
                 self._send_json(404, {"error": f"no route GET {url.path}"})
+        except ProtocolError as exc:
+            self._send_json(400, {"error": str(exc)})
         except Exception as exc:  # never kill the connection thread
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
 
@@ -145,15 +221,17 @@ class _Handler(BaseHTTPRequestHandler):
         url = urlsplit(self.path)
         parts = [p for p in url.path.split("/") if p]
         try:
+            body = self._read_json()
             if self._inject_request_fault():
                 return
             if parts == ["compile"]:
-                self._post_compile()
+                self._post_compile(body)
             elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
                 cancelled = self.service.scheduler.cancel(parts[1])
                 self._send_json(200, {"id": parts[1], "cancelled": cancelled})
             elif parts == ["shutdown"]:
                 self._send_json(200, {"draining": True})
+                self.wfile.flush()  # before the drain closes the socket
                 self.service.request_shutdown()
             else:
                 self._send_json(404, {"error": f"no route POST {url.path}"})
@@ -184,10 +262,10 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
 
-    def _post_compile(self) -> None:
+    def _post_compile(self, body: dict) -> None:
         from ..workloads.base import names
 
-        request = CompileRequest.from_dict(self._read_json())
+        request = CompileRequest.from_dict(body)
         request.validate(known_workloads=names())
         routed_by = self.headers.get("X-Repro-Routed-By") or None
         job, coalesced = self.service.scheduler.submit(
@@ -266,8 +344,7 @@ class CompileServer:
         self.grace_s = grace_s
         self.started_mono = time.monotonic()
         handler = type("BoundHandler", (_Handler,), {"service": self})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = DaemonHTTPServer((host, port), handler)
         self._serve_thread: threading.Thread | None = None
         self._shutdown_lock = threading.Lock()
         self._shutting_down = False
@@ -333,9 +410,10 @@ class CompileServer:
         busy = self.scheduler.queue_depth() + self.scheduler.inflight() > 0
         clean = self.scheduler.shutdown(drain=drain, timeout=timeout)
         if busy and self.grace_s > 0:
-            # Clients poll at up to 1s intervals; linger so a waiter that
-            # was mid-backoff when its job went terminal still gets one
-            # successful status read before the socket closes.
+            # A long-poll wakes when its job goes terminal, but a waiter
+            # between two status reads (or between its submit and first
+            # read) still needs the listener: linger so it gets one
+            # successful read before the sockets close.
             time.sleep(self.grace_s)
         self._httpd.shutdown()
         self._httpd.server_close()

@@ -15,9 +15,11 @@ import pytest
 import repro.workloads  # noqa: F401 - populate the registry
 from repro import faults
 from repro.cluster import ClusterRouter
+from repro.cluster.membership import WorkerNode
 from repro.cluster.router import _Ring
 from repro.errors import ServiceError
 from repro.service import CompileRequest, CompileServer, ServiceClient
+from repro.service.coalesce import request_key
 from repro.service.protocol import JOB_DONE
 from repro.service.scheduler import CompileResult
 
@@ -213,3 +215,127 @@ class TestHealthGating:
         assert router.health()["eligible_nodes"] == 1
         router.probe_all()  # node-a still answers /healthz: back in
         assert router.health()["eligible_nodes"] == 2
+
+
+def _home_id(request, node_ids=("node-a", "node-b")) -> str:
+    """The id of the node the ring sends ``request`` to first."""
+    ring = _Ring([WorkerNode(node_id=n, url="") for n in node_ids])
+    return next(iter(ring.walk(request_key(request)))).node_id
+
+
+def _vanish(server: CompileServer) -> None:
+    """Take a worker off the network without draining it."""
+    server._httpd.shutdown()
+    server._httpd.server_close()
+
+
+class TestLongPollThroughRouter:
+    def test_long_poll_outlasts_the_hop_timeout(self):
+        nodes = {
+            name: CompileServer(workers=1, quiet=True, node_id=name,
+                                compile_fn=quick_compile).start()
+            for name in ("node-a", "node-b")
+        }
+        router = ClusterRouter(
+            {name: server.url for name, server in nodes.items()},
+            quiet=True, health_interval_s=30.0, hop_timeout_s=0.5,
+        ).start()
+        try:
+            request = CompileRequest(workload="mul")
+            home = nodes[_home_id(request)]
+            home.scheduler.pause()
+            client = ServiceClient(router.url)
+            job_id = client.submit(request)["id"]
+            timer = threading.Timer(1.0, home.scheduler.resume)
+            timer.start()
+            start = time.monotonic()
+            view = client.status(job_id, wait=5)
+            timer.cancel()
+            assert view.state == JOB_DONE
+            assert view.node_id == home.node_id
+            assert time.monotonic() - start >= 0.9
+            metrics = router.metrics.as_dict()
+            assert metrics.get("repro_router_failovers_total", 0) == 0
+        finally:
+            router.shutdown()
+            for server in nodes.values():
+                server.shutdown()
+
+    def test_node_killed_during_a_long_poll_fails_over(self):
+        request = CompileRequest(workload="mul")
+        single = CompileServer(workers=1, quiet=True).start()
+        try:
+            reference = ServiceClient(single.url).compile(request, timeout=60)
+        finally:
+            single.shutdown()
+        nodes = {
+            name: CompileServer(workers=1, quiet=True, node_id=name).start()
+            for name in ("node-a", "node-b")
+        }
+        router = ClusterRouter(
+            {name: server.url for name, server in nodes.items()},
+            quiet=True, health_interval_s=30.0,
+        ).start()
+        try:
+            victim = nodes[_home_id(request)]
+            victim.scheduler.pause()
+            polled = threading.Event()
+            get = victim.scheduler.get
+
+            def spy(job_id):
+                polled.set()
+                return get(job_id)
+
+            victim.scheduler.get = spy
+            client = ServiceClient(router.url)
+            submitted = client.submit(request)
+            outcome = {}
+            waiter = threading.Thread(target=lambda: outcome.update(
+                view=client.wait(submitted["id"], timeout=60)))
+            waiter.start()
+            assert polled.wait(10)
+            time.sleep(0.1)  # the victim now holds the router's long-poll
+            _vanish(victim)
+            waiter.join(60)
+            assert not waiter.is_alive()
+            view = outcome["view"]
+            assert view.state == JOB_DONE
+            assert view.degraded is False
+            assert view.id == submitted["id"]
+            assert view.node_id != victim.node_id
+            assert ([p["listing"] for p in view.result.programs]
+                    == [p["listing"] for p in reference.result.programs])
+            metrics = router.metrics.as_dict()
+            assert metrics["repro_router_failovers_total"] == 1
+        finally:
+            router.shutdown()
+            for server in nodes.values():
+                server.scheduler.shutdown(drain=False, timeout=5)
+                _vanish(server)
+
+    def test_truncated_reply_marks_the_node_dead_and_fails_over(
+            self, truncating_server):
+        request = CompileRequest(workload="mul")
+        stub_id = _home_id(request)
+        other_id = "node-b" if stub_id == "node-a" else "node-a"
+        worker = CompileServer(workers=1, quiet=True, node_id=other_id,
+                               compile_fn=quick_compile).start()
+        router = ClusterRouter(
+            {stub_id: truncating_server, other_id: worker.url},
+            quiet=True, health_interval_s=30.0,
+        ).start()
+        try:
+            client = ServiceClient(router.url)
+            submitted = client.submit(request)
+            assert submitted["node_id"] == "stub"
+            view = client.wait(submitted["id"], timeout=30)
+            assert view.state == JOB_DONE
+            assert view.id == submitted["id"]
+            assert view.node_id == other_id
+            stub = next(n for n in router.nodes if n.node_id == stub_id)
+            assert not stub.alive
+            metrics = router.metrics.as_dict()
+            assert metrics["repro_router_failovers_total"] == 1
+        finally:
+            router.shutdown()
+            worker.shutdown()

@@ -3,10 +3,12 @@
 Scheduler tests drive :class:`JobScheduler` directly with stub compile
 functions (crashes are untyped exceptions, typed failures are healthy);
 HTTP tests boot the real server and assert the 503 + ``Retry-After``
-shedding contract and the client's transient-retry behaviour.
+shedding contract, the client's transient-retry behaviour and its
+keep-alive connections.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.request
@@ -26,6 +28,7 @@ from repro.reporting import job_summary, service_summary
 from repro.service import CompileRequest, CompileServer, ServiceClient
 from repro.service.protocol import JOB_DONE, JOB_FAILED
 from repro.service.scheduler import CompileResult, JobScheduler
+from repro.service.server import DaemonHTTPServer, JsonHandler
 
 
 @pytest.fixture(autouse=True)
@@ -285,3 +288,52 @@ class TestClientRetry:
             assert plan.injected_total() == 1
         finally:
             server.shutdown()
+
+
+class TestKeepAlive:
+    def test_idle_connection_closed_by_the_server_is_reopened(
+            self, held_server):
+        client = ServiceClient(held_server.url)
+        assert client.healthz()["status"] == "ok"
+        # The listener stays up; only the kept-alive connection goes.
+        held_server._httpd.close_connections()
+        deadline = time.monotonic() + 5
+        while held_server._httpd._open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert client.healthz()["status"] == "ok"
+        held_server._httpd.close_connections()
+        # A POST that is never retried goes out on a fresh connection too.
+        assert client.cancel("feedface0000") is False
+        assert client.stats == {
+            "get_retries": 0, "post_retries": 0, "shed_retries": 0}
+
+    def test_unread_request_body_never_reaches_the_next_request(
+            self, held_server):
+        client = ServiceClient(held_server.url)
+        status, _body, _headers = client._request(
+            "POST", "/nope", {"workload": "mul"})
+        assert status == 404
+        # Same kept-alive connection: the body above must be consumed.
+        assert client.healthz()["status"] == "ok"
+        assert client.stats["get_retries"] == 0
+
+    def test_listener_queues_a_burst_of_connects(self):
+        # Nothing accepts: every handshake must complete in the backlog.
+        httpd = DaemonHTTPServer(("127.0.0.1", 0), JsonHandler)
+        conns = []
+        try:
+            for _ in range(32):
+                conns.append(socket.create_connection(
+                    httpd.server_address, timeout=0.5))
+        finally:
+            for conn in conns:
+                conn.close()
+            httpd.server_close()
+
+    def test_truncated_reply_is_retried_then_typed(self, truncating_server):
+        client = ServiceClient(
+            truncating_server,
+            retry=RetryPolicy(attempts=2, base_s=0.0, jitter=0.0))
+        with pytest.raises(ServiceUnavailable, match="after 3 attempts"):
+            client.status("stub-job")
+        assert client.stats["get_retries"] == 2

@@ -1,15 +1,25 @@
-"""Wire-protocol tests: round trips, validation, versioning."""
+"""Wire-protocol tests: round trips, validation, versioning, and the
+long-poll ``GET /jobs/<id>?wait=S`` over real sockets."""
+
+import threading
+import time
+import urllib.error
+import urllib.request
 
 import pytest
 
-from repro.errors import ProtocolError
+import repro.workloads  # noqa: F401 - populate the registry
+from repro.errors import ProtocolError, ServiceError
+from repro.service import ServiceClient, protocol
 from repro.service.protocol import (
     JOB_DONE,
     JOB_QUEUED,
+    MAX_WAIT_S,
     PROTOCOL_VERSION,
     CompileRequest,
     CompileResult,
     JobView,
+    parse_wait,
 )
 
 
@@ -127,3 +137,95 @@ class TestJobView:
         data["v"] = 0
         with pytest.raises(ProtocolError, match="version"):
             JobView.from_dict(data)
+
+
+class TestParseWait:
+    def test_absent_means_answer_at_once(self):
+        assert parse_wait(None) == 0.0
+        assert parse_wait("trace=1") == 0.0
+
+    def test_window_is_read_in_seconds(self):
+        assert parse_wait("wait=2.5") == 2.5
+        assert parse_wait("trace=1&wait=0") == 0.0
+
+    def test_window_above_the_cap_is_clamped(self):
+        assert parse_wait("wait=1e9") == MAX_WAIT_S
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "inf", "-inf", ""])
+    def test_malformed_window_is_a_protocol_error(self, value):
+        with pytest.raises(ProtocolError, match="wait"):
+            parse_wait(f"wait={value}")
+
+
+def resume_after(server, delay_s):
+    timer = threading.Timer(delay_s, server.scheduler.resume)
+    timer.start()
+    return timer
+
+
+class TestLongPoll:
+    def test_wait_answers_as_soon_as_the_job_finishes(self, held_server):
+        client = ServiceClient(held_server.url)
+        job_id = client.submit(CompileRequest(workload="mul"))["id"]
+        timer = resume_after(held_server, 0.3)
+        start = time.monotonic()
+        view = client.status(job_id, wait=5)
+        elapsed = time.monotonic() - start
+        timer.cancel()
+        assert view.state == JOB_DONE
+        assert 0.25 <= elapsed < 2.5
+
+    def test_held_job_answers_its_live_view_after_the_window(
+            self, held_server):
+        client = ServiceClient(held_server.url)
+        job_id = client.submit(CompileRequest(workload="mul"))["id"]
+        start = time.monotonic()
+        view = client.status(job_id, wait=0.3)
+        assert view.state == JOB_QUEUED
+        assert 0.3 <= time.monotonic() - start < 2.0
+
+    def test_malformed_wait_is_400(self, held_server):
+        job_id = ServiceClient(held_server.url).submit(
+            CompileRequest(workload="mul"))["id"]
+        for value in ("abc", "-1", "nan", "inf"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(
+                    f"{held_server.url}/jobs/{job_id}?wait={value}",
+                    timeout=5)
+            assert err.value.code == 400, value
+
+    def test_wait_above_the_cap_is_clamped(self, held_server, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_WAIT_S", 0.3)
+        client = ServiceClient(held_server.url)
+        job_id = client.submit(CompileRequest(workload="mul"))["id"]
+        start = time.monotonic()
+        view = client.status(job_id, wait=1000)
+        assert view.state == JOB_QUEUED
+        assert 0.3 <= time.monotonic() - start < 5.0
+
+    def test_client_wait_makes_one_status_call_for_a_job_done_in_one_window(
+            self, held_server, monkeypatch):
+        client = ServiceClient(held_server.url)
+        job_id = client.submit(CompileRequest(workload="mul"))["id"]
+        calls = []
+        status = client.status
+
+        def counted(job_id, wait=0.0):
+            calls.append(wait)
+            return status(job_id, wait=wait)
+
+        monkeypatch.setattr(client, "status", counted)
+        timer = resume_after(held_server, 0.2)
+        view = client.wait(job_id, timeout=30)
+        timer.cancel()
+        assert view.state == JOB_DONE
+        assert len(calls) == 1
+
+    def test_client_wait_timeout_raises_after_about_the_timeout(
+            self, held_server):
+        client = ServiceClient(held_server.url)
+        job_id = client.submit(CompileRequest(workload="mul"))["id"]
+        start = time.monotonic()
+        with pytest.raises(ServiceError, match="timed out"):
+            client.wait(job_id, timeout=0.3)
+        assert 0.3 <= time.monotonic() - start < 2.0

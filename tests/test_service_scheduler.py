@@ -427,3 +427,25 @@ class TestIdempotency:
             assert view.routed_by == "router-1"
         finally:
             s.shutdown()
+
+
+class TestCompletionSignal:
+    def test_wait_returns_after_the_job_is_in_metrics_and_telemetry(
+            self, tmp_path, monkeypatch):
+        import repro.telemetry as telemetry
+
+        emit = telemetry.emit
+
+        def slow_emit(store, record):
+            time.sleep(0.2)
+            return emit(store, record)
+
+        monkeypatch.setattr(telemetry, "emit", slow_emit)
+        sched = make_scheduler(telemetry_dir=str(tmp_path))
+        try:
+            job, _ = sched.submit(CompileRequest(workload="mul"))
+            assert sched.wait(job.id, timeout=10).state == JOB_DONE
+            assert len(telemetry.read_store(str(tmp_path)).records) == 1
+            assert sched.metrics.as_dict()["repro_jobs_completed_total"] == 1
+        finally:
+            sched.shutdown()
