@@ -10,13 +10,16 @@ destination's directory so the final rename stays on one filesystem
 :class:`AppendLog` is the one durable record log under the verdict
 store, the rewrite-rule library and the telemetry corpus: CRC-stamped
 JSONL lines, appended in batches of one ``O_APPEND`` write each, and a
-loader that quarantines a damaged file and compacts the survivors.
+loader that quarantines a damaged file and compacts the survivors.  Each
+line opens with its CRC, which covers exactly the bytes after it, so a
+loader checks a line without re-serializing it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import threading
 import weakref
@@ -62,23 +65,59 @@ def atomic_write_json(path, payload, indent: int | None = None,
 def encode_record(rec: dict) -> str:
     """One JSONL line for ``rec``, stamped with a CRC-32 of its body.
 
-    The checksum covers the canonical serialization of the record *without*
-    the ``crc`` field (compact separators, sorted keys), so any decoder can
-    recompute it without caring about field order.
+    The body is the canonical serialization of ``rec`` (compact
+    separators, sorted keys).  The line is ``{"crc":N,`` followed by the
+    body without its opening brace (``{"crc":N}`` for an empty record), so
+    N is the CRC-32 of exactly ``{`` plus the rest of the line.  It is
+    also the CRC of the record re-serialized canonically without its
+    ``crc`` field, which is how lines of the older, key-sorted layout
+    (``crc`` in mid-line) are checked.
     """
     body = json.dumps(rec, separators=(",", ":"), sort_keys=True)
-    stamped = dict(rec)
-    stamped["crc"] = zlib.crc32(body.encode())
-    return json.dumps(stamped, separators=(",", ":"), sort_keys=True)
+    crc = zlib.crc32(body.encode())
+    if body == "{}":
+        return f'{{"crc":{crc}}}'
+    return f'{{"crc":{crc},{body[1:]}'
+
+
+#: the head :func:`encode_record` writes: ``{"crc":N,`` with N an integer
+#: in JSON's own form and at most ten digits, as every CRC-32 is
+_CRC_FIRST = re.compile(r'\{"crc":(0|[1-9][0-9]{0,9}),')
+
+#: ``raw_decode`` reports where the body's object ends
+_JSON = json.JSONDecoder()
 
 
 def decode_record(line: str):
     """Parse one JSONL line; ``None`` if torn, merged or CRC-mismatched.
 
+    A line that opens ``{"crc":N,`` is accepted when N is the CRC-32 of
+    exactly ``{`` plus the rest of the line; only that body is parsed and
+    nothing is re-serialized.  Every other line (the older layout with
+    ``crc`` in mid-line, a non-ASCII line, or a body that fails that
+    check, is empty or holds a second ``crc``) is parsed whole and its
+    ``crc`` checked against the record re-serialized canonically without
+    it, exactly as before the CRC moved to the front.  The first check
+    does not require a canonical body; no encoder writes a line whose CRC
+    covers a non-canonical one.
+
     Lines without a ``crc`` field (stores written before checksumming) are
     accepted as-is — the old best-effort trust level, kept so warm caches
     survive the upgrade; each store's loader still checks the fields.
     """
+    head = _CRC_FIRST.match(line)
+    if head is not None and line.isascii():
+        body = "{" + line[head.end():]
+        if zlib.crc32(body.encode()) == int(head[1]):
+            try:
+                rec, end = _JSON.raw_decode(body)
+            except ValueError:
+                rec, end = None, 0
+            # Left to the re-serializing check below: bytes after the
+            # body's closing brace, an empty body (the line itself is then
+            # not JSON) and a second ``crc`` (the one a parser keeps).
+            if end == len(body) and rec and "crc" not in rec:
+                return rec
     try:
         rec = json.loads(line)
     except (json.JSONDecodeError, ValueError):
@@ -91,6 +130,18 @@ def decode_record(line: str):
         if crc != zlib.crc32(body.encode()):
             return None
     return rec
+
+
+def _utf8(line: str) -> bool:
+    """Whether ``line``, decoded with ``surrogateescape``, was valid UTF-8:
+    an undecodable byte becomes a lone surrogate, which no valid line has."""
+    if line.isascii():
+        return True
+    try:
+        line.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _warn(event: str, **fields) -> None:
@@ -138,29 +189,30 @@ class AppendLog:
     def load(self, accept, repair: bool = True) -> bool:
         """Feed each record in the file to ``accept``; whether it was read.
 
-        A line that is torn, fails its CRC, or that ``accept`` returns
-        false for counts in ``corrupt_lines``.  If any did and ``repair``
-        is set, the file moves aside to ``<name>.quarantine`` and the
-        accepted records are rewritten atomically, so a bad line is
-        scrubbed once instead of re-skipped forever.  A missing file is
-        an empty log; an unreadable one counts in ``load_errors``.
+        A line that is not UTF-8, is torn, fails its CRC, or that
+        ``accept`` returns false for counts in ``corrupt_lines``.  If any
+        did and ``repair`` is set, the file moves aside to
+        ``<name>.quarantine`` and the accepted records are rewritten
+        atomically, so a bad line is scrubbed once instead of re-skipped
+        forever.  A missing file is an empty log; an unreadable one counts
+        in ``load_errors``.
         """
         try:
             if self.load_site is not None:
                 faults.fire(self.load_site)
             if not self.path.exists():
                 return False
-            text = self.path.read_text()
+            data = self.path.read_bytes()
         except OSError as exc:
             self.load_errors += 1
             _warn("append log unreadable; starting empty",
                   path=str(self.path), error=str(exc))
             return False
         survivors = []
-        for line in text.splitlines():
+        for line in data.decode(errors="surrogateescape").splitlines():
             if not line.strip():
                 continue
-            rec = decode_record(line)
+            rec = decode_record(line) if _utf8(line) else None
             if rec is not None and accept(rec):
                 survivors.append(line)
             else:

@@ -34,6 +34,7 @@ for a renamed twin is exactly as trustworthy as a fresh differential pass.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import os
 import threading
@@ -79,11 +80,17 @@ def canonical_expr(node, names: dict) -> str:
     order; passing one map across several expressions keeps their shared
     names consistent (a candidate must read the *same* buffers as its spec).
     """
-    parts = [type(node).__name__]
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
-        parts.append(_canon_value(value, f.name, names))
+    cls = type(node)
+    parts = [cls.__name__]
+    for name in _field_names(cls):
+        parts.append(_canon_value(getattr(node, name), name, names))
     return "(" + " ".join(parts) + ")"
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """The dataclass field names of one expression class, in order."""
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def _canon_value(value, field_name: str, names: dict) -> str:

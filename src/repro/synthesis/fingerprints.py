@@ -44,6 +44,7 @@ which the differential ``--no-fingerprints`` suite guards empirically.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 
 from ..errors import EvaluationError
@@ -95,7 +96,10 @@ class Fingerprinter:
     """
 
     def __init__(self, oracle):
-        self.oracle = oracle
+        # A proxy: the oracle holds this index, and a reference back would
+        # leave every dropped oracle, with its banks and plans, to the
+        # cyclic collector instead of freeing it at once.
+        self.oracle = weakref.proxy(oracle)
         self._states: dict = {}
 
     # -- per-spec state ------------------------------------------------------

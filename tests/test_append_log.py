@@ -159,6 +159,29 @@ def test_legacy_line_without_crc_loads(store, tmp_path):
     assert path.read_bytes() == before  # nothing to repair
 
 
+def test_non_utf8_line_is_set_aside(store, tmp_path):
+    path = filled(store, tmp_path, 2)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")  # one bad line, not a bad file
+    log = fsutil.AppendLog(path)
+    assert log.load(lambda rec: True, repair=False)
+    assert log.corrupt_lines == 1 and log.quarantined is None  # only counted
+    present, corrupt, quarantined = store.reload(tmp_path, 2)
+    assert present == {0, 1}
+    assert corrupt == 1 and quarantined is not None
+
+
+def test_undecodable_byte_inside_a_legacy_line_is_corrupt(tmp_path):
+    """A line without a CRC is trusted as parsed, so an invalid byte
+    inside one of its strings must not load as a replaced character."""
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"k":"a\xffb"}\n{"k":"\xc3\xa9"}\n')
+    loaded = []
+    log = fsutil.AppendLog(path)
+    assert log.load(lambda rec: loaded.append(rec) or True, repair=False)
+    assert loaded == [{"k": "\u00e9"}] and log.corrupt_lines == 1
+
+
 def test_corrupt_log_is_quarantined_and_compacted(store, tmp_path):
     path = filled(store, tmp_path, 3)
     lines = path.read_text().splitlines()

@@ -13,8 +13,10 @@ Two layers under test:
   CLI subcommand.
 """
 
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
@@ -90,6 +92,23 @@ class TestFingerprintFanOut:
         assert warm.equivalent(spec, mul, LAYOUT_INORDER) is True
         assert warm.stats.total_cache_hits == 1
         assert warm.stats.total_fingerprint_hits == 0
+
+    def test_dropped_oracle_is_freed_at_once(self):
+        # The index must hold its oracle weakly, or each finished
+        # compile's banks and plans wait for the cyclic collector.
+        oracle = Oracle()
+        spec = _spec()
+        oracle.equivalent(spec, B.shl(B.widen(u8v()), B.broadcast(1, 8, U16)),
+                          LAYOUT_INORDER)
+        assert oracle.equivalent(spec, B.widen(u8v()) * 2, LAYOUT_INORDER)
+        assert oracle.stats.total_fingerprint_hits == 1
+        dropped = weakref.ref(oracle)
+        gc.disable()
+        try:
+            del oracle
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_disabled_fingerprints_query_every_candidate(self):
         oracle = Oracle(fingerprints=False)
