@@ -34,17 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .. import faults
 from ..errors import EvaluationError
 from ..trace.core import NULL_TRACER
 from ..types import ScalarType
-
-try:  # NumPy is optional at runtime; without it the engine disables itself.
-    import numpy as np
-except Exception:  # pragma: no cover - exercised on NumPy-free installs
-    np = None  # type: ignore[assignment]
-
-HAVE_NUMPY = np is not None
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1

@@ -111,7 +111,7 @@ def decode_record(line: str):
         if zlib.crc32(body.encode()) == int(head[1]):
             try:
                 rec, end = _JSON.raw_decode(body)
-            except ValueError:
+            except (ValueError, RecursionError):
                 rec, end = None, 0
             # Left to the re-serializing check below: bytes after the
             # body's closing brace, an empty body (the line itself is then
@@ -120,7 +120,7 @@ def decode_record(line: str):
                 return rec
     try:
         rec = json.loads(line)
-    except (json.JSONDecodeError, ValueError):
+    except (ValueError, RecursionError):  # RecursionError: deep nesting
         return None
     if not isinstance(rec, dict):
         return None

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
+import numpy as np
+
 from ..errors import EvaluationError
 from ..types import ScalarType, VectorType
 from . import expr as E
@@ -22,36 +24,59 @@ from . import expr as E
 Value = Union[int, tuple]
 
 
-@dataclass
 class BufferView:
     """A 1-D window of typed data with an origin for relative addressing.
 
     ``data[origin + offset]`` is the element at ``offset``; the workloads
     allocate enough halo that all offsets used by an expression are in range.
+
+    ``data`` may be given as a NumPy vector (the valuation bank's read-only
+    windows).  The vector stays in ``array`` for the batched evaluator, and
+    ``data`` becomes its list of Python ints, built on the first read, so a
+    view the scalar interpreters never read never pays for it.  Views
+    compare by value.
     """
 
-    data: Sequence[int]
-    elem: ScalarType
-    origin: int = 0
-    #: set when ``data`` is already wrapped to ``elem`` (bank construction
-    #: pre-wraps), letting the hot stride-1 read be a plain slice
-    prewrapped: bool = False
+    __slots__ = ("array", "elem", "origin", "prewrapped", "_data")
+
+    def __init__(self, data: Sequence[int], elem: ScalarType, origin: int = 0,
+                 prewrapped: bool = False) -> None:
+        self.array = data if isinstance(data, np.ndarray) else None
+        self._data = None if self.array is not None else data
+        self.elem = elem
+        self.origin = origin
+        #: set when ``data`` is already wrapped to ``elem`` (bank construction
+        #: pre-wraps), letting the hot stride-1 read be a plain slice
+        self.prewrapped = prewrapped
+
+    @property
+    def data(self) -> Sequence[int]:
+        if self._data is None:
+            self._data = self.array.tolist()
+        return self._data
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BufferView):
+            return NotImplemented
+        return (self.data, self.elem, self.origin, self.prewrapped) == (
+            other.data, other.elem, other.origin, other.prewrapped)
 
     def read(self, offset: int, lanes: int, stride: int = 1) -> tuple:
+        data = self._data if self._data is not None else self.data
         start = self.origin + offset
         stop = start + (lanes - 1) * stride + 1
-        if start < 0 or stop > len(self.data):
+        if start < 0 or stop > len(data):
             raise EvaluationError(
-                f"buffer read out of range: [{start}, {stop}) of {len(self.data)}"
+                f"buffer read out of range: [{start}, {stop}) of {len(data)}"
             )
         if stride == 1:
             if self.prewrapped:
-                return tuple(self.data[start:stop])
-            return tuple(self.elem.wrap(v) for v in self.data[start:stop])
+                return tuple(data[start:stop])
+            return tuple(self.elem.wrap(v) for v in data[start:stop])
         if self.prewrapped:
-            return tuple(self.data[start + i * stride] for i in range(lanes))
+            return tuple(data[start + i * stride] for i in range(lanes))
         return tuple(
-            self.elem.wrap(self.data[start + i * stride]) for i in range(lanes)
+            self.elem.wrap(data[start + i * stride]) for i in range(lanes)
         )
 
 

@@ -176,7 +176,13 @@ def _vs_mpy_add_sketches(e: U.VsMpyAdd, child, vbytes):
                         dfs(i + 1, safe_instr("neon.vmla", (acc, c, dup)),
                             cost + 1)
 
-    dfs(0, None, 0)
+    try:
+        dfs(0, None, 0)
+    finally:
+        # ``dfs`` refers to itself through its cell and holds ``child``
+        # (the Lowerer, and with it the Oracle); free them without the
+        # cyclic collector.
+        del dfs
     results.sort(key=lambda pair: pair[0])
     for _cost, sk in results:
         yield sk

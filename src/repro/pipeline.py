@@ -135,7 +135,7 @@ def compile_pipeline(
     directory for a persistent on-disk verdict store.  ``batch_eval=False``
     forces every oracle check onto the scalar interpreters (the batched
     NumPy engine produces identical verdicts; the switch exists for
-    differential testing and NumPy-free debugging).
+    differential testing and debugging).
     ``fingerprints=False`` disables observational-equivalence dedup
     (:mod:`repro.synthesis.fingerprints`) — selections are identical with
     it on or off; the switch exists for differential testing.

@@ -34,7 +34,7 @@ import json
 
 from ..errors import ReproError, TypeMismatchError
 from ..ir import expr as ir_expr
-from ..synthesis.engine import _NAME_FIELDS, canonical_spec
+from ..synthesis.engine import _NAME_FIELDS, _field_names, canonical_spec
 from ..targets import nodes as N
 from ..types import ScalarType, scalar_type
 
@@ -126,8 +126,9 @@ def encode_node(node, ab: Abstraction) -> dict:
     if name not in _NODE_CLASSES:
         raise RuleCodecError(f"cannot encode node kind {name!r}")
     out = {"_": name}
-    for f in dataclasses.fields(node):
-        out[f.name] = _encode_value(getattr(node, f.name), f.name, ab)
+    for field_name in _field_names(type(node)):
+        out[field_name] = _encode_value(getattr(node, field_name), field_name,
+                                        ab)
     return out
 
 

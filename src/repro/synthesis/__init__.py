@@ -82,13 +82,13 @@ class RakeSelector:
         Greedy lifting occasionally commits to a form the target grammar
         cannot realize; when lowering fails, the lifted form is banned and
         lifting re-runs to surface the next equivalent candidate (at most
-        ``max_lift_retries`` times).
+        ``max_lift_retries`` times).  The last attempt's error propagates;
+        no earlier one is kept, since its traceback holds this frame.
         """
         from ..errors import SynthesisError
 
         banned: set = set()
-        last_error: Exception | None = None
-        for _attempt in range(self.max_lift_retries):
+        for attempt in range(self.max_lift_retries):
             lifter = Lifter(self.oracle, checker=self.checker)
             lifted = lifter.lift(expr, frozenset(banned))
             lowerer = Lowerer(self.oracle, vbytes=self.vbytes,
@@ -98,16 +98,17 @@ class RakeSelector:
                               target=self.target)
             try:
                 program = lowerer.lower(lifted)
-            except SynthesisError as err:
+            except SynthesisError:
+                if attempt == self.max_lift_retries - 1:
+                    raise
                 banned.add(lifted)
-                last_error = err
                 continue
             self.stats.expressions += 1
             return SelectionResult(
                 source=expr, lifted=lifted, program=program,
                 trace=lifter.trace,
             )
-        raise last_error
+        raise SynthesisError("max_lift_retries allows no attempt")
 
     def close(self) -> None:
         """Release the worker pool (no-op for serial checkers)."""

@@ -110,30 +110,29 @@ class Fingerprinter:
             return state
         state = None
         ev = self.oracle._evaluator()
-        if ev is not None:
-            bank_data = self.oracle._bank_data(spec)
-            if bank_data is not None:
-                try:
-                    matrix = self.oracle._spec_matrix(spec, bank_data, ev)
-                except EvaluationError:
-                    matrix = None
-                if matrix is not None:
-                    n_envs = int(matrix.shape[0])
-                    init = set(range(min(STRUCTURED_PREFIX, n_envs)))
-                    # Persisted CEGIS counterexamples are known
-                    # distinguishing valuations: folding them into D up
-                    # front means classes refuted by them split never.
-                    for index, _env in self.oracle._replay_for(spec):
-                        if 0 <= index < n_envs:
-                            init.add(index)
-                    state = _SpecState(
-                        bank_data=bank_data,
-                        spec_digests={
-                            i: _digest(matrix[i]) for i in range(n_envs)
-                        },
-                        n_envs=n_envs,
-                        D=sorted(init),
-                    )
+        bank_data = self.oracle._bank_data(spec)
+        if bank_data is not None:
+            try:
+                matrix = self.oracle._spec_matrix(spec, bank_data, ev)
+            except EvaluationError:
+                matrix = None
+            if matrix is not None:
+                n_envs = int(matrix.shape[0])
+                init = set(range(min(STRUCTURED_PREFIX, n_envs)))
+                # Persisted CEGIS counterexamples are known
+                # distinguishing valuations: folding them into D up
+                # front means classes refuted by them split never.
+                for index, _env in self.oracle._replay_for(spec):
+                    if 0 <= index < n_envs:
+                        init.add(index)
+                state = _SpecState(
+                    bank_data=bank_data,
+                    spec_digests={
+                        i: _digest(matrix[i]) for i in range(n_envs)
+                    },
+                    n_envs=n_envs,
+                    D=sorted(init),
+                )
         self._states[spec] = state
         return state
 

@@ -184,8 +184,6 @@ class Oracle:
     # -- batched evaluation -------------------------------------------------
 
     def _evaluator(self):
-        if not batch_plan.HAVE_NUMPY:
-            return None
         if self._batch_evaluator is None:
             self._batch_evaluator = batch_plan.BatchedEvaluator()
         # Keep the evaluator on the oracle's tracer (it may be swapped in
@@ -195,8 +193,8 @@ class Oracle:
 
     def _fingerprinter(self):
         """The observational-equivalence index, or ``None`` when disabled
-        (``fingerprints=False``) or unbatchable (no NumPy)."""
-        if not self.fingerprints or not batch_plan.HAVE_NUMPY:
+        (``fingerprints=False``)."""
+        if not self.fingerprints:
             return None
         if self._fingerprint_index is None:
             from .fingerprints import Fingerprinter
@@ -402,8 +400,6 @@ class Oracle:
         batched exactly and the caller must run the scalar phases instead.
         """
         ev = self._evaluator()
-        if ev is None:
-            return None
         bank_data = self._bank_data(spec)
         if bank_data is None:
             return None

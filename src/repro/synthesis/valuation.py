@@ -13,13 +13,28 @@ every buffer and scalar variable an expression reads.  The bank mixes:
 Buffers are padded generously around the live range so candidate
 implementations may read data the specification does not (e.g. a vtmpy
 window or an aligned-load pair spanning the neighbourhood).
+
+The value of buffer ``b`` at offset ``x`` in environment ``(style, seed)``
+is a pure function of ``(b.name, b.elem, style, seed, x)``.  Random styles
+take raw words from a PCG64 stream seeded by a sha256 digest of that key
+(never ``hash()``, so a bank does not change with ``PYTHONHASHSEED``);
+structured styles are computed from ``x`` alone.  Values are made in
+blocks of :data:`BLOCK` offsets, kept in one bounded, thread-safe,
+process-wide cache, and every buffer is a read-only window cut from them:
+overlapping footprints share values, and a buffer's values do not depend
+on the footprint it is cut for or on the other buffers of the spec.
 """
 
 from __future__ import annotations
 
-import random
+import functools
+import hashlib
+import json
 from dataclasses import dataclass
 
+import numpy as np
+
+from ..eval.plan import BankData, INT64_MAX, INT64_MIN, wrap_array
 from ..ir import expr as ir_expr
 from ..ir import traversal
 from ..ir.interp import BufferView, Environment
@@ -106,34 +121,84 @@ def scalar_names_of(spec) -> list[tuple[str, ScalarType]]:
     return sorted(seen.items())
 
 
-def _fill(elem: ScalarType, n: int, style: str, rng: random.Random) -> list[int]:
-    lo, hi = elem.min_value, elem.max_value
-    if style == "ramp":
-        # Distinct small values per lane; offset keeps signed types happy.
-        return [elem.wrap(i * 3 + 1) for i in range(n)]
-    if style == "zeros":
-        return [0] * n
-    if style == "ones":
-        return [1] * n
-    if style == "max":
-        return [hi] * n
-    if style == "min":
-        return [lo] * n
-    if style == "alternate":
-        return [hi if i % 2 else lo for i in range(n)]
-    if style == "small_random":
-        return [rng.randint(0, min(15, hi)) for _ in range(n)]
-    return [rng.randint(lo, hi) for _ in range(n)]
-
-
 #: bank order: the ramp goes first because it catches swizzle errors fastest
 BASE_STYLES = ("ramp", "random", "alternate", "max", "small_random", "random")
 
+#: styles whose values depend on the offset alone, so every buffer and seed
+#: shares them; any other style draws from a per-buffer stream
+STRUCTURED_STYLES = frozenset({"ramp", "alternate", "zeros", "ones", "max",
+                               "min"})
 
-#: environments memoized by exact shape — construction is deterministic in
-#: (buffers, scalars, style, seed) and environments are treated as
-#: read-only, so specs with identical read footprints share valuations
-_ENV_CACHE: dict = {}
+#: offsets per cached block, and the most blocks the cache keeps.  A cold
+#: pass over all 42 (kernel, target) pairs in one process reads 364
+#: distinct blocks (20 to 89 per compile) and finds 99% of its block reads
+#: cached; 512 blocks hold that with room, in at most 512 * 1024 * 8 B =
+#: 4 MiB
+BLOCK = 1024
+MAX_BLOCKS = 512
+
+
+def _digest(*key) -> int:
+    """A stable 256-bit integer of ``key``: sha256, never ``hash()``, so it
+    does not change with ``PYTHONHASHSEED``."""
+    text = json.dumps(key, separators=(",", ":"))
+    return int.from_bytes(hashlib.sha256(text.encode()).digest(), "little")
+
+
+def _constant(style: str, elem: ScalarType) -> int | None:
+    """The one value a constant style binds everywhere, else ``None``."""
+    return {"zeros": 0, "ones": 1, "max": elem.max_value,
+            "min": elem.min_value}.get(style)
+
+
+def _typed(values, elem: ScalarType):
+    """``elem.wrap`` of an int64 vector, as int64 (uint64 for u64)."""
+    if elem.bits == 64:
+        return values if elem.signed else values.astype(np.uint64)
+    return wrap_array(values, elem)
+
+
+@functools.lru_cache(maxsize=MAX_BLOCKS)
+def _block(name: str, elem: ScalarType, style: str, seed: int, k: int):
+    """The read-only values at offsets ``[k*BLOCK, (k+1)*BLOCK)``.
+
+    Random styles take raw words of a PCG64 stream seeded by the digest of
+    the whole key.  Raw bit-generator output, unlike ``Generator``
+    methods, is kept stable across NumPy releases.  ``lru_cache`` is
+    thread-safe, so the service's workers share the one cache.
+    """
+    x = np.arange(k * BLOCK, (k + 1) * BLOCK, dtype=np.int64) + PAD_ELEMENTS
+    if style == "ramp":
+        # Distinct small values per lane; offset keeps signed types happy.
+        data = _typed(3 * x + 1, elem)
+    elif style == "alternate":
+        data = _typed(np.where(x % 2 == 1, elem.max_value, elem.min_value),
+                      elem)
+    elif style in STRUCTURED_STYLES:
+        data = _typed(np.full(BLOCK, _constant(style, elem)), elem)
+    else:
+        words = np.random.PCG64(
+            _digest(name, elem.name, style, seed, k)
+        ).random_raw(BLOCK)
+        if style == "small_random":
+            words &= min(15, elem.max_value)
+        data = _typed(words.view(np.int64), elem)
+    data.flags.writeable = False
+    return data
+
+
+def _window(spec: BufferSpec, style: str, seed: int):
+    """The buffer's values over its padded footprint, cut from blocks."""
+    name = spec.name
+    if style in STRUCTURED_STYLES:
+        name, seed = "", 0
+    lo, hi = spec.lo - PAD_ELEMENTS, spec.hi + PAD_ELEMENTS
+    k0, k1 = lo // BLOCK, (hi - 1) // BLOCK
+    parts = [_block(name, spec.elem, style, seed, k)
+             for k in range(k0, k1 + 1)]
+    data = np.concatenate(parts)[lo - k0 * BLOCK:hi - k0 * BLOCK].copy()
+    data.flags.writeable = False
+    return data
 
 
 def make_environment(
@@ -142,35 +207,27 @@ def make_environment(
     style: str,
     seed: int,
 ) -> Environment:
-    """Build one valuation for the given buffer and scalar shapes."""
-    key = (tuple(buffers), tuple(scalars), style, seed)
-    cached = _ENV_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rng = random.Random((hash(style) ^ seed) & 0x7FFFFFFF)
-    views: dict[str, BufferView] = {}
-    for spec in buffers:
-        length = (spec.hi - spec.lo) + 2 * PAD_ELEMENTS
-        # _fill only produces in-range values, so the data is born wrapped;
-        # marking the view lets every stride-1 read be a plain slice.
-        data = _fill(spec.elem, length, style, rng)
-        views[spec.name] = BufferView(
-            data=data, elem=spec.elem, origin=PAD_ELEMENTS - spec.lo,
-            prewrapped=True,
+    """Build one valuation for the given buffer and scalar shapes.
+
+    Every value is a pure function of its buffer's ``(name, elem)`` (or
+    scalar's ``(name, dtype)``), ``style``, ``seed`` and offset, so it
+    does not depend on the footprint a buffer is cut for, on the other
+    buffers, or on the process.
+    """
+    views = {
+        spec.name: BufferView(
+            data=_window(spec, style, seed), elem=spec.elem,
+            origin=PAD_ELEMENTS - spec.lo, prewrapped=True,
         )
+        for spec in buffers
+    }
     scalar_vals = {}
     for name, dtype in scalars:
-        if style in ("max", "min"):
-            scalar_vals[name] = dtype.max_value if style == "max" else dtype.min_value
-        elif style in ("zeros",):
-            scalar_vals[name] = 0
-        elif style in ("ones",):
-            scalar_vals[name] = 1
-        else:
-            scalar_vals[name] = rng.randint(dtype.min_value, dtype.max_value)
-    env = Environment(buffers=views, scalars=scalar_vals)
-    _ENV_CACHE[key] = env
-    return env
+        value = _constant(style, dtype)
+        if value is None:
+            value = dtype.wrap(_digest(name, dtype.name, style, seed))
+        scalar_vals[name] = value
+    return Environment(buffers=views, scalars=scalar_vals)
 
 
 def environment_bank(spec, n_random_extra: int = 2, seed: int = 0) -> list[Environment]:
@@ -195,10 +252,11 @@ def environment_bank(spec, n_random_extra: int = 2, seed: int = 0) -> list[Envir
 def environment_zero(spec, seed: int = 0) -> Environment:
     """Just the first environment of :func:`environment_bank`.
 
-    ``make_environment`` derives its RNG from ``(style, seed)`` alone, so
-    this is byte-identical to ``environment_bank(spec, seed=seed)[0]``
-    without paying for the other environments — the oracle's lane-0 pruning
-    path uses it to avoid full bank construction.
+    Every value is a pure function of its buffer, style, seed and offset
+    (see :func:`make_environment`), so this equals
+    ``environment_bank(spec, seed=seed)[0]`` without paying for the other
+    environments — the oracle's lane-0 pruning path uses it to avoid full
+    bank construction.
     """
     if isinstance(spec, ir_expr.Expr):
         buffers = buffer_specs_of(spec)
@@ -209,48 +267,39 @@ def environment_zero(spec, seed: int = 0) -> Environment:
 
 
 def bank_arrays(bank: list[Environment]):
-    """Materialize a valuation bank as a :class:`repro.eval.BankData`.
+    """Stack a valuation bank into a :class:`repro.eval.BankData`.
 
-    Returns ``None`` when NumPy is unavailable or the bank cannot be
-    stacked exactly (mismatched shapes across environments, or values that
-    do not fit int64, e.g. u64 buffers) — callers then keep the scalar
-    path, which is always exact.
+    Each buffer's views are stacked into one ``(envs, length)`` int64
+    matrix.  Returns ``None`` when the bank cannot be stacked exactly
+    (views not cut by :func:`make_environment`, mismatched shapes across
+    environments, or values that do not fit int64, e.g. u64 buffers) —
+    callers then keep the scalar path, which is always exact.
     """
-    from ..eval import plan as _plan
-
-    if not _plan.HAVE_NUMPY or not bank:
+    if not bank:
         return None
-    np = _plan.np
     first = bank[0]
     buffers: dict = {}
     try:
         for name, view0 in first.buffers.items():
             views = [env.buffers[name] for env in bank]
-            elem, origin, length = view0.elem, view0.origin, len(view0.data)
+            elem, origin = view0.elem, view0.origin
+            if elem.bits == 64 and not elem.signed:
+                return None  # u64 contents may not fit int64
             if any(
-                v.elem != elem or v.origin != origin or len(v.data) != length
+                v.array is None or v.elem != elem or v.origin != origin
+                or len(v.array) != len(view0.array)
                 for v in views
             ):
                 return None
-            if elem.bits > 63 and not elem.signed:
-                return None  # u64 contents may not fit int64
-            rows = []
-            for v in views:
-                if getattr(v, "prewrapped", False):
-                    rows.append(v.data)
-                else:
-                    rows.append([elem.wrap(x) for x in v.data])
-            buffers[name] = (np.array(rows, dtype=np.int64), elem, origin)
+            buffers[name] = (np.stack([v.array for v in views]), elem, origin)
         scalars: dict = {}
         for name in first.scalars:
             vals = [env.scalars[name] for env in bank]
-            if any(
-                not (_plan.INT64_MIN <= v <= _plan.INT64_MAX) for v in vals
-            ):
+            if any(not (INT64_MIN <= v <= INT64_MAX) for v in vals):
                 return None
             scalars[name] = np.array(vals, dtype=np.int64)
-    except (KeyError, OverflowError):
+    except KeyError:
         return None
-    return _plan.BankData(
+    return BankData(
         n_envs=len(bank), envs=list(bank), buffers=buffers, scalars=scalars
     )

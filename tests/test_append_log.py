@@ -12,6 +12,7 @@ exit flush that must not keep a dropped store alive — fails here.
 import gc
 import json
 import weakref
+import zlib
 
 import pytest
 
@@ -169,6 +170,21 @@ def test_non_utf8_line_is_set_aside(store, tmp_path):
     present, corrupt, quarantined = store.reload(tmp_path, 2)
     assert present == {0, 1}
     assert corrupt == 1 and quarantined is not None
+
+
+def test_deeply_nested_line_is_set_aside(store, tmp_path):
+    path = filled(store, tmp_path, 2)
+    body = '{"a":' + "[" * 100000
+    crc_first = '{"crc":%d,' % zlib.crc32(body.encode()) + body[1:]
+    with open(path, "a", encoding="utf-8") as fh:
+        # Deeper than a recursive JSON parser can go, in both layouts.
+        fh.write("[" * 100000 + "\n" + crc_first + "\n")
+    log = fsutil.AppendLog(path)
+    assert log.load(lambda rec: True, repair=False)
+    assert log.corrupt_lines == 2 and log.quarantined is None  # only counted
+    present, corrupt, quarantined = store.reload(tmp_path, 2)
+    assert present == {0, 1}
+    assert corrupt == 2 and quarantined is not None
 
 
 def test_undecodable_byte_inside_a_legacy_line_is_corrupt(tmp_path):

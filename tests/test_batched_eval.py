@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.workloads  # noqa: F401 - populate the registry
 from repro.errors import EvaluationError
-from repro.eval import HAVE_NUMPY, BatchedEvaluator
+from repro.eval import BatchedEvaluator
 from repro.eval import plan as batch_plan
 from repro.hvx import isa as H
 from repro.ir import expr as E
@@ -29,8 +29,6 @@ from repro.synthesis.oracle import (
 )
 from repro.types import I8, I16, I32, U8, U16, U32
 from repro.uber import instructions as U
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy unavailable")
 
 LANES = 32
 

@@ -5,11 +5,14 @@ programs produces pixel-identical results to the IR reference, for both
 instruction selectors.
 """
 
+import gc
+
 import pytest
 
 import repro.workloads  # noqa: F401 - populate the registry
 from repro.pipeline import compile_pipeline
 from repro.sim import Image, execute, measure, reference_execute
+from repro.synthesis.oracle import Oracle
 from repro.workloads.base import get
 from repro.types import U16, U8
 
@@ -87,3 +90,23 @@ def test_verification_is_on_by_default():
     wl = get("camera_pipe")
     compiled = compile_pipeline(wl.build(), backend="baseline")
     assert len(compiled.stages) == 4
+
+
+def test_compile_leaves_no_oracle_to_the_collector():
+    """A finished compile's oracle, with its banks and plans, is freed by
+    reference counting alone, so peak memory does not depend on when the
+    cyclic collector runs.  The Neon grammar's recursive chain search and
+    a lowering retried after a failure (l2norm) each once left one."""
+    def oracles():
+        return [o for o in gc.get_objects() if isinstance(o, Oracle)]
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = oracles()
+        for name in ("gaussian3x3", "l2norm"):
+            compile_pipeline(get(name).build(), target="neon")
+        left = [o for o in oracles() if not any(o is b for b in before)]
+    finally:
+        gc.enable()
+    assert left == []
