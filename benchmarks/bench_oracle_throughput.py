@@ -10,7 +10,10 @@ off.  Results land in ``benchmarks/results/oracle_throughput.json``.
 asserts (via the oracle's ``batched_evals``/``fallback_evals`` counters)
 that the batched path handled more than 90% of full-bank evaluations;
 CI runs this to catch regressions that silently fall back to the scalar
-interpreters.
+interpreters.  It then times steady-state ``_check_lane0`` over the same
+pairs with the batched engine on and off, in one process, and fails
+unless the verdicts agree and the batched check is at least 3x faster —
+a ratio of two runs on one machine, so runner speed cancels out.
 """
 
 import argparse
@@ -31,6 +34,7 @@ RESULTS = Path(__file__).parent / "results" / "oracle_throughput.json"
 
 SMOKE_WORKLOADS = ["mul", "dilate3x3"]
 MIN_BATCHED_FRACTION = 0.9
+MIN_LANE0_SPEEDUP = 3.0
 
 
 def _pairs():
@@ -75,6 +79,43 @@ def _throughput(batch_eval: bool, repeats: int) -> dict:
     }
 
 
+def _lane0_timing(batch_eval: bool, repeats: int, trials: int = 5) -> dict:
+    """Steady-state ``_check_lane0`` time per check (best of ``trials``)."""
+    oracle = Oracle(batch_eval=batch_eval)
+    pairs = _pairs()
+    verdicts = {
+        name: oracle._check_lane0(spec, cand, LAYOUT_INORDER)
+        for name, spec, cand in pairs
+    }
+    best = float("inf")
+    for _ in range(trials):
+        start = time.perf_counter()
+        for _ in range(repeats):
+            for _name, spec, cand in pairs:
+                oracle._check_lane0(spec, cand, LAYOUT_INORDER)
+        best = min(best, time.perf_counter() - start)
+    return {"us_per_check": best / (repeats * len(pairs)) * 1e6,
+            "verdicts": verdicts}
+
+
+def run_lane0_ratio(repeats: int = 100) -> bool:
+    """Same-run gate: batched lane-0 checks must agree and be faster."""
+    scalar = _lane0_timing(batch_eval=False, repeats=repeats)
+    batched = _lane0_timing(batch_eval=True, repeats=repeats)
+    ratio = scalar["us_per_check"] / batched["us_per_check"]
+    print(f"lane-0 check: scalar {scalar['us_per_check']:.1f} us, "
+          f"batched {batched['us_per_check']:.1f} us ({ratio:.1f}x)")
+    if scalar["verdicts"] != batched["verdicts"]:
+        print(f"FAIL: lane-0 verdicts differ: {scalar['verdicts']} vs "
+              f"{batched['verdicts']}", file=sys.stderr)
+        return False
+    if ratio < MIN_LANE0_SPEEDUP:
+        print(f"FAIL: batched lane-0 check under {MIN_LANE0_SPEEDUP:.0f}x "
+              f"the scalar one", file=sys.stderr)
+        return False
+    return True
+
+
 def run_throughput(repeats: int) -> dict:
     scalar = _throughput(batch_eval=False, repeats=repeats)
     batched = _throughput(batch_eval=True, repeats=repeats)
@@ -110,6 +151,8 @@ def run_smoke() -> int:
         print(f"FAIL: batched fraction at or below "
               f"{MIN_BATCHED_FRACTION:.0%}", file=sys.stderr)
         return 1
+    if not run_lane0_ratio():
+        return 1
     print("smoke OK")
     return 0
 
@@ -121,7 +164,8 @@ def main(argv=None) -> int:
                         help="timed repetitions of the pair set")
     parser.add_argument("--smoke", action="store_true",
                         help="compile a fast subset and assert >90%% of "
-                             "full checks ran batched")
+                             "full checks ran batched, then that batched "
+                             "lane-0 checks are >=3x the scalar ones")
     parser.add_argument("--json", default=str(RESULTS), metavar="PATH",
                         help="where to write the JSON report")
     args = parser.parse_args(argv)

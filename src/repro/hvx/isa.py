@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..errors import EvaluationError, TypeMismatchError
-from ..types import ScalarType
+from ..types import ScalarType, cache_expr_hash
 
 #: resource classes, mirroring HVX's functional units (cf. paper Section 6)
 RESOURCES = ("mpy", "shift", "permute", "alu", "load", "store", "none")
@@ -144,29 +144,6 @@ def all_instructions() -> dict[str, Instruction]:
 
 def instructions_in_group(group: str) -> list[Instruction]:
     return [i for i in _REGISTRY.values() if group in i.groups]
-
-
-def cache_expr_hash(cls):
-    """Class decorator: memoize the dataclass-generated ``__hash__``.
-
-    Expression nodes are immutable trees used as dict/set keys throughout
-    synthesis (memo tables, substitution maps, subtree dedup); the generated
-    hash re-walks the whole subtree on every call, which turns those lookups
-    quadratic.  Caching the value on first use makes a node's hash O(1) and
-    a fresh tree's hash O(nodes), without changing its value.
-    """
-    base_hash = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            value = base_hash(self)
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    cls.__hash__ = __hash__
-    return cls
 
 
 class HvxExpr:

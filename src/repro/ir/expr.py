@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
 from ..errors import TypeMismatchError
-from ..types import BOOL, ScalarType, VectorType, require_same_type
+from ..types import (
+    BOOL,
+    ScalarType,
+    VectorType,
+    cache_expr_hash,
+    require_same_type,
+)
 
 Type = Union[ScalarType, VectorType]
 
@@ -117,6 +123,7 @@ class Expr:
             stack.extend(reversed(node.children))
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class Const(Expr):
     """A scalar integer constant with an explicit type.
@@ -139,6 +146,7 @@ class Const(Expr):
         return self.dtype
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class ScalarVar(Expr):
     """A free scalar variable (e.g. a loop-invariant runtime parameter)."""
@@ -151,6 +159,7 @@ class ScalarVar(Expr):
         return self.dtype
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class Load(Expr):
     """A vector load of ``lanes`` elements from ``buffer``.
@@ -184,6 +193,7 @@ class Load(Expr):
         return (self.lanes - 1) * self.stride + 1
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class Broadcast(Expr):
     """Replicate a scalar expression across ``lanes`` vector lanes."""
@@ -208,6 +218,7 @@ class Broadcast(Expr):
         return Broadcast(value, self.lanes)
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class _Binary(Expr):
     """Shared shape for elementwise binary operations."""
@@ -278,6 +289,7 @@ class Shr(_Binary):
     op_name = ">>"
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class Absd(Expr):
     """Absolute difference; result is the unsigned type of the same width.
@@ -309,6 +321,7 @@ class Absd(Expr):
         return Absd(a, b)
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class Cast(Expr):
     """Elementwise conversion to ``target`` element type (C semantics).
@@ -336,6 +349,7 @@ class Cast(Expr):
         return Cast(self.target, value)
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class SaturatingCast(Expr):
     """Elementwise conversion to ``target``, clamping to its range."""
@@ -359,6 +373,7 @@ class SaturatingCast(Expr):
         return SaturatingCast(self.target, value)
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class _Compare(Expr):
     """Shared shape for elementwise comparisons, producing bool lanes."""
@@ -411,6 +426,7 @@ class GE(_Compare):
     op_name = ">="
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class Select(Expr):
     """Elementwise select: lane i is ``t[i]`` where ``cond[i]`` else ``f[i]``."""

@@ -17,6 +17,7 @@ from ..errors import SynthesisError, UnsupportedExpressionError
 from ..targets import nodes as N, resolve_target
 from ..uber import instructions as U
 from .engine import ParallelChecker
+from .grammar import Sketch
 from .oracle import LAYOUT_DEINTERLEAVED, LAYOUT_INORDER, Oracle
 from .sketch import AbstractSwizzle, SWIZZLE_DEINTERLEAVE, SWIZZLE_INTERLEAVE
 from .swizzle_synth import synthesize_swizzles
@@ -27,7 +28,7 @@ class LoweringOptions:
     """Knobs exposed for the paper's design-choice ablations."""
 
     backtracking: bool = True  # §5.1: keep tightening β after a success
-    lane0_pruning: bool = True  # §4.1: cheap first-lane check before full
+    lane0_pruning: bool = True  # §4.1: first-lane check before the full one
     layout_search: bool = True  # §5.1: try deinterleaved intermediates
     max_sketches: int = 24  # sketches examined per uber-instruction
 
@@ -136,7 +137,7 @@ class Lowerer:
         self._memo[key] = best
         return best
 
-    def _adapt_layout(self, sketch: grammar.Sketch, requested: str):
+    def _adapt_layout(self, sketch: Sketch, requested: str):
         """Bridge a sketch's natural layout to the requested one."""
         if sketch.layout == requested:
             return sketch.expr
@@ -149,7 +150,7 @@ class Lowerer:
         )
         return AbstractSwizzle(sketch.expr, mode)
 
-    def _child(self, e: U.UberExpr, layout: str) -> H.HvxExpr | None:
+    def _child(self, e: U.UberExpr, layout: str) -> N.HvxExpr | None:
         return self._lower(e, layout)
 
 

@@ -123,9 +123,9 @@ class Oracle:
     extra_random_rounds: int = 4
     seed: int = 0
     #: evaluate candidates against the whole bank in one vectorized pass
-    #: (falls back to the scalar interpreters when NumPy is missing or an
-    #: expression cannot be batched exactly); verdicts are identical either
-    #: way, so this does not participate in cache keys
+    #: (falls back to the scalar interpreters when an expression cannot be
+    #: batched exactly); verdicts are identical either way, so this does
+    #: not participate in cache keys
     batch_eval: bool = True
     #: deduplicate queries through observational-equivalence classes
     #: (:mod:`repro.synthesis.fingerprints`); fingerprint-resolved verdicts
@@ -171,15 +171,19 @@ class Oracle:
         ``environment_zero`` is byte-identical to ``bank_for(spec)[0]``, so
         the lane-0 pruning check never pays for a full bank construction.
         """
-        bank = self._bank_cache.get(spec)
-        if bank is not None:
-            return bank[0]
-        env = self._env0_cache.get(spec)
-        if env is None:
-            env = self._env0_cache[spec] = valuation.environment_zero(
-                spec, seed=self.seed
-            )
-        return env
+        return self._env0(spec)[0]
+
+    def _env0(self, spec) -> tuple:
+        """``(environment 0, its one-row BankData)`` for the lane-0 check;
+        the bank data is ``None`` when the row cannot be stacked exactly."""
+        entry = self._env0_cache.get(spec)
+        if entry is None:
+            bank = self._bank_cache.get(spec)
+            env = (bank[0] if bank is not None
+                   else valuation.environment_zero(spec, seed=self.seed))
+            entry = self._env0_cache[spec] = (env,
+                                              valuation.bank_arrays([env]))
+        return entry
 
     # -- batched evaluation -------------------------------------------------
 
@@ -451,11 +455,11 @@ class Oracle:
         return False
 
     def equivalent_lane0(self, spec, candidate, layout: str = LAYOUT_INORDER) -> bool:
-        """The cheap first-lane pruning check of Section 4.1.
+        """The first-lane pruning check of Section 4.1.
 
-        Uses a single valuation and compares only the first lane.  A failure
-        proves the candidate wrong; a pass just promotes it to the full
-        check.
+        Uses environment 0 alone and compares only the first lane, on the
+        candidate's batched plan when it has one.  A failure proves the
+        candidate wrong; a pass just promotes it to the full check.
         """
         if self.cancel is not None:
             self.cancel.check()
@@ -478,10 +482,30 @@ class Oracle:
     def _check_lane0(self, spec, candidate, layout: str) -> bool:
         if result_bits(spec) != result_bits(candidate):
             return False
-        env = self.env0_for(spec)
         try:
-            got = denote(candidate, env, layout)
+            got = self._denote_env0(spec, candidate, layout)
         except EvaluationError:
             return False
-        want = self._spec_lanes(spec, 0, env)
+        want = self._spec_cache.get((spec, 0))
+        if want is None:
+            want = self._spec_cache[(spec, 0)] = tuple(
+                self._denote_env0(spec, spec, LAYOUT_INORDER)
+            )
         return bool(got) and got[0] == want[0]
+
+    def _denote_env0(self, spec, expr, layout: str):
+        """``denote(expr, env0_for(spec), layout)`` as a lane sequence.
+
+        With ``batch_eval`` it runs ``expr``'s memoized plan — the one a
+        later full check reuses — over the one-row bank of environment 0,
+        and counts nothing, so lane-0 counters and verdicts equal the
+        scalar check's; the scalar interpreters answer when the plan is
+        ``None`` or cannot run on that row.
+        """
+        env, row = self._env0(spec)
+        if self.batch_eval and row is not None:
+            ev = self._evaluator()
+            plan = ev.plan_for(expr)
+            if plan is not None and batch_plan.plan_usable(plan, row):
+                return ev.denote_bank(plan, row, layout)[0].tolist()
+        return denote(expr, env, layout)

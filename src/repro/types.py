@@ -164,3 +164,36 @@ def require_same_type(a, b, context: str = "") -> None:
     if a != b:
         where = f" in {context}" if context else ""
         raise TypeMismatchError(f"type mismatch{where}: {a} vs {b}")
+
+
+def cache_expr_hash(cls):
+    """Class decorator: memoize the dataclass-generated ``__hash__``.
+
+    Expression nodes are immutable trees used as dict/set keys throughout
+    synthesis (memo tables, substitution maps, subtree dedup); the generated
+    hash re-walks the whole subtree on every call, which turns those lookups
+    quadratic.  Caching the value on first use makes a node's hash O(1) and
+    a fresh tree's hash O(nodes), without changing its value.  The first
+    use reads the cache with ``getattr``'s default rather than catching an
+    ``AttributeError``, whose cost per node would triple the first hash of
+    a fresh tree.
+    """
+    base_hash = cls.__hash__
+
+    def __hash__(self):
+        value = getattr(self, "_hash", None)
+        if value is None:
+            value = base_hash(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self):
+        # The cached value holds for this process's string-hash seed only;
+        # a pickle (a process-pool payload) may load under another seed.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls

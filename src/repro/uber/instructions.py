@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import TypeMismatchError
-from ..types import ScalarType, VectorType
+from ..types import ScalarType, VectorType, cache_expr_hash
 from ..ir import expr as ir_expr
 
 
@@ -62,6 +62,7 @@ class UberExpr:
             stack.extend(reversed(node.children))
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class LoadData(UberExpr):
     """``load-data``: a read of ``lanes`` buffer elements (lane ``i`` reads
@@ -86,6 +87,7 @@ class LoadData(UberExpr):
         return (self.lanes - 1) * self.stride + 1
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class BroadcastScalar(UberExpr):
     """``broadcast``: splat a loop-invariant scalar IR expression."""
@@ -99,6 +101,7 @@ class BroadcastScalar(UberExpr):
         return VectorType(self.elem, self.lanes)
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class Widen(UberExpr):
     """``widen``: numeric conversion to a wider element type."""
@@ -123,6 +126,7 @@ class Widen(UberExpr):
         return Widen(value, self.out_elem)
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class VsMpyAdd(UberExpr):
     """``vs-mpy-add``: weighted sum of vectors with scalar weights.
@@ -163,6 +167,7 @@ class VsMpyAdd(UberExpr):
                         self.out_elem)
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class VvMpyAdd(UberExpr):
     """``vv-mpy-add``: sum of elementwise vector*vector products.
@@ -210,6 +215,7 @@ class VvMpyAdd(UberExpr):
         return VvMpyAdd(pairs, acc, self.saturate, self.out_elem)
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class Narrow(UberExpr):
     """``narrow``: fused shift-right / round / saturate downcast.
@@ -243,6 +249,7 @@ class Narrow(UberExpr):
                       self.saturate)
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class AbsDiff(UberExpr):
     """``abs-diff``: elementwise absolute difference (unsigned result)."""
@@ -268,6 +275,7 @@ class AbsDiff(UberExpr):
         return AbsDiff(a, b)
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class _UberBinary(UberExpr):
     a: UberExpr
@@ -298,6 +306,7 @@ class Maximum(_UberBinary):
     """``maximum``: elementwise max (unifies the vmax family)."""
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class Average(_UberBinary):
     """``average``: halving add ``(a + b (+1)) >> 1`` without overflow."""
@@ -309,6 +318,7 @@ class Average(_UberBinary):
         return Average(a, b, self.round)
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class ShiftRight(UberExpr):
     """``shift-right``: same-width arithmetic shift with optional rounding."""
@@ -334,6 +344,7 @@ class ShiftRight(UberExpr):
         return ShiftRight(value, self.shift, self.round)
 
 
+@cache_expr_hash
 @dataclass(frozen=True)
 class Mux(UberExpr):
     """``mux``: elementwise select driven by a comparison ``a <op> b``."""

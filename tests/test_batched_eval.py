@@ -370,3 +370,103 @@ def test_verdict_cache_warm_loads_across_batching_modes(tmp_path):
                      stats=warm, cache_dir=str(tmp_path))
     assert warm.total_cache_misses == 0
     assert warm.total_cache_hits > 0
+
+
+# ---------------------------------------------------------------------------
+# Lane-0 pruning on the batched plans (scalar check as the reference)
+# ---------------------------------------------------------------------------
+
+
+def assert_lane0_identical(spec, cand, layout=LAYOUT_INORDER):
+    """The batched lane-0 verdict must equal the scalar one."""
+    want = Oracle(batch_eval=False).equivalent_lane0(spec, cand, layout)
+    assert Oracle(batch_eval=True).equivalent_lane0(spec, cand, layout) \
+        is want
+    return want
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ir_exprs(), ir_exprs())
+def test_ir_lane0_batched_matches_scalar(spec, cand):
+    assert_lane0_identical(spec, cand)
+    assert_lane0_identical(spec, spec)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(uber_exprs(), uber_exprs())
+def test_uber_lane0_batched_matches_scalar(spec, cand):
+    assert_lane0_identical(spec, cand)
+
+
+#: footprint specs of each output width the HVX strategies produce
+LANE0_SPECS = (
+    FOOTPRINT,
+    E.Mul(E.Cast(U16, E.Load("A", -8, 80, U8)),
+          E.Cast(U16, E.Load("B", -8, 80, U8))),
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hvx_exprs(), st.sampled_from(LANE0_SPECS),
+       st.sampled_from([LAYOUT_INORDER, LAYOUT_DEINTERLEAVED]))
+def test_hvx_lane0_batched_matches_scalar(cand, spec, layout):
+    assert_lane0_identical(spec, cand, layout)
+
+
+def test_lane0_edge_cases_match_scalar():
+    la, lb = E.Load("A", 0, HVX_LANES, U8), E.Load("B", 0, HVX_LANES, U8)
+    ha, hb = H.HvxLoad("A", 0, HVX_LANES, U8), H.HvxLoad("B", 0, HVX_LANES, U8)
+    spec = E.Add(la, lb)
+    vadd = H.HvxInstr("vadd", (ha, hb))
+    gt = H.HvxInstr("vcmp_gt", (ha, hb))
+    cases = [
+        # unbound buffer, out-of-range read
+        (spec, H.HvxInstr("vadd", (ha, H.HvxLoad("Z", 0, HVX_LANES, U8))),
+         LAYOUT_INORDER, False),
+        (spec, H.HvxInstr("vadd", (ha, H.HvxLoad("B", 1 << 14, HVX_LANES,
+                                                 U8))),
+         LAYOUT_INORDER, False),
+        # a vector result read back deinterleaved
+        (spec, vadd, LAYOUT_DEINTERLEAVED, False),
+        # a predicate against a boolean spec and against a data spec
+        (E.GT(la, lb), gt, LAYOUT_INORDER, True),
+        (E.EQ(la, lb), gt, LAYOUT_INORDER, False),
+        (spec, gt, LAYOUT_INORDER, False),
+        # lane counts differ: only lane 0 is compared
+        (E.Add(E.Load("A", 0, 2 * HVX_LANES, U8),
+               E.Load("B", 0, 2 * HVX_LANES, U8)), vadd, LAYOUT_INORDER,
+         True),
+    ]
+    for spec_, cand, layout, verdict in cases:
+        assert assert_lane0_identical(spec_, cand, layout) is verdict, cand
+
+
+def test_lane0_runs_without_the_scalar_interpreter(monkeypatch):
+    """A batchable lane-0 query answers on its plan alone."""
+    from repro.hvx import interp as hvx_interp
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("scalar HVX interpreter called")
+
+    monkeypatch.setattr(hvx_interp, "evaluate", refuse)
+    ha, hb = H.HvxLoad("A", 0, HVX_LANES, U8), H.HvxLoad("B", 0, HVX_LANES, U8)
+    spec = E.Add(E.Load("A", 0, HVX_LANES, U8), E.Load("B", 0, HVX_LANES, U8))
+    oracle = Oracle()
+    assert oracle.equivalent_lane0(spec, H.HvxInstr("vadd", (ha, hb)))
+    assert not oracle.equivalent_lane0(spec, H.HvxInstr("vsub", (ha, hb)))
+
+
+def test_lane0_counts_no_evaluations():
+    """Lane-0 misses leave the full-check evaluation counters alone."""
+    ha, hb = H.HvxLoad("A", 0, HVX_LANES, U8), H.HvxLoad("B", 0, HVX_LANES, U8)
+    spec = E.Add(E.Load("A", 0, HVX_LANES, U8), E.Load("B", 0, HVX_LANES, U8))
+    for batch in (True, False):
+        oracle = Oracle(batch_eval=batch)
+        for op in ("vadd", "vsub", "vmax"):
+            oracle.equivalent_lane0(spec, H.HvxInstr(op, (ha, hb)))
+        assert oracle.stats.total_cache_misses == 3
+        assert oracle.stats.total_batched_evals == 0
+        assert oracle.stats.total_fallback_evals == 0

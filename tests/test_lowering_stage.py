@@ -160,3 +160,17 @@ class TestOptions:
         lower_ir(B.widen(u8v()), oracle=oracle)
         assert oracle.stats.stages["sketching"].queries > 0
         assert oracle.stats.stages["swizzling"].queries > 0
+
+
+def test_lowerer_annotations_resolve():
+    """Every annotation on ``Lowerer`` names something the module imports."""
+    import inspect
+    import typing
+
+    hints = {
+        name: typing.get_type_hints(fn)
+        for name, fn in inspect.getmembers(Lowerer, inspect.isfunction)
+    }
+    assert hints["_adapt_layout"]["sketch"] is grammar.Sketch
+    assert hints["_child"]["return"] == H.HvxExpr | None
+    typing.get_type_hints(Lowerer)
