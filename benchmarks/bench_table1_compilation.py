@@ -74,16 +74,15 @@ def test_table1_distribution(table1_rows, benchmark):
 # ---------------------------------------------------------------------------
 
 
-def _timed_compile(name: str, jobs: int, cache: OracleCache):
+def _timed_compile(name: str, cache: OracleCache):
     wl = get(name)
     start = time.perf_counter()
-    compiled = compile_pipeline(wl.build(), backend="rake", jobs=jobs,
-                                cache=cache)
+    compiled = compile_pipeline(wl.build(), backend="rake", cache=cache)
     return time.perf_counter() - start, compiled.stats
 
 
 def _emit_telemetry(store, name: str, phase: str, wall_s: float,
-                    stats, jobs: int) -> None:
+                    stats) -> None:
     """One corpus record per timed compile (no-op without a store)."""
     if store is None:
         return
@@ -92,23 +91,22 @@ def _emit_telemetry(store, name: str, phase: str, wall_s: float,
     emit(store, build_record(
         source="bench:table1", workload=name, target="hvx",
         wall_s=wall_s, stats=stats,
-        knobs={"jobs": jobs, "cache": True},
+        knobs={"cache": True},
         extra={"phase": phase},
     ))
 
 
-def run_cold_warm(names, cache_dir: str, jobs: int = 1,
-                  telemetry=None) -> dict:
+def run_cold_warm(names, cache_dir: str, telemetry=None) -> dict:
     """Compile every workload twice against one disk store; return timings."""
     rows = []
     for name in names:
         cold_t, cold_stats = _timed_compile(
-            name, jobs, OracleCache.with_disk(cache_dir))
+            name, OracleCache.with_disk(cache_dir))
         # A fresh in-process cache: warm-run hits come from the disk store.
         warm_t, warm_stats = _timed_compile(
-            name, jobs, OracleCache.with_disk(cache_dir))
-        _emit_telemetry(telemetry, name, "cold", cold_t, cold_stats, jobs)
-        _emit_telemetry(telemetry, name, "warm", warm_t, warm_stats, jobs)
+            name, OracleCache.with_disk(cache_dir))
+        _emit_telemetry(telemetry, name, "cold", cold_t, cold_stats)
+        _emit_telemetry(telemetry, name, "warm", warm_t, warm_stats)
         rows.append({
             "name": name,
             "cold_s": cold_t,
@@ -136,8 +134,6 @@ def main(argv=None) -> int:
                         help=f"workload names (default: {' '.join(FAST_NAMES)})")
     parser.add_argument("--all", action="store_true",
                         help="run the full 21-benchmark suite")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel equivalence-check workers")
     parser.add_argument("--cache-dir", default=None,
                         help="verdict store directory (default: a fresh "
                              "temporary directory)")
@@ -154,8 +150,7 @@ def main(argv=None) -> int:
     names = args.workloads or (ALL_NAMES if args.all else FAST_NAMES)
     with tempfile.TemporaryDirectory() as tmp:
         cache_dir = args.cache_dir or tmp
-        report = run_cold_warm(names, cache_dir, jobs=args.jobs,
-                               telemetry=telemetry)
+        report = run_cold_warm(names, cache_dir, telemetry=telemetry)
     if telemetry is not None:
         telemetry.flush()
 

@@ -124,11 +124,11 @@ def _cmd_list(args) -> int:
 
 def _compile_one(name: str, backend: str, show_programs: bool,
                  width: int | None, height: int | None, asm: bool = False,
-                 jobs: int = 1, cache_dir: str | None = None,
+                 cache_dir: str | None = None,
                  batch_eval: bool = True, fingerprints: bool = True,
                  tracer=None, target: str = "hvx", rules=None):
     wl = get(name)
-    compiled = compile_pipeline(wl.build(), backend=backend, jobs=jobs,
+    compiled = compile_pipeline(wl.build(), backend=backend,
                                 cache_dir=cache_dir, batch_eval=batch_eval,
                                 fingerprints=fingerprints,
                                 tracer=tracer, target=target, rules=rules)
@@ -225,8 +225,8 @@ def _cmd_compile(args) -> int:
             began = time.perf_counter()
             totals[backend], compiled_by_backend[backend] = _compile_one(
                 args.workload, backend, args.show_programs, args.width,
-                args.height, asm=args.asm, jobs=args.jobs,
-                cache_dir=cache_dir, batch_eval=not args.no_batch_eval,
+                args.height, asm=args.asm, cache_dir=cache_dir,
+                batch_eval=not args.no_batch_eval,
                 fingerprints=not args.no_fingerprints,
                 tracer=tracer, target=args.target,
                 rules=rules_lib if backend == "rake" else None,
@@ -265,7 +265,6 @@ def _cmd_compile(args) -> int:
                 trace_tree=tree,
                 degraded=bool(getattr(compiled, "degraded", False)),
                 knobs={
-                    "jobs": args.jobs,
                     "batch_eval": not args.no_batch_eval,
                     "fingerprints": not args.no_fingerprints,
                     "rules": rules_lib is not None and backend == "rake",
@@ -332,7 +331,7 @@ def _cmd_speedups(args) -> int:
         if args.only and wl.name not in args.only:
             continue
         _log.info("compiling", workload=wl.name)
-        rake = compile_pipeline(wl.build(), backend="rake", jobs=args.jobs,
+        rake = compile_pipeline(wl.build(), backend="rake",
                                 batch_eval=not args.no_batch_eval,
                                 fingerprints=not args.no_fingerprints)
         base = compile_pipeline(wl.build(), backend="baseline")
@@ -362,7 +361,7 @@ def _cmd_trace(args) -> int:
     wl = get(args.workload)
     tracer = Tracer()
     compiled = compile_pipeline(
-        wl.build(), backend=args.backend, jobs=args.jobs,
+        wl.build(), backend=args.backend,
         batch_eval=not args.no_batch_eval, tracer=tracer,
     )
     cycles = measure(compiled, args.width or wl.width,
@@ -450,8 +449,7 @@ def _cmd_mine_rules(args) -> int:
             if name not in names():
                 return _fail(f"unknown workload {name!r}")
     reports = mine_rules(workloads=args.workloads or None, targets=targets,
-                         cache_dir=cache_dir, rules_dir=rules_base,
-                         jobs=args.jobs)
+                         cache_dir=cache_dir, rules_dir=rules_base)
     for report in reports:
         print(f"[{report.target}] mined {report.mined} rules from "
               f"{len(report.workloads)} workloads "
@@ -581,7 +579,6 @@ def _cmd_submit(args) -> int:
         height=args.height,
         priority=args.priority,
         deadline_s=args.deadline,
-        jobs=args.jobs,
         batch_eval=not args.no_batch_eval,
         trace=bool(args.trace or args.trace_out),
         rules=bool(args.rules),
@@ -777,9 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="print register-allocated assembly listings")
     p_compile.add_argument("--width", type=int, default=None)
     p_compile.add_argument("--height", type=int, default=None)
-    p_compile.add_argument("--jobs", type=int, default=1,
-                           help="parallel equivalence-check workers "
-                                "(1 = serial; output is identical)")
     p_compile.add_argument("--stats-json", default=None, metavar="PATH",
                            help="dump per-stage synthesis statistics as JSON")
     p_compile.add_argument("--cache", action="store_true",
@@ -801,8 +795,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--fault-plan", default=None, metavar="PLAN",
                            help="activate deterministic fault injection for "
                                 "this compile: a built-in plan name "
-                                "(worker-crash, torn-cache, slow-oracle, "
-                                "socket-reset) or a FaultPlan JSON file")
+                                "(torn-cache, slow-oracle, socket-reset, "
+                                "cachetier-outage, router-flap) or a "
+                                "FaultPlan JSON file")
     p_compile.add_argument("--trace-out", default=None, metavar="PATH",
                            help="record a span trace of the compile and "
                                 "write it as Chrome trace_event JSON")
@@ -835,9 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="the Figure 11 sweep (slow: full synthesis)")
     p_speed.add_argument("--only", nargs="*", default=None,
                          help="restrict to these workloads")
-    p_speed.add_argument("--jobs", type=int, default=1,
-                         help="parallel equivalence-check workers for the "
-                              "rake backend")
     p_speed.add_argument("--no-batch-eval", action="store_true",
                          help="disable the batched NumPy oracle")
     p_speed.add_argument("--no-fingerprints", action="store_true",
@@ -850,8 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("workload")
     p_trace.add_argument("--backend", choices=("rake", "baseline"),
                          default="rake")
-    p_trace.add_argument("--jobs", type=int, default=1,
-                         help="parallel equivalence-check workers")
     p_trace.add_argument("--width", type=int, default=None)
     p_trace.add_argument("--height", type=int, default=None)
     p_trace.add_argument("--no-batch-eval", action="store_true")
@@ -900,8 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--rules-dir", default=None, metavar="DIR",
                         help="write rules_<target>.jsonl here (default: "
                              "the cache dir, or the default cache dir)")
-    p_mine.add_argument("--jobs", type=int, default=1,
-                        help="parallel equivalence-check workers")
 
     p_serve = sub.add_parser(
         "serve", help="run the long-lived compilation server")
@@ -1017,8 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--deadline", type=float, default=None,
                           metavar="SECONDS",
                           help="cancel the job if it runs longer than this")
-    p_submit.add_argument("--jobs", type=int, default=1,
-                          help="per-job equivalence-check workers")
     p_submit.add_argument("--no-batch-eval", action="store_true")
     p_submit.add_argument("--wait", action="store_true",
                           help="block until the job is terminal")

@@ -1,20 +1,20 @@
 """Deterministic fault injection and the resilience primitives it exercises.
 
 ``repro.faults`` is the chaos-testing layer for the whole stack: named
-injection *sites* are threaded through the hot paths (engine worker
-dispatch, oracle cache load/flush, batched-eval plan compilation,
-scheduler job execution, the HTTP request path), and a seeded
-:class:`FaultPlan` decides — deterministically — which calls to those
-sites inject a worker crash, a raised exception, latency, a torn cache
-write or a socket reset.  Every injection is recorded, so a chaos run is
+injection *sites* are threaded through the hot paths (oracle queries,
+oracle cache load/flush, batched-eval plan compilation, scheduler job
+execution, the HTTP request path), and a seeded :class:`FaultPlan`
+decides — deterministically — which calls to those sites inject a raised
+exception, an ``OSError``, latency, a torn cache write or a socket
+reset.  Every injection is recorded, so a chaos run is
 replayable: same plan + same seed ⇒ same injection trace.
 
 The package also houses the resilience primitives the chaos suite
 exercises:
 
 * :class:`~repro.faults.retry.RetryPolicy` — bounded retry with
-  exponential backoff and deterministic jitter (engine batch
-  resubmission, service-client polling).
+  exponential backoff and deterministic jitter (the service client's
+  transient-connection retry).
 * :class:`~repro.faults.breaker.CircuitBreaker` — a
   closed → open → half-open breaker the scheduler uses to shed load
   after consecutive job crashes.
@@ -31,7 +31,6 @@ from .breaker import (
     CircuitBreaker,
 )
 from .core import (
-    KIND_CRASH,
     KIND_ERROR,
     KIND_LATENCY,
     KIND_OSERROR,
@@ -42,8 +41,6 @@ from .core import (
     SITE_CACHE_LOAD,
     SITE_CACHETIER_GET,
     SITE_CACHETIER_PUT,
-    SITE_ENGINE_BATCH,
-    SITE_ENGINE_WORKER,
     SITE_ORACLE_QUERY,
     SITE_PLAN_COMPILE,
     SITE_ROUTER_FORWARD,
@@ -78,7 +75,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "InjectedFaultError",
-    "KIND_CRASH",
     "KIND_ERROR",
     "KIND_LATENCY",
     "KIND_OSERROR",
@@ -90,8 +86,6 @@ __all__ = [
     "SITE_CACHE_LOAD",
     "SITE_CACHETIER_GET",
     "SITE_CACHETIER_PUT",
-    "SITE_ENGINE_BATCH",
-    "SITE_ENGINE_WORKER",
     "SITE_ORACLE_QUERY",
     "SITE_PLAN_COMPILE",
     "SITE_ROUTER_FORWARD",

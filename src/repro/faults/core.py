@@ -16,10 +16,9 @@ Design constraints, in order:
    is what makes chaos runs replayable from a file checked into CI.
 
 The injected failure *kinds* mirror what production actually throws at
-the stack: ``crash`` raises a :class:`BrokenProcessPool` (what a killed
-pool worker surfaces as), ``oserror`` raises :class:`OSError` (disk
-trouble), ``error`` raises :class:`InjectedFaultError` (an arbitrary
-in-process bug), ``latency`` sleeps, and ``torn_write`` /
+the stack: ``oserror`` raises :class:`OSError` (disk trouble), ``error``
+raises :class:`InjectedFaultError` (an arbitrary in-process bug, such as
+a crashed synthesis), ``latency`` sleeps, and ``torn_write`` /
 ``socket_reset`` are returned to the call site, which owns the byte
 truncation or connection teardown.
 """
@@ -33,12 +32,9 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from concurrent.futures.process import BrokenProcessPool
 
 # -- injection sites ---------------------------------------------------------
 
-SITE_ENGINE_BATCH = "engine.batch"      # ParallelChecker pool dispatch
-SITE_ENGINE_WORKER = "engine.worker"    # one equivalence check in a worker
 SITE_ORACLE_QUERY = "oracle.query"      # every full oracle query
 SITE_CACHE_LOAD = "cache.load"          # verdict-store JSONL load
 SITE_CACHE_FLUSH = "cache.flush"        # verdict-store JSONL append
@@ -53,8 +49,6 @@ SITE_CACHETIER_PUT = "cachetier.put"    # shared cache-tier publish RPC
 SITE_WORKER_HEALTH = "worker.health"    # router health probe of one node
 
 SITES = (
-    SITE_ENGINE_BATCH,
-    SITE_ENGINE_WORKER,
     SITE_ORACLE_QUERY,
     SITE_CACHE_LOAD,
     SITE_CACHE_FLUSH,
@@ -72,20 +66,19 @@ SITES = (
 # -- failure kinds -----------------------------------------------------------
 
 KIND_ERROR = "error"              # raise InjectedFaultError
-KIND_CRASH = "crash"              # raise BrokenProcessPool (worker death)
 KIND_OSERROR = "oserror"          # raise OSError (disk/socket trouble)
 KIND_LATENCY = "latency"          # sleep latency_s, then continue
 KIND_TORN_WRITE = "torn_write"    # caller truncates the payload mid-line
 KIND_SOCKET_RESET = "socket_reset"  # caller resets the connection
 
 KINDS = (
-    KIND_ERROR, KIND_CRASH, KIND_OSERROR, KIND_LATENCY, KIND_TORN_WRITE,
+    KIND_ERROR, KIND_OSERROR, KIND_LATENCY, KIND_TORN_WRITE,
     KIND_SOCKET_RESET,
 )
 
 #: kinds :func:`fire` resolves by raising; the rest return the rule so the
 #: call site can perform the byte- or socket-level damage itself
-_RAISING_KINDS = (KIND_ERROR, KIND_CRASH, KIND_OSERROR)
+_RAISING_KINDS = (KIND_ERROR, KIND_OSERROR)
 
 
 class InjectedFaultError(Exception):
@@ -364,8 +357,6 @@ def fire(site: str, tracer=None) -> FaultRule | None:
         return rule
     if rule.kind in _RAISING_KINDS:
         message = rule.message or f"injected {rule.kind} at {site}"
-        if rule.kind == KIND_CRASH:
-            raise BrokenProcessPool(message)
         if rule.kind == KIND_OSERROR:
             raise OSError(message)
         raise InjectedFaultError(message)
@@ -397,12 +388,6 @@ def builtin_plans() -> dict:
     Fresh instances on every call (plans carry mutable counters).
     """
     return {
-        "worker-crash": FaultPlan(name="worker-crash", seed=7, rules=[
-            # First pool dispatch dies like a killed worker; the bounded
-            # retry must resubmit and the compile must finish clean.
-            FaultRule(site=SITE_ENGINE_BATCH, kind=KIND_CRASH,
-                      on_nth=1, max_fires=1),
-        ]),
         "torn-cache": FaultPlan(name="torn-cache", seed=11, rules=[
             # Every other cache flush lands torn; the CRC loader must
             # skip the partial tail and quarantine + compact the store.

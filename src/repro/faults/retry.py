@@ -1,9 +1,8 @@
 """Bounded retry with exponential backoff and deterministic jitter.
 
-One policy object serves both retry users in the stack — the engine's
-batch resubmission (a crashed pool gets ``attempts`` resubmits before the
-checker steps down the process → thread → serial ladder) and the service
-client's transient-connection retry during polling.
+The service client uses it for transient-connection retries; its
+``attempts`` also bounds how many load-shedding ``503`` replies one
+submission waits out.
 
 Jitter is drawn from a policy-owned seeded RNG, so a chaos run's sleep
 schedule is as replayable as its injection trace.  Delays follow

@@ -128,8 +128,7 @@ def compile_pipeline(
     ``vbytes`` default to the target's), the sketch and swizzle grammars,
     the cost model and the simulator machine model.
 
-    ``jobs`` fans candidate equivalence checks over a worker pool (output is
-    identical to serial mode).  ``stats`` supplies an external
+    ``stats`` supplies an external
     :class:`SynthesisStats` to accumulate into; ``cache`` an external
     :class:`~repro.synthesis.engine.OracleCache`, or ``cache_dir`` a
     directory for a persistent on-disk verdict store.  ``batch_eval=False``
@@ -163,6 +162,9 @@ def compile_pipeline(
     against the full valuation bank (inside ``match``) *and* by the final
     verify pass below, so selections are sound with or without rules.
     """
+    if jobs != 1:
+        # Checks run serially; the keyword stays for callers passing 1.
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
     if backend not in (BACKEND_RAKE, BACKEND_BASELINE):
         raise ReproError(f"unknown backend: {backend}")
     tgt = resolve_target(target)
@@ -190,7 +192,7 @@ def compile_pipeline(
                         cancel=cancel, tracer=tracer)
         rake = RakeSelector(
             vbytes=vbytes, options=options or LoweringOptions(),
-            oracle=oracle, jobs=jobs, target=tgt,
+            oracle=oracle, target=tgt,
         )
     else:
         rake = selector
@@ -207,7 +209,7 @@ def compile_pipeline(
                                 stats=rake.stats, target=tgt.name)
     try:
         with tracer.span("pipeline.compile", backend=backend,
-                         lanes=lanes, jobs=jobs) as root:
+                         lanes=lanes) as root:
             for stage in lowered.stages:
                 cstage = CompiledStage(stage=stage)
                 extents = [1] + list(stage.func.update_extents)
@@ -263,11 +265,11 @@ def compile_pipeline(
                                     raise
                                 except Exception as exc:
                                     # Synthesis *crashed* (an injected
-                                    # fault past its retry budget, or a
-                                    # real bug).  Degrade this expression
-                                    # to the baseline lowering — still
-                                    # verified below — instead of failing
-                                    # the whole compile.
+                                    # fault, or a real bug).  Degrade
+                                    # this expression to the baseline
+                                    # lowering — still verified below —
+                                    # instead of failing the whole
+                                    # compile.
                                     compiled.fallbacks += 1
                                     compiled.degraded_exprs += 1
                                     used = BACKEND_BASELINE
@@ -308,7 +310,6 @@ def compile_pipeline(
         if rules is not None:
             rules.flush()
         if owns_selector:
-            rake.close()
             rake.oracle.cache.flush()
         elif tracer is not NULL_TRACER:
             rake.oracle.tracer = NULL_TRACER

@@ -126,11 +126,6 @@ def engine_summary(stats, telemetry: dict | None = None) -> str:
             f"{stats.total_class_splits} splits, "
             f"{stats.total_pruned_grammar_hits} pruned-grammar hits)"
         )
-    if getattr(stats, "retries", 0):
-        lines.append(
-            f"    worker-pool retries: {stats.retries} "
-            f"(crashed dispatches resubmitted)"
-        )
     rule_activity = (
         getattr(stats, "rule_hits", 0) + getattr(stats, "rule_misses", 0)
         + getattr(stats, "rules_mined", 0)
@@ -164,8 +159,8 @@ def job_summary(view) -> str:
              f"[{view.request.workload} / {view.request.backend}]"]
     if degraded:
         lines.append(
-            "    synthesis crashed past its retry budget on >= 1 "
-            "expression; the verified baseline lowering was substituted"
+            "    synthesis crashed on >= 1 expression; the verified "
+            "baseline lowering was substituted"
         )
     if view.wait_s is not None:
         timing = f"    queued {view.wait_s:.3f}s"
@@ -222,7 +217,6 @@ def service_summary(health: dict, metrics: dict) -> str:
     breaker = breaker_names.get(int(metric("repro_breaker_state")), "?")
     resilience = (
         f"    resilience: breaker {breaker}, "
-        f"{metric('repro_retries_total')} pool retries, "
         f"{metric('repro_degraded_jobs_total')} degraded jobs"
     )
     shed = metric("repro_jobs_shed_total")

@@ -35,7 +35,6 @@ def mine_rules(
     targets=("hvx", "neon"),
     cache_dir: str | None = None,
     rules_dir: str | None = None,
-    jobs: int = 1,
 ) -> list:
     """Mine rule libraries for ``targets``; returns a list of
     :class:`MiningReport`.
@@ -61,7 +60,6 @@ def mine_rules(
                 backend="rake",
                 target=target,
                 cache_dir=cache_dir,
-                jobs=jobs,
                 stats=stats,
                 rules=library,
             )

@@ -8,9 +8,9 @@ lowered and every stage expression is rendered through
 structural rendering under the verdict cache and the rewrite-rule
 library — together with the knobs that
 can change the *result* (backend, lane count, batched-eval toggle).
-Parameters that only change speed or scheduling (``jobs``, ``priority``,
-``deadline_s``) are deliberately excluded, so a patient submission and an
-urgent one still coalesce.
+Parameters that only change scheduling (``priority``, ``deadline_s``)
+are deliberately excluded, so a patient submission and an urgent one
+still coalesce.
 
 The coalescer tracks keys for **active** (queued or running) jobs only:
 once a job reaches a terminal state its key is released, and the next

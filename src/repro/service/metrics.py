@@ -161,9 +161,9 @@ class MetricsRegistry:
     safe to call from any thread at any time; re-registering a name with a
     different kind is a programming error and raises.
 
-    Metrics may carry **labels** (``labels={"site": "engine.batch"}``):
+    Metrics may carry **labels** (``labels={"site": "oracle.query"}``):
     each distinct label set is its own child series under the family
-    name, rendered Prometheus-style as ``name{site="engine.batch"}``.
+    name, rendered Prometheus-style as ``name{site="oracle.query"}``.
     The kind check applies to the whole family, and ``HELP``/``TYPE``
     lines are emitted once per family.
     """

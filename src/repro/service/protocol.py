@@ -97,8 +97,7 @@ class CompileRequest:
     waiting jobs so low-priority ones are never starved).  ``deadline_s``
     bounds wall-clock time from *submission* — queue wait counts, so it is
     a client-facing SLA; past it, the job is cooperatively cancelled and
-    reported as ``timeout`` (a lapsed job never starts compiling).  ``jobs`` is the per-job equivalence-check fan-out (the
-    service's worker pool is the outer level of parallelism).
+    reported as ``timeout`` (a lapsed job never starts compiling).
 
     ``trace=True`` records a hierarchical span tree for the compilation
     (see :mod:`repro.trace`); the job's ``trace_id`` appears in its
@@ -124,7 +123,6 @@ class CompileRequest:
     height: int | None = None
     priority: int = 10
     deadline_s: float | None = None
-    jobs: int = 1
     batch_eval: bool = True
     trace: bool = False
     rules: bool = False
@@ -147,13 +145,14 @@ class CompileRequest:
                 f"compile request: unknown target {self.target!r} "
                 f"(expected one of {', '.join(TARGETS)})"
             )
+        # ``type(...) is int``: a JSON ``true`` is a bool, and bool is an int.
         for name in ("width", "height"):
             value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value <= 0):
+            if value is not None and (type(value) is not int or value <= 0):
                 raise ProtocolError(
                     f"compile request: {name} must be a positive integer"
                 )
-        if not isinstance(self.priority, int):
+        if type(self.priority) is not int:
             raise ProtocolError("compile request: priority must be an integer")
         if self.deadline_s is not None and (
             not isinstance(self.deadline_s, (int, float)) or self.deadline_s <= 0
@@ -161,8 +160,9 @@ class CompileRequest:
             raise ProtocolError(
                 "compile request: deadline_s must be a positive number"
             )
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise ProtocolError("compile request: jobs must be >= 1")
+        if not isinstance(self.batch_eval, bool):
+            raise ProtocolError(
+                "compile request: batch_eval must be a boolean")
         if not isinstance(self.trace, bool):
             raise ProtocolError("compile request: trace must be a boolean")
         if not isinstance(self.rules, bool):
@@ -188,10 +188,10 @@ class CompileRequest:
         if not isinstance(data, dict):
             raise ProtocolError("compile request: body must be a JSON object")
         _require_version(data, "compile request")
+        # ``jobs`` from older v4 clients is dropped: it never changed a result.
         known = {f: data[f] for f in (
             "workload", "backend", "target", "width", "height", "priority",
-            "deadline_s", "jobs", "batch_eval", "trace", "rules",
-            "idempotency_key",
+            "deadline_s", "batch_eval", "trace", "rules", "idempotency_key",
         ) if f in data}
         try:
             return cls(**known).validate()
@@ -217,8 +217,8 @@ class CompileResult:
     programs: tuple = ()  # tuple[dict]: stage/selector/listing
     optimized_exprs: int = 0
     fallbacks: int = 0
-    #: synthesis crashed past its retry budget on >= 1 expression and the
-    #: pipeline substituted the (verified) baseline lowering — the result
+    #: synthesis crashed on >= 1 expression and the pipeline
+    #: substituted the (verified) baseline lowering — the result
     #: is correct but not the optimized program the client asked for
     degraded: bool = False
     #: expressions answered by the rewrite-rule fast path (also flagged

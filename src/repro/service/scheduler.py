@@ -136,7 +136,6 @@ def default_compile_fn(request: CompileRequest, cancel: CancelToken,
     compiled = compile_pipeline(
         wl.build(),
         backend=request.backend,
-        jobs=request.jobs,
         stats=stats,
         cache=cache,
         batch_eval=request.batch_eval,
@@ -282,8 +281,6 @@ class JobScheduler:
             ("repro_jobs_timeout_total", "jobs that exceeded their deadline"),
             ("repro_jobs_shed_total",
              "submissions shed by the open circuit breaker"),
-            ("repro_retries_total",
-             "worker-pool batch resubmissions after a crashed dispatch"),
             ("repro_degraded_jobs_total",
              "jobs that completed with a degraded (baseline) result"),
             ("repro_faults_injected_total",
@@ -639,7 +636,6 @@ class JobScheduler:
                 node_id=self.node_id,
                 routed_by=job.routed_by,
                 knobs={
-                    "jobs": job.request.jobs,
                     "batch_eval": job.request.batch_eval,
                     "rules": bool(getattr(job.request, "rules", False)),
                 },

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from ..ir import expr as ir_expr
 from ..targets import nodes as N, resolve_target
-from .engine import OracleCache, ParallelChecker
+from .engine import OracleCache
 from .lifting import Lifter, LiftStep, lift
 from .lowering import Lowerer, LoweringOptions, lower
 from .oracle import LAYOUT_DEINTERLEAVED, LAYOUT_INORDER, Oracle, denote
@@ -45,16 +45,12 @@ class RakeSelector:
     :class:`~repro.targets.TargetDescription` (name or instance).
     ``sketches_fn`` overrides just the sketch grammar (the pre-target
     retargeting hook; still honored when given).
-    ``jobs > 1`` fans candidate equivalence checks over a worker pool
-    (see :mod:`repro.synthesis.engine`); output is identical to serial.
     """
 
     vbytes: int = 128
     options: LoweringOptions = field(default_factory=LoweringOptions)
     oracle: Oracle = field(default_factory=Oracle)
     sketches_fn: object = None
-    jobs: int = 1
-    checker: ParallelChecker | None = None
     target: object = None
 
     def __post_init__(self) -> None:
@@ -66,8 +62,6 @@ class RakeSelector:
                 self.vbytes = self.target.vbytes
         else:
             self.target = resolve_target(None)
-        if self.checker is None:
-            self.checker = ParallelChecker(jobs=self.jobs)
 
     @property
     def stats(self) -> SynthesisStats:
@@ -89,12 +83,11 @@ class RakeSelector:
 
         banned: set = set()
         for attempt in range(self.max_lift_retries):
-            lifter = Lifter(self.oracle, checker=self.checker)
+            lifter = Lifter(self.oracle)
             lifted = lifter.lift(expr, frozenset(banned))
             lowerer = Lowerer(self.oracle, vbytes=self.vbytes,
                               options=self.options,
                               sketches_fn=self.sketches_fn,
-                              checker=self.checker,
                               target=self.target)
             try:
                 program = lowerer.lower(lifted)
@@ -109,11 +102,6 @@ class RakeSelector:
                 trace=lifter.trace,
             )
         raise SynthesisError("max_lift_retries allows no attempt")
-
-    def close(self) -> None:
-        """Release the worker pool (no-op for serial checkers)."""
-        if self.checker is not None:
-            self.checker.close()
 
 
 def select_instructions(

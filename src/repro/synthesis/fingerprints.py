@@ -91,8 +91,8 @@ class Fingerprinter:
     ``resolve`` answers a query from an existing class (or ``None`` when
     the candidate is unknown / cannot be fingerprinted); ``learn``
     folds a fresh oracle verdict back into the index.  Both are driven
-    from :meth:`repro.synthesis.oracle.Oracle.equivalent` and the
-    parallel checker's batch path, after the verdict-cache lookup.
+    from :meth:`repro.synthesis.oracle.Oracle.equivalent`, after the
+    verdict-cache lookup.
     """
 
     def __init__(self, oracle):

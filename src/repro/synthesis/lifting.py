@@ -27,7 +27,6 @@ from ..ir.simplify import simplify as ir_simplify
 from ..types import ScalarType
 from ..uber import instructions as U
 from ..uber import printer as uber_printer
-from .engine import ParallelChecker
 from .oracle import LAYOUT_INORDER, Oracle
 
 
@@ -42,15 +41,9 @@ class LiftStep:
 
 @dataclass
 class Lifter:
-    """Runs Algorithm 1 over one IR expression.
-
-    ``checker`` fans candidate equivalence checks over a worker pool when
-    it is configured with ``jobs > 1``; selection remains deterministic
-    because candidates are reduced in generation order either way.
-    """
+    """Runs Algorithm 1 over one IR expression."""
 
     oracle: Oracle
-    checker: ParallelChecker | None = None
     max_narrow_descendants: int = 24
     _cache: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
@@ -105,12 +98,10 @@ class Lifter:
                     batch.append((rule, candidate))
                 if sp:
                     sp.set(candidates=len(batch))
-                checker = self.checker or _SERIAL_CHECKER
-                chosen = checker.first_equivalent(
-                    self.oracle, e, [c for _rule, c in batch], LAYOUT_INORDER
-                )
-                if chosen is not None:
-                    rule_used, lifted = batch[chosen]
+                for rule, candidate in batch:
+                    if self.oracle.equivalent(e, candidate, LAYOUT_INORDER):
+                        rule_used, lifted = rule, candidate
+                        break
             if lifted is not None:
                 if sp:
                     sp.set(rule=rule_used)
@@ -469,10 +460,6 @@ class Lifter:
             }[type(cond)]
         t, f = (lf_, lt_) if swap else (lt_, lf_)
         yield "extend", U.Mux(op, lca, lcb, t, f)
-
-
-#: shared serial checker used when no parallel engine is configured
-_SERIAL_CHECKER = ParallelChecker(jobs=1)
 
 
 def lift(expr: E.Expr, oracle: Oracle) -> U.UberExpr:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from ..errors import SynthesisError, UnsupportedExpressionError
 from ..targets import nodes as N, resolve_target
 from ..uber import instructions as U
-from .engine import ParallelChecker
 from .grammar import Sketch
 from .oracle import LAYOUT_DEINTERLEAVED, LAYOUT_INORDER, Oracle
 from .sketch import AbstractSwizzle, SWIZZLE_DEINTERLEAVE, SWIZZLE_INTERLEAVE
@@ -48,7 +47,6 @@ class Lowerer:
     vbytes: int = 128
     options: LoweringOptions = field(default_factory=LoweringOptions)
     sketches_fn: object = None
-    checker: ParallelChecker | None = None
     target: object = None
     _memo: dict = field(default_factory=dict)
 
@@ -119,7 +117,7 @@ class Lowerer:
                     with self.oracle.stats.stage("swizzling"):
                         result = synthesize_swizzles(
                             e, adapted, layout, self.oracle, beta,
-                            checker=self.checker, target=self.target,
+                            target=self.target,
                         )
                     if result is None:
                         if ssp:

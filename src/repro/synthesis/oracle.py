@@ -263,22 +263,6 @@ class Oracle:
             )
         return key
 
-    def note_cached_query(self, hit: bool) -> None:
-        """Count one query resolved through the engine (cache or worker)."""
-        with self._stage_ctx():
-            self.stats.count_query()
-            if hit:
-                self.stats.count_cache_hit()
-            else:
-                self.stats.count_cache_miss()
-
-    def note_fingerprint_query(self) -> None:
-        """Count one query answered by an equivalence class — avoided
-        oracle work, deliberately *not* counted as a query."""
-        with self._stage_ctx():
-            self.stats.count_fingerprint_hit()
-            self.stats.count_query_saved()
-
     def _stage_ctx(self):
         """Attribute out-of-stage queries (the pipeline's final check) to
         the ``verify`` stage so their cost is visible in Table 1 output."""

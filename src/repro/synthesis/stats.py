@@ -81,8 +81,6 @@ COUNTERS = (
     Counter("pruned_grammar_hits", metric="repro_pruned_grammar_hits_total",
             help="placeholder enumerations served by a precomputed pruned "
                  "grammar"),
-    Counter("retries", per_stage=False, metric="repro_retries_total",
-            help="worker-pool batch resubmissions after a crashed dispatch"),
     Counter("rule_hits", per_stage=False, metric="repro_rule_hits_total",
             help="specs answered by the rewrite-rule pattern-match fast "
                  "path"),
@@ -100,8 +98,8 @@ COUNTERS = (
 #: StageStats counter fields summed by merged_with / totals / as_dict
 _COUNTER_FIELDS = tuple(c.name for c in COUNTERS if c.per_stage)
 
-#: SynthesisStats-level counters (not per stage: a retry redoes a whole
-#: batch, and a rule hit answers a whole spec before any stage starts)
+#: SynthesisStats-level counters (not per stage: a rule hit answers a
+#: whole spec before any stage starts)
 _RUN_FIELDS = tuple(c.name for c in COUNTERS if not c.per_stage)
 
 
@@ -113,7 +111,6 @@ class SynthesisStats:
         default_factory=lambda: {name: StageStats() for name in STAGES}
     )
     expressions: int = 0
-    retries: int = 0
     #: rewrite-rule fast path (repro.rules): specs answered by a matched
     #: rule, specs that fell through to CEGIS, rules persisted from fresh
     #: syntheses, and instantiated candidates refuted by the full-bank
@@ -165,11 +162,6 @@ class SynthesisStats:
         stage = self._innermost()
         if stage is not None:
             stage.counterexamples += 1
-
-    def count_retry(self) -> None:
-        """Record one worker-pool batch resubmission (a retried dispatch
-        after a crash, before any process → thread → serial degrade)."""
-        self.retries += 1
 
     def count_rule_hit(self) -> None:
         """Record one spec whose selection came from the rewrite-rule

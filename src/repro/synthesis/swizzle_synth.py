@@ -15,7 +15,6 @@ from __future__ import annotations
 from itertools import islice, product
 
 from ..targets import TargetDescription, nodes as N, resolve_target
-from .engine import ParallelChecker
 from .oracle import Oracle
 from .sketch import is_concrete, placeholder_summary, placeholders_of
 
@@ -110,7 +109,6 @@ def synthesize_swizzles(
     layout: str,
     oracle: Oracle,
     budget,
-    checker: ParallelChecker | None = None,
     target: TargetDescription | None = None,
 ) -> tuple[N.HvxExpr, object] | None:
     """Concretize all placeholders in ``sketch_expr`` under ``budget``.
@@ -119,10 +117,7 @@ def synthesize_swizzles(
     no realization fits the budget (the query Algorithm 2 treats as *unsat*,
     which triggers backtracking to the next sketch).
 
-    ``checker`` fans the final verification of cost-ranked candidates over
-    a worker pool; the first-equivalent-in-cost-order reduction keeps the
-    chosen implementation identical to the serial search.  ``target``
-    selects the swizzle grammar and cost model (default: HVX).
+    ``target`` selects the swizzle grammar and cost model (default: HVX).
     """
     target = resolve_target(target)
     placeholders = []
@@ -141,14 +136,14 @@ def synthesize_swizzles(
         if sp:
             sp.set(placeholders=placeholder_summary(sketch_expr))
         result = _synthesize(spec, sketch_expr, layout, oracle, budget,
-                             checker, placeholders, sp, target)
+                             placeholders, sp, target)
         if sp:
             sp.set(found=result is not None)
         return result
 
 
-def _synthesize(spec, sketch_expr, layout, oracle, budget, checker,
-                placeholders, sp, target):
+def _synthesize(spec, sketch_expr, layout, oracle, budget, placeholders,
+                sp, target):
     option_lists = []
     pruned_hits = 0
     for ph in placeholders:
@@ -187,7 +182,7 @@ def _synthesize(spec, sketch_expr, layout, oracle, budget, checker,
             # Nested placeholders (a swizzle wrapping a window): resolve
             # the remaining ones recursively with the same budget.
             nested = synthesize_swizzles(spec, expr, layout, oracle, budget,
-                                         checker=checker, target=target)
+                                         target=target)
             if nested is not None:
                 scored.append((nested[1].key, nested[0], nested[1]))
             continue
@@ -211,16 +206,9 @@ def _synthesize(spec, sketch_expr, layout, oracle, budget, checker,
     if sp:
         sp.set(eligible=len(eligible), over_budget=over_budget)
 
-    if checker is not None and checker.mode != "serial":
-        chosen = checker.first_equivalent(
-            oracle, spec, [expr for expr, _cost in eligible], layout
-        )
-        if chosen is not None:
-            return eligible[chosen]
-    else:
-        for expr, impl_cost in eligible:
-            if oracle.equivalent(spec, expr, layout):
-                return expr, impl_cost
+    for expr, impl_cost in eligible:
+        if oracle.equivalent(spec, expr, layout):
+            return expr, impl_cost
     if over_budget:
         oracle.stats.count_query()
     return None

@@ -201,10 +201,10 @@ def machine_families() -> tuple:
 def ensure_semantics() -> None:
     """Idempotently register every target's instruction semantics.
 
-    Worker processes receive pickled candidate expressions whose
-    descriptors are looked up lazily by op name; importing the semantics
-    modules here guarantees the shared ISA registry is populated before
-    any evaluation, regardless of which target the candidate came from.
+    Machine instructions look their descriptors up lazily by op name;
+    importing the semantics modules here guarantees the shared ISA
+    registry is populated before any evaluation, regardless of which
+    target an expression came from.
     """
     from .. import hvx  # noqa: F401 - registers the HVX families
     from ..neon import semantics  # noqa: F401 - registers neon.* families

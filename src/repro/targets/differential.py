@@ -173,7 +173,7 @@ def compare_workload(
 
     Extra keyword arguments are forwarded to
     :func:`repro.pipeline.compile_pipeline` for both compilations
-    (``backend``, ``jobs``, ``batch_eval``, caches, ...).
+    (``backend``, ``batch_eval``, caches, ...).
     """
     from .. import workloads
     from ..pipeline import compile_pipeline

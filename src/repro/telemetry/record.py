@@ -8,13 +8,13 @@ producer already has:
 
 * wall-clock duration and (when the scheduler ran it) queue wait;
 * every :class:`~repro.synthesis.stats.SynthesisStats` counter —
-  queries, cache and fingerprint hits, rule-library activity, retries —
+  queries, cache and fingerprint hits, rule-library activity —
   plus per-stage times, via ``as_dict`` so a live stats object and the
   service's already-serialized payload fold identically;
 * per-span-kind inclusive durations when the compile was traced
   (:meth:`repro.trace.Tracer.tree`);
 * the configuration knobs that change the performance story
-  (rules/fingerprints/batch-eval on-off, worker fan-out);
+  (rules/fingerprints/batch-eval on-off);
 * identity: workload, target, backend, the producing source, the git
   revision and the schema version — which is what makes two corpora
   from different checkouts machine-diffable.
@@ -122,7 +122,7 @@ def build_record(
     ``"bench:table1"`` …).  ``stats`` accepts a live
     :class:`~repro.synthesis.stats.SynthesisStats` or its ``as_dict``
     payload.  ``knobs`` records the performance-relevant configuration
-    (``rules``/``fingerprints``/``batch_eval``/``jobs``); ``extra``
+    (``rules``/``fingerprints``/``batch_eval``/``cache``); ``extra``
     carries producer-specific context (a benchmark's cold/warm phase)
     without a schema change.  ``node_id``/``routed_by`` identify the
     cluster worker that ran the compile and the router that dispatched

@@ -4,7 +4,7 @@ Three layers (see ``docs/observability.md``):
 
 * :mod:`repro.trace.core` — hierarchical spans with attributes/events,
   a per-run :class:`Tracer`, the zero-cost :data:`NULL_TRACER`, and the
-  serialized-tree format that crosses worker and service boundaries.
+  serialized-tree format that crosses service boundaries.
 * :mod:`repro.trace.export` — Chrome ``trace_event`` JSON, collapsed
   flamegraph stacks, and a schema validator for the CI smoke gate.
 * :mod:`repro.trace.log` — structured (plain or JSON-lines) logging.

@@ -17,13 +17,9 @@ with structured attributes and point-in-time events.  Design constraints:
   the trace, each stamped with a thread id for the Chrome-trace export.
   A span opened with no enclosing span on its thread is a *root*.
 
-* **Serializable.**  Spans round-trip through plain dicts
-  (:meth:`Span.to_dict` / :meth:`Span.from_dict`), which is how worker
-  processes ship their span subtrees back to the parent tracer
-  (:meth:`Tracer.attach`).  Worker clocks are not comparable across
-  processes, so ``attach`` re-bases a grafted subtree to end at the
-  attach point — durations are exact, absolute placement is aligned to
-  the moment the parent received the result.
+* **Serializable.**  :meth:`Span.to_dict` renders a subtree as plain
+  dicts, the format :meth:`Tracer.tree` exports and the service ships
+  over the wire.
 
 Timestamps are ``time.perf_counter()`` offsets from the tracer's epoch
 (monotonic, sub-microsecond); the wall-clock epoch is kept alongside for
@@ -79,14 +75,7 @@ class NullTracer:
     def event(self, name: str, **attrs) -> None:
         return None
 
-    def attach(self, span_dicts) -> None:
-        return None
-
     def current(self):
-        return None
-
-    def context(self):
-        """Wire context for workers: ``None`` means "do not record"."""
         return None
 
     def tree(self) -> dict:
@@ -165,25 +154,6 @@ class Span:
             "children": [c.to_dict() for c in self.children],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Span":
-        span = cls(data["name"], float(data["start_s"]),
-                   int(data.get("tid", 0)), None, data.get("attrs"))
-        span.end_s = float(data.get("end_s", data["start_s"]))
-        span.events = [dict(e) for e in data.get("events", ())]
-        span.children = [cls.from_dict(c) for c in data.get("children", ())]
-        return span
-
-    def shift(self, delta: float) -> None:
-        """Translate the whole subtree in time (used by ``attach``)."""
-        self.start_s += delta
-        if self.end_s is not None:
-            self.end_s += delta
-        for ev in self.events:
-            ev["ts_s"] = ev.get("ts_s", 0.0) + delta
-        for child in self.children:
-            child.shift(delta)
-
     def walk(self, depth: int = 0):
         """Yield ``(span, depth)`` for this span and every descendant."""
         yield self, depth
@@ -196,7 +166,7 @@ class Tracer:
 
     Not free-threaded in the lock-free sense — span *open/close* is
     thread-local (each thread nests its own spans), while the root list
-    and ``attach`` take a small lock.  Reading the tree while spans are
+    takes a small lock.  Reading the tree while spans are
     still open is supported (open spans render with zero duration).
     """
 
@@ -254,33 +224,6 @@ class Tracer:
         sp = self.current()
         if sp is not None:
             sp.event(name, **attrs)
-
-    # -- cross-worker propagation -------------------------------------------
-
-    def context(self) -> tuple:
-        """Picklable context shipped to workers: ``(trace_id,)``."""
-        return (self.trace_id,)
-
-    def attach(self, span_dicts) -> None:
-        """Graft serialized span subtrees under the current span.
-
-        Worker clocks are not comparable to ours, so each subtree is
-        shifted to *end* at the attach instant: durations and internal
-        structure are preserved exactly, absolute placement is aligned
-        to when the parent received the worker's result.
-        """
-        if not span_dicts:
-            return
-        parent = self.current()
-        now = self.now()
-        for data in span_dicts:
-            sp = Span.from_dict(data)
-            sp.shift(now - (sp.end_s if sp.end_s is not None else sp.start_s))
-            if parent is not None:
-                parent.children.append(sp)
-            else:
-                with self._lock:
-                    self.roots.append(sp)
 
     # -- export -------------------------------------------------------------
 

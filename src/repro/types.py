@@ -189,7 +189,7 @@ def cache_expr_hash(cls):
 
     def __getstate__(self):
         # The cached value holds for this process's string-hash seed only;
-        # a pickle (a process-pool payload) may load under another seed.
+        # a pickle may load in a process with another seed.
         state = dict(self.__dict__)
         state.pop("_hash", None)
         return state

@@ -23,16 +23,15 @@ class TestParser:
 
     def test_compile_engine_flags(self):
         args = build_parser().parse_args(
-            ["compile", "sobel", "--jobs", "4", "--stats-json", "s.json",
+            ["compile", "sobel", "--stats-json", "s.json",
              "--cache-dir", "/tmp/c"])
-        assert args.jobs == 4
         assert args.stats_json == "s.json"
         assert args.cache_dir == "/tmp/c"
         assert not args.cache
 
     def test_engine_flag_defaults(self):
         args = build_parser().parse_args(["compile", "sobel"])
-        assert args.jobs == 1
+        assert not hasattr(args, "jobs")
         assert args.stats_json is None
         assert args.cache_dir is None
 
@@ -138,12 +137,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "100% hit rate" in out
 
-    def test_compile_jobs_flag_end_to_end(self, capsys):
-        assert main(["compile", "mul", "--backend", "rake",
-                     "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "cycles" in out
-
 
 class TestErrorHandling:
     """Operator mistakes get one-line errors and a nonzero exit — never a
@@ -212,7 +205,7 @@ class TestTraceCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["trace", "mul"])
         assert args.backend == "rake"
-        assert args.jobs == 1
+        assert not hasattr(args, "jobs")
         assert args.depth == 4
         assert args.format == "chrome"
         assert args.trace_out is None

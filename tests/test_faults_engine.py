@@ -1,10 +1,8 @@
-"""Engine resilience under injected faults.
+"""Verdict-store resilience under injected faults.
 
-Two hardening layers under test: the ParallelChecker's bounded retry +
-process→thread→serial degrade ladder (verdicts must never change, only
-the execution mode), and the verdict store's CRC-checksummed records
-under its ``cache.load`` / ``cache.flush`` fault sites (the log contract
-every store shares is in ``test_append_log.py``).
+The verdict store's CRC-checksummed records under its ``cache.load`` /
+``cache.flush`` fault sites (the log contract every store shares is in
+``test_append_log.py``).
 """
 
 import json
@@ -13,18 +11,9 @@ import zlib
 import pytest
 
 from repro import faults
-from repro import workloads  # noqa: F401 - populate the registry
-from repro.faults import FaultPlan, FaultRule, RetryPolicy
+from repro.faults import FaultPlan, FaultRule
 from repro.fsutil import decode_record, encode_record
-from repro.ir import builder as B
-from repro.synthesis.engine import (
-    MODE_SERIAL,
-    MODE_THREAD,
-    OracleCache,
-    ParallelChecker,
-)
-from repro.synthesis.oracle import LAYOUT_INORDER, Oracle
-from repro.types import U8, U16
+from repro.synthesis.engine import OracleCache
 
 
 @pytest.fixture(autouse=True)
@@ -32,114 +21,6 @@ def no_leaked_plan():
     faults.deactivate()
     yield
     faults.deactivate()
-
-
-def u8v(offset=0, lanes=8):
-    return B.load("in", offset, lanes, U8)
-
-
-def _spec_and_candidates():
-    spec = B.widen(u8v()) * 2
-    candidates = [
-        B.widen(u8v()) * 3,                              # wrong
-        B.shl(B.widen(u8v()), B.broadcast(1, 8, U16)),   # right
-        B.widen(u8v()) * 2,                              # right (later)
-    ]
-    return spec, candidates
-
-
-def fast_retry(attempts=2):
-    return RetryPolicy(attempts=attempts, base_s=0.0, jitter=0.0)
-
-
-class TestRetryLadder:
-    def test_single_crash_is_retried_not_degraded(self):
-        """One injected pool crash: the resubmit succeeds and the checker
-        keeps its mode — the ladder is a last resort, not a first move."""
-        spec, candidates = _spec_and_candidates()
-        checker = ParallelChecker(jobs=2, mode=MODE_THREAD,
-                                  retry=fast_retry())
-        with faults.injected(FaultPlan(rules=[
-            FaultRule(site=faults.SITE_ENGINE_BATCH, kind="crash",
-                      on_nth=1, max_fires=1),
-        ])):
-            verdicts = checker.check_batch(
-                Oracle(), spec, candidates, LAYOUT_INORDER)
-        assert verdicts == [False, True, True]
-        assert checker.mode == MODE_THREAD
-        assert checker.retries == 1
-        checker.close()
-
-    def test_retries_counted_in_oracle_stats(self):
-        spec, candidates = _spec_and_candidates()
-        oracle = Oracle()
-        checker = ParallelChecker(jobs=2, mode=MODE_THREAD,
-                                  retry=fast_retry())
-        with faults.injected(FaultPlan(rules=[
-            FaultRule(site=faults.SITE_ENGINE_BATCH, kind="crash",
-                      on_nth=1, max_fires=1),
-        ])):
-            checker.check_batch(oracle, spec, candidates, LAYOUT_INORDER)
-        assert oracle.stats.retries == 1
-        assert oracle.stats.as_dict()["totals"]["retries"] == 1
-        checker.close()
-
-    def test_persistent_crashes_exhaust_retries_then_degrade_to_serial(self):
-        """Every dispatch crashes: the retry budget is spent at each rung,
-        the ladder walks thread → serial, and serial still produces the
-        right verdicts (the injection site is the pool dispatch, which
-        serial mode never reaches)."""
-        spec, candidates = _spec_and_candidates()
-        checker = ParallelChecker(jobs=2, mode=MODE_THREAD,
-                                  retry=fast_retry(attempts=2))
-        plan = FaultPlan(rules=[
-            FaultRule(site=faults.SITE_ENGINE_BATCH, kind="crash", every=1),
-        ])
-        with faults.injected(plan):
-            verdicts = checker.check_batch(
-                Oracle(), spec, candidates, LAYOUT_INORDER)
-        assert verdicts == [False, True, True]
-        assert checker.mode == MODE_SERIAL
-        # one rung (thread), 1 initial + 2 retries = 3 dispatch attempts,
-        # of which 2 were counted as retries
-        assert checker.retries == 2
-        assert plan.calls(faults.SITE_ENGINE_BATCH) == 3
-        checker.close()
-
-    def test_process_rung_degrades_through_thread(self):
-        """From process mode, a persistent crash walks both rungs.  The
-        injection fires in the parent before submission, so this pins the
-        ladder order without the cost of real pool crashes."""
-        spec, candidates = _spec_and_candidates()
-        checker = ParallelChecker(jobs=2, retry=fast_retry(attempts=0))
-        plan = FaultPlan(rules=[
-            FaultRule(site=faults.SITE_ENGINE_BATCH, kind="crash", every=1),
-        ])
-        with faults.injected(plan):
-            verdicts = checker.check_batch(
-                Oracle(), spec, candidates, LAYOUT_INORDER)
-        assert verdicts == [False, True, True]
-        assert checker.mode == MODE_SERIAL
-        # attempts=0: one dispatch per rung (process, thread), no retries
-        assert plan.calls(faults.SITE_ENGINE_BATCH) == 2
-        assert checker.retries == 0
-        checker.close()
-
-    def test_worker_site_errors_degrade_without_changing_verdicts(self):
-        """An injected in-worker error (thread mode shares the plan) is
-        just another pool failure: retried, then degraded, never a wrong
-        verdict."""
-        spec, candidates = _spec_and_candidates()
-        checker = ParallelChecker(jobs=2, mode=MODE_THREAD,
-                                  retry=fast_retry(attempts=0))
-        with faults.injected(FaultPlan(rules=[
-            FaultRule(site=faults.SITE_ENGINE_WORKER, kind="error",
-                      on_nth=1, max_fires=1),
-        ])):
-            verdicts = checker.check_batch(
-                Oracle(), spec, candidates, LAYOUT_INORDER)
-        assert verdicts == [False, True, True]
-        checker.close()
 
 
 class TestCrcRecords:

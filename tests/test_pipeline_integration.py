@@ -6,6 +6,10 @@ instruction selectors.
 """
 
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,3 +114,28 @@ def test_compile_leaves_no_oracle_to_the_collector():
     finally:
         gc.enable()
     assert left == []
+
+
+def test_jobs_keyword_accepts_only_one():
+    wl = get("mul")
+    assert compile_pipeline(wl.build(), jobs=1).stages
+    with pytest.raises(ValueError, match="jobs"):
+        compile_pipeline(wl.build(), jobs=2)
+
+
+def test_entry_points_load_no_process_or_thread_pool():
+    """Candidate checks run serially in the compiling thread, so neither
+    the compiler, the CLI, the server nor the router loads a pool."""
+    probe = (
+        "import sys\n"
+        "import repro.pipeline, repro.cli, repro.service.server\n"
+        "import repro.cluster.router\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+        "             ('multiprocessing', 'concurrent')))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        check=True, capture_output=True, text=True, timeout=120,
+    ).stdout
+    assert out.strip() == "[]"

@@ -26,7 +26,7 @@ from repro.service.protocol import (
 class TestCompileRequest:
     def test_roundtrip(self):
         req = CompileRequest(workload="sobel", backend="rake", width=128,
-                             height=32, priority=3, deadline_s=10.0, jobs=2,
+                             height=32, priority=3, deadline_s=10.0,
                              batch_eval=False)
         data = req.to_dict()
         assert data["v"] == PROTOCOL_VERSION
@@ -37,12 +37,18 @@ class TestCompileRequest:
         assert req.backend == "rake"
         assert req.width is None and req.height is None
         assert req.priority == 10 and req.deadline_s is None
-        assert req.jobs == 1 and req.batch_eval is True
+        assert req.batch_eval is True
 
     def test_unknown_fields_tolerated(self):
         req = CompileRequest.from_dict(
             {"workload": "mul", "future_flag": True})
         assert req.workload == "mul"
+
+    def test_jobs_from_older_clients_is_ignored(self):
+        req = CompileRequest.from_dict(
+            {"workload": "mul", "jobs": 4, "v": PROTOCOL_VERSION})
+        assert req == CompileRequest(workload="mul")
+        assert "jobs" not in req.to_dict()
 
     def test_version_mismatch_rejected(self):
         with pytest.raises(ProtocolError, match="version"):
@@ -55,7 +61,11 @@ class TestCompileRequest:
         {"height": 0},
         {"priority": "high"},
         {"deadline_s": -2},
-        {"jobs": 0},
+        {"batch_eval": "false"},
+        {"width": True},
+        {"height": False},
+        {"priority": True},
+        {"batch_eval": 1},
     ])
     def test_invalid_fields_rejected(self, patch):
         data = {"workload": "mul", **patch}

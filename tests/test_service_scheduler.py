@@ -56,9 +56,9 @@ class TestRequestKey:
             request_key(CompileRequest(workload="mul"))
 
     def test_scheduling_knobs_do_not_split_keys(self):
-        patient = CompileRequest(workload="mul", priority=50, jobs=4,
+        patient = CompileRequest(workload="mul", priority=50,
                                  deadline_s=600)
-        urgent = CompileRequest(workload="mul", priority=0, jobs=1)
+        urgent = CompileRequest(workload="mul", priority=0)
         assert request_key(patient) == request_key(urgent)
 
     def test_result_knobs_split_keys(self):
@@ -175,7 +175,7 @@ class TestCoalescingIntegration:
             leader, coalesced1 = s.submit(CompileRequest(workload="mul"))
             follower, coalesced2 = s.submit(CompileRequest(workload="mul"))
             third, coalesced3 = s.submit(
-                CompileRequest(workload="mul", priority=0, jobs=4))
+                CompileRequest(workload="mul", priority=0))
             assert not coalesced1 and coalesced2 and coalesced3
             assert leader.id == follower.id == third.id
             assert s.queue_depth() == 1

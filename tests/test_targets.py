@@ -209,10 +209,3 @@ class TestWorkerSemanticsRegistration:
         assert "vadd" in names or any(not n.startswith("neon.")
                                       for n in names)
         assert any(n.startswith("neon.") for n in names)
-
-    def test_parallel_jobs_handle_neon_candidates(self):
-        # Worker processes unpickle Neon instructions and must find their
-        # semantics registered.
-        compiled = compile_pipeline(workloads.get("mul").build(),
-                                    target="neon", jobs=2)
-        assert not compiled.degraded

@@ -41,14 +41,14 @@ class TestRecord:
         stats = SynthesisStats()
         stats.stages["sketching"].queries = 7
         rec = make_record(stats=stats, degraded=True, queue_wait_s=0.5,
-                          knobs={"jobs": 2}, extra={"phase": "cold"})
+                          knobs={"cache": True}, extra={"phase": "cold"})
         assert rec["schema"] == SCHEMA_VERSION
         assert len(rec["id"]) == 12
         assert rec["workload"] == "mul" and rec["target"] == "hvx"
         assert rec["totals"]["queries"] == 7
         assert rec["degraded"] is True
         assert rec["queue_wait_s"] == 0.5
-        assert rec["knobs"] == {"jobs": 2}
+        assert rec["knobs"] == {"cache": True}
         assert rec["extra"] == {"phase": "cold"}
         assert rec["stage_time_s"]["sketching"] >= 0.0
 

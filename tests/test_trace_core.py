@@ -1,12 +1,12 @@
 """Tests for the tracing core (:mod:`repro.trace.core`)."""
 
+import json
 import pickle
 import threading
 
 from repro.trace.core import (
     NULL_SPAN,
     NULL_TRACER,
-    Span,
     Tracer,
     iter_span_dicts,
     span_duration,
@@ -28,11 +28,9 @@ class TestNullTracer:
 
     def test_disabled_flags(self):
         assert NULL_TRACER.enabled is False
-        assert NULL_TRACER.context() is None
         assert NULL_TRACER.current() is None
         assert NULL_TRACER.tree() == {"trace_id": None, "spans": []}
         NULL_TRACER.event("dropped")
-        NULL_TRACER.attach([{"name": "x", "start_s": 0.0}])
 
 
 class TestSpans:
@@ -139,59 +137,18 @@ class TestSerialization:
     def test_round_trip(self):
         tr = self._sample()
         data = tr.roots[0].to_dict()
-        clone = Span.from_dict(data)
-        assert clone.name == "root"
-        assert clone.attrs == {"a": 1}
-        assert clone.events[0]["name"] == "ev"
-        assert [c.name for c in clone.children] == ["child"]
-        assert clone.to_dict() == data
+        clone = json.loads(json.dumps(data))
+        assert clone == data
+        assert clone["name"] == "root"
+        assert clone["attrs"] == {"a": 1}
+        assert clone["events"][0]["name"] == "ev"
+        assert [c["name"] for c in clone["children"]] == ["child"]
 
     def test_tree_is_picklable_and_plain(self):
         tree = self._sample().tree()
         assert tree["trace_id"] == "cafe"
         assert "wall_epoch" in tree
         pickle.loads(pickle.dumps(tree))
-
-    def test_shift_translates_subtree(self):
-        tr = self._sample()
-        data = tr.roots[0].to_dict()
-        clone = Span.from_dict(data)
-        d0 = clone.duration_s
-        clone.shift(10.0)
-        assert clone.start_s == data["start_s"] + 10.0
-        assert clone.duration_s == d0
-        assert clone.children[0].start_s == (
-            data["children"][0]["start_s"] + 10.0
-        )
-        assert clone.events[0]["ts_s"] == data["events"][0]["ts_s"] + 10.0
-
-    def test_attach_rebases_to_attach_instant(self):
-        worker = Tracer(trace_id="shared")
-        with worker.span("engine.worker"):
-            with worker.span("oracle.query"):
-                pass
-        shipped = worker.tree()["spans"]
-
-        parent = Tracer(trace_id="shared")
-        with parent.span("engine.batch") as batch:
-            parent.attach(shipped)
-            attach_time = parent.now()
-        grafted = batch.children[0]
-        assert grafted.name == "engine.worker"
-        # re-based to end at (approximately) the attach instant
-        assert abs(grafted.end_s - attach_time) < 0.05
-        assert grafted.start_s <= grafted.end_s
-        # durations preserved exactly
-        src = shipped[0]
-        assert abs(grafted.duration_s - span_duration(src)) < 1e-9
-
-    def test_attach_without_open_span_creates_roots(self):
-        worker = Tracer()
-        with worker.span("w"):
-            pass
-        parent = Tracer()
-        parent.attach(worker.tree()["spans"])
-        assert [r.name for r in parent.roots] == ["w"]
 
     def test_iter_span_dicts_depths(self):
         tree = self._sample().tree()
@@ -207,7 +164,6 @@ class TestTracerIdentity:
     def test_trace_id_generated_and_propagated(self):
         tr = Tracer()
         assert len(tr.trace_id) == 16
-        assert tr.context() == (tr.trace_id,)
         assert Tracer(trace_id="abc").trace_id == "abc"
 
     def test_walk_yields_depths(self):

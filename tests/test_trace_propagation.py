@@ -1,43 +1,17 @@
-"""Trace-context propagation across the worker ladder and the pipeline.
+"""Trace coverage of an end-to-end compile.
 
-The contract: a traced oracle produces the same *span coverage* no matter
-which :class:`ParallelChecker` rung (process / thread / serial) executes
-the equivalence checks, and verdicts are never affected by tracing.
-Workers record their subtrees under a local tracer sharing the parent's
-``trace_id`` and ship them back as plain dicts (see docs/observability.md).
+A traced compile records one span tree rooted at ``pipeline.compile``
+that covers every synthesis stage, and tracing never changes the
+selected programs (see docs/observability.md).
 """
 
 import pytest
 
 from repro import workloads  # noqa: F401 - populate the registry
-from repro.ir import builder as B
 from repro.pipeline import compile_pipeline
-from repro.synthesis.engine import (
-    MODE_PROCESS,
-    MODE_SERIAL,
-    MODE_THREAD,
-    ParallelChecker,
-    _pure_check,
-)
-from repro.synthesis.oracle import LAYOUT_INORDER, Oracle
 from repro.trace import Tracer
 from repro.trace.core import iter_span_dicts
-from repro.types import U8, U16
 from repro.workloads.base import get
-
-
-def u8v(offset=0, lanes=8):
-    return B.load("in", offset, lanes, U8)
-
-
-def _spec_and_candidates():
-    spec = B.widen(u8v()) * 2
-    candidates = [
-        B.widen(u8v()) * 3,                              # wrong
-        B.shl(B.widen(u8v()), B.broadcast(1, 8, U16)),   # right
-        B.widen(u8v()) * 2,                              # right (later)
-    ]
-    return spec, candidates
 
 
 def _names(tree):
@@ -49,108 +23,6 @@ def _spans_named(tree, name):
             if span["name"] == name]
 
 
-class TestWorkerLadder:
-    """Same span coverage on every rung of process -> thread -> serial."""
-
-    @pytest.mark.parametrize("mode", [MODE_PROCESS, MODE_THREAD])
-    def test_pool_modes_ship_worker_subtrees(self, mode):
-        tracer = Tracer()
-        oracle = Oracle(tracer=tracer)
-        checker = ParallelChecker(jobs=2, mode=mode)
-        spec, candidates = _spec_and_candidates()
-        verdicts = checker.check_batch(oracle, spec, candidates,
-                                       LAYOUT_INORDER)
-        checker.close()
-        assert verdicts == [False, True, True]
-        assert checker.fallbacks == 0
-
-        tree = tracer.tree()
-        (batch,) = _spans_named(tree, "engine.batch")
-        assert batch["attrs"]["n"] == 3
-        assert batch["attrs"]["mode"] == mode
-        assert batch["attrs"]["dispatched"] == 3
-        # each dispatched check came back with its worker subtree grafted
-        workers = _spans_named(tree, "engine.worker")
-        assert len(workers) == 3
-        assert all(w in batch["children"] for w in workers)
-        queries = _spans_named(tree, "oracle.query")
-        assert len(queries) >= 3
-        # "fingerprint" appears when the two equivalent candidates land
-        # on one worker (or interleave in thread mode) and the second is
-        # answered by the observational-equivalence index — a scheduling
-        # accident, not a contract violation
-        assert {q["attrs"]["cache"] for q in queries} <= {
-            "hit", "miss", "fingerprint"}
-        # re-based worker spans stay inside sensible time bounds
-        for w in workers:
-            assert w["start_s"] <= w["end_s"]
-
-    def test_serial_rung_records_inline(self):
-        tracer = Tracer()
-        oracle = Oracle(tracer=tracer)
-        checker = ParallelChecker(jobs=1)
-        assert checker.mode == MODE_SERIAL
-        spec, candidates = _spec_and_candidates()
-        verdicts = checker.check_batch(oracle, spec, candidates,
-                                       LAYOUT_INORDER)
-        assert verdicts == [False, True, True]
-        tree = tracer.tree()
-        # no pool: no batch/worker framing, but the oracle spans are there
-        assert _spans_named(tree, "engine.batch") == []
-        assert _spans_named(tree, "engine.worker") == []
-        queries = _spans_named(tree, "oracle.query")
-        assert len(queries) == 3
-        assert all(q["attrs"]["verdict"] in (True, False) for q in queries)
-
-    def test_degraded_retry_keeps_verdicts_and_spans(self, monkeypatch):
-        class BrokenPool:
-            def map(self, *args, **kwargs):
-                raise RuntimeError("worker exploded")
-
-        tracer = Tracer()
-        oracle = Oracle(tracer=tracer)
-        checker = ParallelChecker(jobs=2, mode=MODE_THREAD)
-        monkeypatch.setattr(checker, "_pool", lambda: BrokenPool())
-        spec, candidates = _spec_and_candidates()
-        verdicts = checker.check_batch(oracle, spec, candidates,
-                                       LAYOUT_INORDER)
-        assert verdicts == [False, True, True]
-        assert checker.mode == MODE_SERIAL
-        # the abandoned batch span is marked, the serial retry still traced
-        batches = _spans_named(tracer.tree(), "engine.batch")
-        assert any(b["attrs"].get("degraded_to") == MODE_SERIAL
-                   for b in batches)
-        assert len(_spans_named(tracer.tree(), "oracle.query")) >= 3
-
-    def test_worker_tracer_shares_trace_id(self):
-        spec, candidates = _spec_and_candidates()
-        payload = (spec, candidates[1], LAYOUT_INORDER, 0, 0, True,
-                   ("abc123", ))
-        verdict, spans = _pure_check(payload)
-        assert verdict is True
-        (worker,) = spans
-        assert worker["name"] == "engine.worker"
-        assert "pid" in worker["attrs"]
-        assert any(c["name"] == "oracle.query" for c in worker["children"])
-
-    def test_untraced_payload_returns_bare_bool(self):
-        # back-compat: a six-element payload (no trace context) must keep
-        # the original ``bool`` return shape.
-        spec, candidates = _spec_and_candidates()
-        payload = (spec, candidates[0], LAYOUT_INORDER, 0, 0, True)
-        assert _pure_check(payload) is False
-
-    def test_untraced_oracle_records_nothing(self):
-        oracle = Oracle()
-        checker = ParallelChecker(jobs=2, mode=MODE_THREAD)
-        spec, candidates = _spec_and_candidates()
-        verdicts = checker.check_batch(oracle, spec, candidates,
-                                       LAYOUT_INORDER)
-        checker.close()
-        assert verdicts == [False, True, True]
-        assert oracle.tracer.tree() == {"trace_id": None, "spans": []}
-
-
 class TestTracedPipeline:
     """A traced end-to-end compile covers every synthesis stage."""
 
@@ -158,7 +30,7 @@ class TestTracedPipeline:
     def traced(self):
         tracer = Tracer()
         wl = get("mul")
-        compiled = compile_pipeline(wl.build(), backend="rake", jobs=2,
+        compiled = compile_pipeline(wl.build(), backend="rake",
                                     tracer=tracer)
         return compiled, tracer.tree()
 
@@ -176,6 +48,7 @@ class TestTracedPipeline:
         root = tree["spans"][0]
         assert root["attrs"]["backend"] == "rake"
         assert "optimized" in root["attrs"]
+        assert "jobs" not in root["attrs"]
 
     def test_oracle_queries_have_cache_attrs(self, traced):
         _compiled, tree = traced
@@ -186,17 +59,12 @@ class TestTracedPipeline:
         }
         assert all(q["attrs"]["tag"] in ("full", "lane0") for q in queries)
 
-    def test_worker_subtrees_present_with_jobs(self, traced):
-        _compiled, tree = traced
-        assert _spans_named(tree, "engine.batch")
-        assert _spans_named(tree, "engine.worker")
-
     def test_tracing_does_not_change_output(self, traced):
         from repro.hvx import program_listing
 
         compiled, _tree = traced
         wl = get("mul")
-        untraced = compile_pipeline(wl.build(), backend="rake", jobs=1)
+        untraced = compile_pipeline(wl.build(), backend="rake")
 
         def listings(pipeline):
             return [program_listing(ce.program)
