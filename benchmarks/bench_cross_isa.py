@@ -80,8 +80,8 @@ def run_smoke() -> int:
         stats = SynthesisStats()
         compiled = compile_pipeline(get(name).build(), backend="rake",
                                     target="neon", stats=stats)
-        batched = stats.total_batched_evals
-        fallback = stats.total_fallback_evals
+        batched = stats.total("batched_evals")
+        fallback = stats.total("fallback_evals")
         print(f"{name:>12} [neon]: batched={batched} fallback={fallback}")
         if compiled.degraded:
             print(f"FAIL: neon compile of {name} degraded", file=sys.stderr)

@@ -139,8 +139,8 @@ def run_smoke() -> int:
     for name in SMOKE_WORKLOADS:
         stats = SynthesisStats()
         compile_pipeline(get(name).build(), backend="rake", stats=stats)
-        batched = stats.total_batched_evals
-        fallback = stats.total_fallback_evals
+        batched = stats.total("batched_evals")
+        fallback = stats.total("fallback_evals")
         total = batched + fallback
         frac = batched / total if total else 0.0
         print(f"{name:>12}: batched={batched} fallback={fallback} "

@@ -99,24 +99,24 @@ def run_workload(name: str, target: str, telemetry=None) -> dict:
             ))
 
     stats = cold.stats
-    baseline_queries = base.stats.total_queries
+    baseline_queries = base.stats.total("queries")
     row = {
         "workload": name,
         "target": target,
         "baseline_queries": baseline_queries,
-        "queries": stats.total_queries,
-        "queries_saved": stats.total_queries_saved,
-        "fingerprint_hits": stats.total_fingerprint_hits,
-        "classes_formed": stats.total_classes_formed,
-        "class_splits": stats.total_class_splits,
-        "pruned_grammar_hits": stats.total_pruned_grammar_hits,
+        "queries": stats.total("queries"),
+        "queries_saved": stats.total("queries_saved"),
+        "fingerprint_hits": stats.total("fingerprint_hits"),
+        "classes_formed": stats.total("classes_formed"),
+        "class_splits": stats.total("class_splits"),
+        "pruned_grammar_hits": stats.total("pruned_grammar_hits"),
         "reduction": round(
-            1.0 - stats.total_queries / baseline_queries, 4
+            1.0 - stats.total("queries") / baseline_queries, 4
         ) if baseline_queries else 0.0,
         "baseline_s": round(base_t, 3),
         "cold_s": round(cold_t, 3),
         "warm_s": round(warm_t, 3),
-        "warm_misses": warm.stats.total_cache_misses,
+        "warm_misses": warm.stats.total("cache_misses"),
         "identical": _selection(base) == _selection(cold) == _selection(warm),
     }
     return row

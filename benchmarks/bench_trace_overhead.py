@@ -10,7 +10,8 @@ An enabled-vs-disabled wall-clock comparison is reported alongside for
 context (it is informational: enabling tracing is an explicit opt-in).
 
 ``--smoke`` is the CI entry point: one workload, the same <3% assertion.
-Results land in ``benchmarks/results/trace_overhead.json``.
+A full run writes ``benchmarks/results/trace_overhead.json``; a smoke run
+leaves the checkout untouched and writes results only to ``--json-out``.
 """
 
 import argparse
@@ -89,7 +90,8 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="CI mode: one workload, same assertion")
     parser.add_argument("--json-out", default=None,
-                        help=f"results path (default: {RESULTS})")
+                        help=f"results path (default: {RESULTS}; "
+                             f"a --smoke run writes only this path)")
     args = parser.parse_args(argv)
 
     names = args.workloads or (["mul"] if args.smoke else WORKLOADS)
@@ -109,11 +111,13 @@ def main(argv=None) -> int:
         if r["est_disabled_overhead"] >= MAX_OVERHEAD:
             failures.append(r["name"])
 
-    from repro.telemetry import write_result_json
+    out = Path(args.json_out) if args.json_out else (
+        None if args.smoke else RESULTS)
+    if out is not None:
+        from repro.telemetry import write_result_json
 
-    out = Path(args.json_out) if args.json_out else RESULTS
-    write_result_json(out, "trace_overhead", report)
-    print(f"wrote {out}")
+        write_result_json(out, "trace_overhead", report)
+        print(f"wrote {out}")
 
     if failures:
         print(f"FAIL: disabled-tracing overhead >= {MAX_OVERHEAD:.0%} for: "

@@ -10,14 +10,24 @@ Commands:
   synthesis for the suite).
 * ``trace WORKLOAD`` — compile once with tracing on and render/export the
   span tree (ASCII timeline, Chrome ``trace_event`` JSON, flamegraph).
+* ``prune-grammar`` — precompute each target's pruned swizzle grammar.
 * ``mine-rules`` — compile workloads and persist every proven lowering
   as a parameterized rewrite rule; ``compile --rules`` then answers
   matching expressions from the library (see :mod:`repro.rules`).
 * ``serve`` — run the long-lived compilation server
   (:mod:`repro.service`); ``submit`` / ``status`` talk to it.
+  ``serve-cluster`` fronts several servers and ``cache-server`` runs
+  their shared verdict tier (:mod:`repro.cluster`).
+* ``perf`` — analyze the persistent telemetry corpus.
 
 ``--log-level``/``--log-json`` (global, before the subcommand) configure
 the structured logger every component shares (:mod:`repro.trace.log`).
+
+Each setting is declared once.  A flag that several subcommands take
+lives in one parent parser (:func:`build_parser`); :func:`_store_dirs`
+resolves the cache, rules and telemetry directories for every command
+that opens them; :func:`_serve_daemon` is the one start-up path of the
+three daemons.
 
 Errors the user can act on (unknown workloads, unwritable paths, an
 unreachable server) are reported as a one-line message on stderr with a
@@ -27,9 +37,10 @@ nonzero exit code — never a traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import signal
 import sys
+import threading
 import time
 
 from . import workloads  # noqa: F401 - populate the registry
@@ -90,26 +101,105 @@ def _writable_file_error(path: str) -> str | None:
     return None
 
 
-def _rules_enabled(args) -> bool:
-    """Did this invocation opt into the rewrite-rule fast path?
+def _opted_in(args, store: str) -> bool:
+    """Did this invocation opt into ``store`` (``rules`` or ``telemetry``)?
 
-    ``--rules-dir DIR`` implies ``--rules`` unless the user explicitly
-    said ``--no-rules``.
+    ``--rules`` / ``--no-rules`` decide when given; otherwise
+    ``--rules-dir DIR`` implies ``--rules``.  Telemetry follows the same
+    convention.
     """
-    if args.rules is not None:
-        return bool(args.rules)
-    return bool(getattr(args, "rules_dir", None))
+    on = getattr(args, store, None)
+    if on is None:
+        return bool(getattr(args, f"{store}_dir", None))
+    return on
 
 
-def _telemetry_enabled(args) -> bool:
-    """Did this invocation opt into the persistent telemetry corpus?
+def _store_dirs(args):
+    """The cache, rules and telemetry directories of this invocation.
 
-    Same convention as ``--rules``: ``--telemetry-dir DIR`` implies
-    ``--telemetry`` unless the user explicitly said ``--no-telemetry``.
+    Returns ``(cache_dir, rules_dir, telemetry_dir)``, each ``None`` when
+    that store is off.  ``--cache-dir`` beats ``--cache`` (the default
+    cache dir), which beats no verdict store.  Rules (see
+    :func:`_opted_in`; ``mine-rules``, which makes them, has no switch)
+    live in ``--rules-dir``, else the cache dir, else the default cache
+    dir; telemetry in ``--telemetry-dir``, else ``<default cache
+    dir>/telemetry``.
+
+    Each directory is probed before any work starts, so a typo'd path
+    fails in milliseconds instead of after a multi-minute compile, with
+    a one-line :class:`ReproError` naming the flag.  Opting in is a
+    statement of intent: the rule and telemetry *writes* stay
+    best-effort once the work runs.
     """
-    if args.telemetry is not None:
-        return bool(args.telemetry)
-    return bool(getattr(args, "telemetry_dir", None))
+    mining = args.command == "mine-rules"
+    cache_dir = args.cache_dir or (
+        str(default_cache_dir()) if args.cache else None)
+    rules_dir = telemetry_dir = None
+    if mining or _opted_in(args, "rules"):
+        rules_dir = args.rules_dir or cache_dir or str(default_cache_dir())
+    if _opted_in(args, "telemetry"):
+        from .telemetry import default_telemetry_dir
+
+        telemetry_dir = args.telemetry_dir or str(default_telemetry_dir())
+    for flag, path in (("--cache-dir", cache_dir),
+                       ("--rules-dir" if mining else "--rules", rules_dir),
+                       ("--telemetry", telemetry_dir)):
+        if path is not None:
+            problem = _writable_dir_error(path)
+            if problem is not None:
+                raise ReproError(f"{flag}: {problem}")
+    return cache_dir, rules_dir, telemetry_dir
+
+
+def _fault_plan(source: str):
+    """The ``--fault-plan`` named by ``source`` (a built-in plan or a
+    plan file), or a one-line :class:`ReproError`."""
+    try:
+        return faults.load_plan(source)
+    except ValueError as exc:
+        raise ReproError(f"--fault-plan: {exc}") from None
+
+
+def _serve_daemon(args, build, announce) -> int:
+    """Run the daemon ``build()`` makes until SIGINT/SIGTERM or a
+    shutdown request: the start-up ``serve``, ``serve-cluster`` and
+    ``cache-server`` share.
+
+    ``--port-file`` is probed first and receives ``host port`` once the
+    socket is bound (with ``--port 0``, the only way a script learns the
+    port).  ``--fault-plan``, on the commands that take it, is active
+    from before the daemon is built, so its store loads see it, for the
+    daemon's lifetime.  ``announce(daemon)`` reports the bound daemon.
+    """
+    if args.port_file:
+        problem = _writable_file_error(args.port_file)
+        if problem is not None:
+            return _fail(f"--port-file: {problem}")
+    if getattr(args, "fault_plan", None):
+        plan = faults.activate(_fault_plan(args.fault_plan))
+        _log.warning("fault injection active",
+                     plan=plan.name or args.fault_plan,
+                     rules=len(plan.rules), seed=plan.seed)
+    daemon = build()
+
+    def _on_signal(signum, frame):
+        # Drain off the signal handler's thread: shutdown blocks.
+        threading.Thread(target=daemon.shutdown, name="repro-shutdown",
+                         daemon=True).start()
+
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, _on_signal)
+    host, port = daemon.address
+    if args.port_file:
+        with open(args.port_file, "w", encoding="utf-8") as fh:
+            fh.write(f"{host} {port}\n")
+    announce(daemon)
+    try:
+        daemon.serve_forever()
+    except OSError:
+        pass  # the socket was closed by the signal-handler shutdown
+    _log.info("stopped", command=args.command)
+    return 0
 
 
 def _cmd_list(args) -> int:
@@ -161,62 +251,30 @@ def _cmd_compile(args) -> int:
               f"see `python -m repro list`", file=sys.stderr)
         return 2
     backends = ["rake", "baseline"] if args.backend == "both" else [args.backend]
-    cache_dir = None
-    if args.cache_dir:
-        cache_dir = args.cache_dir
-    elif args.cache:
-        cache_dir = default_cache_dir()
-    # Validate output paths before paying for synthesis, so a typo'd path
-    # fails in milliseconds instead of after a multi-minute compile.
-    if cache_dir is not None:
-        problem = _writable_dir_error(cache_dir)
+    cache_dir, rules_dir, telemetry_dir = _store_dirs(args)
+    for flag, path in (("--stats-json", args.stats_json),
+                       ("--trace-out", args.trace_out)):
+        problem = _writable_file_error(path) if path else None
         if problem is not None:
-            return _fail(f"--cache-dir: {problem}")
-    if args.stats_json:
-        problem = _writable_file_error(args.stats_json)
-        if problem is not None:
-            return _fail(f"--stats-json: {problem}")
+            return _fail(f"{flag}: {problem}")
     rules_lib = None
-    if _rules_enabled(args):
-        rules_base = args.rules_dir or cache_dir or default_cache_dir()
-        # Rule libraries honor the same fail-fast contract as the verdict
-        # store: an unwritable directory is a one-line error up front,
-        # not a silent loss of freshly mined rules after the compile.
-        problem = _writable_dir_error(rules_base)
-        if problem is not None:
-            return _fail(f"--rules: {problem}")
+    if rules_dir is not None:
         from .rules import RuleLibrary, rules_file
 
-        rules_lib = RuleLibrary(rules_file(rules_base, args.target),
+        rules_lib = RuleLibrary(rules_file(rules_dir, args.target),
                                 target=args.target)
     plan = None
     if args.fault_plan:
-        try:
-            plan = faults.load_plan(args.fault_plan)
-        except ValueError as exc:
-            return _fail(f"--fault-plan: {exc}")
-        faults.activate(plan)
+        plan = faults.activate(_fault_plan(args.fault_plan))
         print(f"fault injection active: plan "
               f"{plan.name or args.fault_plan!r} (seed {plan.seed}, "
               f"{len(plan.rules)} rules)")
     telemetry_store = None
-    if _telemetry_enabled(args):
-        from .telemetry import TelemetryStore, default_telemetry_dir
+    if telemetry_dir is not None:
+        from .telemetry import TelemetryStore
 
-        telemetry_base = args.telemetry_dir or default_telemetry_dir()
-        # Opting in is a statement of intent: an unwritable corpus
-        # directory is a fail-fast one-liner here, while the *writes*
-        # stay best-effort once the compile is running.
-        problem = _writable_dir_error(telemetry_base)
-        if problem is not None:
-            return _fail(f"--telemetry: {problem}")
-        telemetry_store = TelemetryStore(telemetry_base)
-    tracer = None
-    if args.trace_out:
-        problem = _writable_file_error(args.trace_out)
-        if problem is not None:
-            return _fail(f"--trace-out: {problem}")
-        tracer = Tracer()
+        telemetry_store = TelemetryStore(telemetry_dir)
+    tracer = Tracer() if args.trace_out else None
     totals = {}
     compiled_by_backend = {}
     wall_by_backend = {}
@@ -279,7 +337,7 @@ def _cmd_compile(args) -> int:
                 }
     rake_compiled = compiled_by_backend.get("rake")
     rake_stats = rake_compiled.stats if rake_compiled is not None else None
-    if rake_stats is not None and rake_stats.total_queries:
+    if rake_stats is not None and rake_stats.total("queries"):
         print(engine_summary(rake_stats, telemetry=telemetry_info))
     if args.stats_json and rake_stats is not None:
         payload = rake_stats.as_dict()
@@ -430,26 +488,14 @@ def _cmd_prune_grammar(args) -> int:
 def _cmd_mine_rules(args) -> int:
     from .rules import mine_rules
 
-    cache_dir = None
-    if args.cache_dir:
-        cache_dir = args.cache_dir
-    elif args.cache:
-        cache_dir = str(default_cache_dir())
-    if cache_dir is not None:
-        problem = _writable_dir_error(cache_dir)
-        if problem is not None:
-            return _fail(f"--cache-dir: {problem}")
-    rules_base = args.rules_dir or cache_dir or default_cache_dir()
-    problem = _writable_dir_error(rules_base)
-    if problem is not None:
-        return _fail(f"--rules-dir: {problem}")
+    cache_dir, rules_dir, _ = _store_dirs(args)
     targets = ("hvx", "neon") if args.target == "all" else (args.target,)
     if args.workloads:
         for name in args.workloads:
             if name not in names():
                 return _fail(f"unknown workload {name!r}")
     reports = mine_rules(workloads=args.workloads or None, targets=targets,
-                         cache_dir=cache_dir, rules_dir=rules_base)
+                         cache_dir=cache_dir, rules_dir=rules_dir)
     for report in reports:
         print(f"[{report.target}] mined {report.mined} rules from "
               f"{len(report.workloads)} workloads "
@@ -459,112 +505,68 @@ def _cmd_mine_rules(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .service.server import serve
+    from .service.server import CompileServer
 
-    cache_dir = None
-    if args.cache_dir:
-        cache_dir = args.cache_dir
-    elif args.cache:
-        cache_dir = str(default_cache_dir())
-    if cache_dir is not None:
-        problem = _writable_dir_error(cache_dir)
-        if problem is not None:
-            return _fail(f"--cache-dir: {problem}")
-    rules_dir = None
-    if _rules_enabled(args):
-        rules_dir = args.rules_dir or cache_dir or str(default_cache_dir())
-        problem = _writable_dir_error(rules_dir)
-        if problem is not None:
-            return _fail(f"--rules: {problem}")
-    telemetry_dir = None
-    if _telemetry_enabled(args):
-        from .telemetry import default_telemetry_dir
-
-        telemetry_dir = args.telemetry_dir or str(default_telemetry_dir())
-        problem = _writable_dir_error(telemetry_dir)
-        if problem is not None:
-            return _fail(f"--telemetry: {problem}")
-    if args.port_file:
-        problem = _writable_file_error(args.port_file)
-        if problem is not None:
-            return _fail(f"--port-file: {problem}")
-    return serve(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_size=args.queue_size,
-        cache_dir=cache_dir,
-        aging_rate=args.aging_rate,
-        port_file=args.port_file,
-        quiet=args.quiet,
-        fault_plan=args.fault_plan,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown,
-        rules=rules_dir is not None,
-        rules_dir=rules_dir,
-        telemetry_dir=telemetry_dir,
-        node_id=args.node_id,
-        cache_tier=args.cache_tier,
+    cache_dir, rules_dir, telemetry_dir = _store_dirs(args)
+    return _serve_daemon(
+        args,
+        lambda: CompileServer(
+            host=args.host, port=args.port, workers=args.workers,
+            queue_size=args.queue_size, cache_dir=cache_dir,
+            aging_rate=args.aging_rate, quiet=args.quiet,
+            breaker_threshold=args.breaker_threshold,
+            breaker_cooldown_s=args.breaker_cooldown,
+            rules=rules_dir is not None, rules_dir=rules_dir,
+            telemetry_dir=telemetry_dir, node_id=args.node_id,
+            cache_tier=args.cache_tier,
+        ),
+        lambda server: _log.info("listening", url=server.url,
+                                 workers=args.workers,
+                                 queue_size=args.queue_size),
     )
 
 
 def _cmd_serve_cluster(args) -> int:
-    from .cluster.router import serve_cluster
+    from .cluster.router import ClusterRouter
 
     if len(args.node) < 1:
         return _fail("serve-cluster needs at least one --node URL")
-    if args.port_file:
-        problem = _writable_file_error(args.port_file)
-        if problem is not None:
-            return _fail(f"--port-file: {problem}")
-    return serve_cluster(
-        args.node,
-        host=args.host,
-        port=args.port,
-        router_id=args.router_id,
-        health_interval_s=args.health_interval,
-        port_file=args.port_file,
-        quiet=args.quiet,
-        fault_plan=args.fault_plan,
+    nodes = args.node
+    if all("=" in url.split("://", 1)[0] for url in nodes):
+        # ``--node name=url`` syntax: keep the operator's node ids so
+        # router health/metrics agree with what the workers call
+        # themselves (``serve --node-id``).
+        nodes = dict(url.split("=", 1) for url in nodes)
+    return _serve_daemon(
+        args,
+        lambda: ClusterRouter(
+            nodes, host=args.host, port=args.port, router_id=args.router_id,
+            health_interval_s=args.health_interval, quiet=args.quiet,
+        ),
+        lambda router: _log.info("router listening", url=router.url,
+                                 nodes=len(router.nodes)),
     )
 
 
 def _cmd_cache_server(args) -> int:
-    import signal as _signal
-
     from .cluster.cachetier import CacheTierServer
 
-    cache_dir = None
     if args.cache_dir:
-        cache_dir = args.cache_dir
-        problem = _writable_dir_error(cache_dir)
+        problem = _writable_dir_error(args.cache_dir)
         if problem is not None:
             return _fail(f"--cache-dir: {problem}")
-    if args.port_file:
-        problem = _writable_file_error(args.port_file)
-        if problem is not None:
-            return _fail(f"--port-file: {problem}")
-    server = CacheTierServer(host=args.host, port=args.port,
-                             cache_dir=cache_dir)
 
-    def _on_signal(signum, frame):
-        import threading
+    def announce(server):
+        print(f"cache tier listening on {server.endpoint}"
+              + (f" (persisted in {args.cache_dir})" if args.cache_dir
+                 else " (in-memory)"))
 
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    for sig in (_signal.SIGINT, _signal.SIGTERM):
-        _signal.signal(sig, _on_signal)
-    host, port = server.address
-    if args.port_file:
-        with open(args.port_file, "w", encoding="utf-8") as fh:
-            fh.write(f"{host} {port}\n")
-    print(f"cache tier listening on {host}:{port}"
-          + (f" (persisted in {cache_dir})" if cache_dir else " (in-memory)"))
-    try:
-        server.serve_forever()
-    except OSError:
-        pass  # socket closed by the signal-handler shutdown
-    return 0
+    return _serve_daemon(
+        args,
+        lambda: CacheTierServer(host=args.host, port=args.port,
+                                cache_dir=args.cache_dir),
+        announce,
+    )
 
 
 def _cmd_submit(args) -> int:
@@ -759,92 +761,116 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit logs as JSON lines instead of text")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags several subcommands take, each declared once.
+    def shared():
+        return argparse.ArgumentParser(add_help=False)
+
+    target = shared()
+    target.add_argument("--target", choices=("hvx", "neon"), default="hvx",
+                        help="target ISA: HVX (128-byte vectors) or ARM "
+                             "Neon (16-byte Q registers)")
+    targets = shared()
+    targets.add_argument("--target", choices=("hvx", "neon", "all"),
+                         default="all", help="target ISA, or all of them")
+    size = shared()
+    size.add_argument("--width", type=int, default=None)
+    size.add_argument("--height", type=int, default=None)
+    batch = shared()
+    batch.add_argument("--no-batch-eval", action="store_true",
+                       help="disable the batched NumPy oracle and check "
+                            "every valuation through the scalar "
+                            "interpreters (identical verdicts, slower)")
+    fingerprints = shared()
+    fingerprints.add_argument("--no-fingerprints", action="store_true",
+                              help="disable observational-equivalence "
+                                   "dedup (denotation fingerprints) and "
+                                   "query the oracle for every candidate "
+                                   "(identical selections, more queries)")
+    cache = shared()
+    cache.add_argument("--cache", action="store_true",
+                       help="persist oracle verdicts in the default cache "
+                            "dir (REPRO_CACHE_DIR or ~/.cache/repro-rake)")
+    cache.add_argument("--cache-dir", default=None, metavar="DIR",
+                       help="persist oracle verdicts in DIR (implies "
+                            "--cache)")
+    rules = shared()
+    rules.add_argument("--rules", action=argparse.BooleanOptionalAction,
+                       default=None,
+                       help="consult (and grow) the rewrite-rule library: "
+                            "proven lowerings answer matching expressions "
+                            "after a full-bank re-check, skipping "
+                            "sketch/swizzle enumeration (serve: for jobs "
+                            "that request it with submit --rules)")
+    rules_dir = shared()
+    rules_dir.add_argument("--rules-dir", default=None, metavar="DIR",
+                           help="directory holding rules_<target>.jsonl "
+                                "(default: the cache dir, or the default "
+                                "cache dir; implies --rules where the "
+                                "command has it)")
+    telemetry = shared()
+    telemetry.add_argument("--telemetry",
+                           action=argparse.BooleanOptionalAction,
+                           default=None,
+                           help="append a schema-versioned record per "
+                                "compile or completed job to the "
+                                "persistent telemetry corpus (analyze "
+                                "with `repro perf`)")
+    telemetry.add_argument("--telemetry-dir", default=None, metavar="DIR",
+                           help="telemetry store directory (implies "
+                                "--telemetry; default: <cache "
+                                "dir>/telemetry)")
+    fault_plan = shared()
+    fault_plan.add_argument("--fault-plan", default=None, metavar="PLAN",
+                            help="activate deterministic fault injection "
+                                 "for the command's lifetime: a built-in "
+                                 "plan name (torn-cache, slow-oracle, "
+                                 "socket-reset, cachetier-outage, "
+                                 "router-flap) or a FaultPlan JSON file")
+    listen = shared()
+    listen.add_argument("--host", default="127.0.0.1")
+    listen.add_argument("--port-file", default=None, metavar="PATH",
+                        help="write 'host port' here once listening (how "
+                             "scripts learn an ephemeral port)")
+    url = shared()
+    url.add_argument("--url", default="http://127.0.0.1:8347",
+                     help="server base URL")
+
     sub.add_parser("list", help="list the 21 paper benchmarks")
 
-    p_compile = sub.add_parser("compile", help="compile one benchmark")
+    p_compile = sub.add_parser(
+        "compile", help="compile one benchmark",
+        parents=[target, size, cache, batch, fingerprints, fault_plan,
+                 rules, rules_dir, telemetry])
     p_compile.add_argument("workload")
     p_compile.add_argument("--backend", choices=("rake", "baseline", "both"),
                            default="both")
-    p_compile.add_argument("--target", choices=("hvx", "neon"),
-                           default="hvx",
-                           help="target ISA: HVX (128-byte vectors) or "
-                                "ARM Neon (16-byte Q registers)")
     p_compile.add_argument("--show-programs", action="store_true")
     p_compile.add_argument("--asm", action="store_true",
                            help="print register-allocated assembly listings")
-    p_compile.add_argument("--width", type=int, default=None)
-    p_compile.add_argument("--height", type=int, default=None)
     p_compile.add_argument("--stats-json", default=None, metavar="PATH",
                            help="dump per-stage synthesis statistics as JSON")
-    p_compile.add_argument("--cache", action="store_true",
-                           help="persist oracle verdicts in the default "
-                                "cache dir (REPRO_CACHE_DIR or "
-                                "~/.cache/repro-rake)")
-    p_compile.add_argument("--cache-dir", default=None, metavar="DIR",
-                           help="persist oracle verdicts in DIR "
-                                "(implies --cache)")
-    p_compile.add_argument("--no-batch-eval", action="store_true",
-                           help="disable the batched NumPy oracle and check "
-                                "every valuation through the scalar "
-                                "interpreters (identical verdicts, slower)")
-    p_compile.add_argument("--no-fingerprints", action="store_true",
-                           help="disable observational-equivalence dedup "
-                                "(denotation fingerprints) and query the "
-                                "oracle for every candidate (identical "
-                                "selections, more queries)")
-    p_compile.add_argument("--fault-plan", default=None, metavar="PLAN",
-                           help="activate deterministic fault injection for "
-                                "this compile: a built-in plan name "
-                                "(torn-cache, slow-oracle, socket-reset, "
-                                "cachetier-outage, router-flap) or a "
-                                "FaultPlan JSON file")
     p_compile.add_argument("--trace-out", default=None, metavar="PATH",
                            help="record a span trace of the compile and "
                                 "write it as Chrome trace_event JSON")
-    p_compile.add_argument("--rules", action=argparse.BooleanOptionalAction,
-                           default=None,
-                           help="consult (and grow) the rewrite-rule "
-                                "library: proven lowerings answer matching "
-                                "expressions after a full-bank re-check, "
-                                "skipping sketch/swizzle enumeration")
-    p_compile.add_argument("--rules-dir", default=None, metavar="DIR",
-                           help="directory holding rules_<target>.jsonl "
-                                "(implies --rules; default: the cache dir)")
-    p_compile.add_argument("--telemetry",
-                           action=argparse.BooleanOptionalAction,
-                           default=None,
-                           help="append a schema-versioned record for this "
-                                "compile to the persistent telemetry corpus "
-                                "(analyze with `repro perf`)")
-    p_compile.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                           help="telemetry store directory (implies "
-                                "--telemetry; default: <cache dir>/telemetry)")
 
-    p_isa = sub.add_parser("isa", help="browse the instruction registry")
-    p_isa.add_argument("--target", choices=("all", "hvx", "neon"),
-                       default="all")
+    p_isa = sub.add_parser("isa", help="browse the instruction registry",
+                           parents=[targets])
     p_isa.add_argument("--group", default=None,
                        help="filter by group tag (e.g. mpy, narrow, swizzle)")
 
     p_speed = sub.add_parser("speedups",
-                             help="the Figure 11 sweep (slow: full synthesis)")
+                             help="the Figure 11 sweep (slow: full synthesis)",
+                             parents=[batch, fingerprints])
     p_speed.add_argument("--only", nargs="*", default=None,
                          help="restrict to these workloads")
-    p_speed.add_argument("--no-batch-eval", action="store_true",
-                         help="disable the batched NumPy oracle")
-    p_speed.add_argument("--no-fingerprints", action="store_true",
-                         help="disable observational-equivalence dedup "
-                              "(identical selections, more queries)")
 
     p_trace = sub.add_parser(
         "trace",
-        help="compile one benchmark with tracing on and export the spans")
+        help="compile one benchmark with tracing on and export the spans",
+        parents=[size, batch])
     p_trace.add_argument("workload")
     p_trace.add_argument("--backend", choices=("rake", "baseline"),
                          default="rake")
-    p_trace.add_argument("--width", type=int, default=None)
-    p_trace.add_argument("--height", type=int, default=None)
-    p_trace.add_argument("--no-batch-eval", action="store_true")
     p_trace.add_argument("--depth", type=int, default=4,
                          help="timeline nesting depth shown on stdout")
     p_trace.add_argument("--trace-out", default=None, metavar="PATH",
@@ -859,10 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prune = sub.add_parser(
         "prune-grammar",
         help="precompute per-target pruned swizzle-realization sets "
-             "(offline observational-equivalence pass)")
-    p_prune.add_argument("--target", choices=("hvx", "neon", "all"),
-                         default="all",
-                         help="which target grammars to prune")
+             "(offline observational-equivalence pass)",
+        parents=[targets])
     p_prune.add_argument("--out", default=None, metavar="DIR",
                          help="output directory for pruned_<target>.json "
                               "(default: the packaged repro/targets/data "
@@ -874,72 +898,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine = sub.add_parser(
         "mine-rules",
         help="compile workloads and persist every proven lowering as a "
-             "parameterized rewrite rule (warms the --rules fast path)")
-    p_mine.add_argument("--target", choices=("hvx", "neon", "all"),
-                        default="all",
-                        help="which per-target rule libraries to grow")
+             "parameterized rewrite rule (warms the --rules fast path)",
+        parents=[targets, cache, rules_dir])
     p_mine.add_argument("--workloads", nargs="*", default=None,
                         help="mine from these workloads only (default: the "
                              "full 21-benchmark suite)")
-    p_mine.add_argument("--cache", action="store_true",
-                        help="persist oracle verdicts in the default cache "
-                             "dir while mining")
-    p_mine.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persist oracle verdicts in DIR (implies "
-                             "--cache)")
-    p_mine.add_argument("--rules-dir", default=None, metavar="DIR",
-                        help="write rules_<target>.jsonl here (default: "
-                             "the cache dir, or the default cache dir)")
 
     p_serve = sub.add_parser(
-        "serve", help="run the long-lived compilation server")
-    p_serve.add_argument("--host", default="127.0.0.1")
+        "serve", help="run the long-lived compilation server",
+        parents=[listen, cache, fault_plan, rules, rules_dir, telemetry])
     p_serve.add_argument("--port", type=int, default=8347,
                          help="listen port (0 = ephemeral; see --port-file)")
     p_serve.add_argument("--workers", type=int, default=2,
                          help="concurrent compilation workers")
     p_serve.add_argument("--queue-size", type=int, default=64,
                          help="max queued jobs before submissions get 503")
-    p_serve.add_argument("--cache", action="store_true",
-                         help="share the default on-disk verdict store "
-                              "(REPRO_CACHE_DIR or ~/.cache/repro-rake)")
-    p_serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="share an on-disk verdict store in DIR "
-                              "(implies --cache)")
     p_serve.add_argument("--aging-rate", type=float, default=1.0,
                          help="priority points a queued job gains per "
                               "second (anti-starvation)")
-    p_serve.add_argument("--port-file", default=None, metavar="PATH",
-                         help="write 'host port' here once listening "
-                              "(how scripts learn an ephemeral port)")
     p_serve.add_argument("--quiet", action="store_true",
                          help="suppress per-request access logs")
-    p_serve.add_argument("--fault-plan", default=None, metavar="PLAN",
-                         help="activate deterministic fault injection for "
-                              "the server's lifetime (chaos testing): a "
-                              "built-in plan name or a FaultPlan JSON file")
     p_serve.add_argument("--breaker-threshold", type=int, default=5,
                          help="consecutive job crashes before the circuit "
                               "breaker opens and sheds load (default 5)")
     p_serve.add_argument("--breaker-cooldown", type=float, default=30.0,
                          help="seconds the breaker stays open before "
                               "admitting a half-open probe (default 30)")
-    p_serve.add_argument("--rules", action=argparse.BooleanOptionalAction,
-                         default=None,
-                         help="serve the rewrite-rule fast path to jobs "
-                              "that request it (submit --rules)")
-    p_serve.add_argument("--rules-dir", default=None, metavar="DIR",
-                         help="directory holding rules_<target>.jsonl "
-                              "(implies --rules; default: the cache dir)")
-    p_serve.add_argument("--telemetry",
-                         action=argparse.BooleanOptionalAction,
-                         default=None,
-                         help="append a telemetry record for every "
-                              "completed job (GET /telemetry/summary "
-                              "exposes the corpus view)")
-    p_serve.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                         help="telemetry store directory (implies "
-                              "--telemetry; default: <cache dir>/telemetry)")
     p_serve.add_argument("--node-id", default=None, metavar="NAME",
                          help="this daemon's identity within a cluster "
                               "(stamped into job views and telemetry)")
@@ -950,14 +934,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cluster = sub.add_parser(
         "serve-cluster",
-        help="run the cluster router over N worker daemons")
+        help="run the cluster router over N worker daemons",
+        parents=[listen, fault_plan])
     p_cluster.add_argument("--node", action="append", default=[],
                            metavar="[NAME=]URL",
                            help="one worker base URL (repeatable; "
                                 "NAME=URL pins the node id so it matches "
                                 "the worker's --node-id, else ring order "
                                 "names node-0, node-1, ...: keep it stable)")
-    p_cluster.add_argument("--host", default="127.0.0.1")
     p_cluster.add_argument("--port", type=int, default=8447,
                            help="router listen port (0 = ephemeral; see "
                                 "--port-file)")
@@ -967,45 +951,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--health-interval", type=float, default=0.5,
                            metavar="SECONDS",
                            help="per-node health probe period")
-    p_cluster.add_argument("--port-file", default=None, metavar="PATH",
-                           help="write 'host port' here once listening")
     p_cluster.add_argument("--quiet", action="store_true",
                            help="suppress per-request access logs")
-    p_cluster.add_argument("--fault-plan", default=None, metavar="PLAN",
-                           help="deterministic fault injection for the "
-                                "router's lifetime (router.forward and "
-                                "worker.health sites)")
 
     p_tier = sub.add_parser(
         "cache-server",
-        help="run the shared verdict-cache tier for a cluster")
-    p_tier.add_argument("--host", default="127.0.0.1")
+        help="run the shared verdict-cache tier for a cluster",
+        parents=[listen])
     p_tier.add_argument("--port", type=int, default=8547,
                         help="listen port (0 = ephemeral; see --port-file)")
     p_tier.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persist tier verdicts in DIR (default: "
                              "in-memory only)")
-    p_tier.add_argument("--port-file", default=None, metavar="PATH",
-                        help="write 'host port' here once listening")
 
     p_submit = sub.add_parser(
-        "submit", help="submit one compile to a running server")
+        "submit", help="submit one compile to a running server",
+        parents=[url, target, size, batch])
     p_submit.add_argument("workload")
-    p_submit.add_argument("--url", default="http://127.0.0.1:8347",
-                          help="server base URL")
     p_submit.add_argument("--backend", choices=("rake", "baseline"),
                           default="rake")
-    p_submit.add_argument("--target", choices=("hvx", "neon"),
-                          default="hvx",
-                          help="target ISA for the server-side compile")
-    p_submit.add_argument("--width", type=int, default=None)
-    p_submit.add_argument("--height", type=int, default=None)
     p_submit.add_argument("--priority", type=int, default=10,
                           help="queue priority (lower runs first)")
     p_submit.add_argument("--deadline", type=float, default=None,
                           metavar="SECONDS",
                           help="cancel the job if it runs longer than this")
-    p_submit.add_argument("--no-batch-eval", action="store_true")
     p_submit.add_argument("--wait", action="store_true",
                           help="block until the job is terminal")
     p_submit.add_argument("--timeout", type=float, default=None,
@@ -1026,11 +995,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "(requires a server started with --rules)")
 
     p_status = sub.add_parser(
-        "status", help="query a running server (or one job)")
+        "status", help="query a running server (or one job)", parents=[url])
     p_status.add_argument("job", nargs="?", default=None,
                           help="job id (omit for server health + metrics)")
-    p_status.add_argument("--url", default="http://127.0.0.1:8347",
-                          help="server base URL")
 
     p_perf = sub.add_parser(
         "perf",

@@ -20,7 +20,7 @@ prove it by killing a worker mid-job.
 
 from .cachetier import CacheTierClient, CacheTierServer, TieredOracleCache
 from .membership import WorkerNode
-from .router import ClusterRouter, serve_cluster
+from .router import ClusterRouter
 
 __all__ = [
     "CacheTierClient",
@@ -28,5 +28,4 @@ __all__ = [
     "TieredOracleCache",
     "WorkerNode",
     "ClusterRouter",
-    "serve_cluster",
 ]

@@ -34,6 +34,9 @@ changing a line.  What it adds underneath:
 The router holds no compile state — only the job table mapping public
 ids to ``(node, current id, payload, deadline)`` — so it restarts
 cheaply; jobs survive on the workers.
+
+``repro serve-cluster`` builds a :class:`ClusterRouter` from its flags
+and runs it through the start-up every daemon shares (``repro.cli``).
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-import signal
 import threading
 import time
 import uuid
@@ -638,50 +640,3 @@ class ClusterRouter:
             while idle:
                 idle.pop().close()
 
-
-def serve_cluster(
-    node_urls,
-    host: str = "127.0.0.1",
-    port: int = 8447,
-    router_id: str = "router",
-    health_interval_s: float = 0.5,
-    port_file: str | None = None,
-    quiet: bool = False,
-    fault_plan: str | None = None,
-) -> int:
-    """Run the router daemon until SIGINT/SIGTERM or ``POST /shutdown``.
-
-    The CLI entry point behind ``repro serve-cluster``; mirrors
-    :func:`repro.service.server.serve` including the ``port_file``
-    handshake scripts and CI use to learn an ephemeral port.
-    """
-    if fault_plan:
-        plan = faults.activate(faults.load_plan(fault_plan))
-        _log.warning("fault injection active", plan=plan.name or fault_plan,
-                     rules=len(plan.rules), seed=plan.seed)
-    if (not isinstance(node_urls, dict)
-            and all("=" in u.split("://", 1)[0] for u in node_urls)):
-        # ``--node name=url`` syntax: keep the operator's node ids so
-        # router health/metrics agree with what the workers call
-        # themselves (``serve --node-id``).
-        node_urls = dict(u.split("=", 1) for u in node_urls)
-    router = ClusterRouter(
-        node_urls, host=host, port=port, router_id=router_id,
-        health_interval_s=health_interval_s, quiet=quiet,
-    )
-
-    def _on_signal(signum, frame):
-        router.request_shutdown()
-
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, _on_signal)
-
-    bound_host, bound_port = router.address
-    if port_file:
-        with open(port_file, "w", encoding="utf-8") as fh:
-            fh.write(f"{bound_host} {bound_port}\n")
-    _log.info("router listening", url=f"http://{bound_host}:{bound_port}",
-              nodes=len(router.nodes))
-    router.serve_forever()
-    _log.info("router stopped")
-    return 0

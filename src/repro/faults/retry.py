@@ -1,8 +1,9 @@
 """Bounded retry with exponential backoff and deterministic jitter.
 
-The service client uses it for transient-connection retries; its
-``attempts`` also bounds how many load-shedding ``503`` replies one
-submission waits out.
+The service client owns the retry loop: it reads ``attempts`` (the
+retries after the first try, which also bound how many load-shedding
+``503`` replies one submission waits out) and calls :meth:`sleep`
+between tries.
 
 Jitter is drawn from a policy-owned seeded RNG, so a chaos run's sleep
 schedule is as replayable as its injection trace.  Delays follow
@@ -45,21 +46,3 @@ class RetryPolicy:
         if delay > 0:
             time.sleep(delay)
         return delay
-
-    def run(self, fn, retryable=(Exception,), on_retry=None):
-        """Call ``fn()`` with up to ``attempts`` retries on ``retryable``.
-
-        ``on_retry(attempt, exc)`` observes each retry (metrics hooks).
-        The final failure re-raises the last exception unchanged, so
-        callers keep their typed-error contracts.
-        """
-        for attempt in range(self.attempts + 1):
-            try:
-                return fn()
-            except retryable as exc:
-                if attempt >= self.attempts:
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, exc)
-                self.sleep(attempt)
-        raise AssertionError("unreachable")  # pragma: no cover

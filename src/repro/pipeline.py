@@ -8,6 +8,12 @@ simulator.
 
 Rake falls back to the baseline for expressions it does not handle — the
 paper's Rake likewise leaves trivial expressions to LLVM.
+
+Each setting reaches the oracle by one path.  The registered target fixes
+the vector width and the grammars (the paper's §6 retargeting), so
+``compile_pipeline`` takes only the target and backend, the caller's own
+resources (stats, cache, cancel token, tracer, rule library) and three
+ablation switches; the final verification pass always runs.
 """
 
 from __future__ import annotations
@@ -104,18 +110,13 @@ def _is_trivial(e: E.Expr) -> bool:
 def compile_pipeline(
     output: Func,
     backend: str = BACKEND_RAKE,
-    lanes: int | None = None,
-    vbytes: int | None = None,
     options: LoweringOptions | None = None,
-    verify: bool = True,
-    selector: RakeSelector | None = None,
     jobs: int = 1,
     stats: SynthesisStats | None = None,
     cache: OracleCache | None = None,
     cache_dir: str | None = None,
     batch_eval: bool = True,
     fingerprints: bool = True,
-    deadline_s: float | None = None,
     cancel: CancelToken | None = None,
     tracer=None,
     target: str = "hvx",
@@ -124,25 +125,16 @@ def compile_pipeline(
     """Compile a scheduled pipeline with the chosen instruction selector.
 
     ``target`` names a registered :class:`~repro.targets.TargetDescription`
-    (``"hvx"`` or ``"neon"``); it decides the vector width (``lanes`` /
-    ``vbytes`` default to the target's), the sketch and swizzle grammars,
-    the cost model and the simulator machine model.
+    (``"hvx"`` or ``"neon"``); it fixes the vector width, the sketch and
+    swizzle grammars, the cost model and the simulator machine model.
 
-    ``stats`` supplies an external
+    The caller may lend its own resources.  ``stats`` supplies an external
     :class:`SynthesisStats` to accumulate into; ``cache`` an external
     :class:`~repro.synthesis.engine.OracleCache`, or ``cache_dir`` a
-    directory for a persistent on-disk verdict store.  ``batch_eval=False``
-    forces every oracle check onto the scalar interpreters (the batched
-    NumPy engine produces identical verdicts; the switch exists for
-    differential testing and debugging).
-    ``fingerprints=False`` disables observational-equivalence dedup
-    (:mod:`repro.synthesis.fingerprints`) — selections are identical with
-    it on or off; the switch exists for differential testing.
-
-    ``deadline_s`` bounds wall-clock compilation time; ``cancel`` supplies
-    an external :class:`~repro.cancel.CancelToken` (the service's scheduler
-    passes one per job).  Either way, the token is checked at every oracle
-    query boundary, so a cancelled compile raises
+    directory for a persistent on-disk verdict store.  ``cancel`` supplies
+    a :class:`~repro.cancel.CancelToken` (the service's scheduler passes
+    one per job, armed with the job's deadline); it is checked at every
+    oracle query boundary, so a cancelled compile raises
     :class:`~repro.errors.CancelledError` /
     :class:`~repro.errors.DeadlineExceededError` without ever writing a
     partial verdict to the caches.
@@ -161,55 +153,45 @@ def compile_pipeline(
     skips sketch/swizzle enumeration entirely but is still re-checked
     against the full valuation bank (inside ``match``) *and* by the final
     verify pass below, so selections are sound with or without rules.
+
+    Three switches exist for ablations and differential tests; each
+    leaves the selections unchanged.  ``options`` sets the paper's
+    lowering design choices (EXPERIMENTS.md A3 measures lane-0 pruning
+    through it).  ``batch_eval=False`` forces every oracle check onto the
+    scalar interpreters.  ``fingerprints=False`` disables
+    observational-equivalence dedup (:mod:`repro.synthesis.fingerprints`).
+
+    Every selected program, Rake's or the baseline's, is checked against
+    the IR by the selector's oracle before it is returned.
     """
     if jobs != 1:
-        # Checks run serially; the keyword stays for callers passing 1.
+        # Checks run serially; the keyword stays because perfbench's
+        # in-process driver passes ``jobs=1``.
         raise ValueError(f"jobs must be 1, got {jobs!r}")
     if backend not in (BACKEND_RAKE, BACKEND_BASELINE):
         raise ReproError(f"unknown backend: {backend}")
     tgt = resolve_target(target)
-    if selector is not None and target == "hvx":
-        # A caller-provided selector knows its own target; honor it when
-        # the target argument was left at the default.
-        tgt = getattr(selector, "target", None) or tgt
-    if lanes is None:
-        lanes = tgt.lanes
-    if vbytes is None:
-        vbytes = tgt.vbytes
     if tracer is None:
         tracer = NULL_TRACER
-    if cancel is None and deadline_s is not None:
-        cancel = CancelToken(timeout=deadline_s)
-    lowered = lower_pipeline(output, lanes=lanes, vector_bytes=vbytes)
-    baseline = tgt.baseline(vbytes)
-    owns_selector = selector is None
-    if owns_selector:
-        if cache is None:
-            cache = (OracleCache.with_disk(cache_dir) if cache_dir
-                     else OracleCache())
-        oracle = Oracle(stats=stats or SynthesisStats(), cache=cache,
-                        batch_eval=batch_eval, fingerprints=fingerprints,
-                        cancel=cancel, tracer=tracer)
-        rake = RakeSelector(
-            vbytes=vbytes, options=options or LoweringOptions(),
-            oracle=oracle, target=tgt,
-        )
-    else:
-        rake = selector
-        if cancel is not None:
-            rake.oracle.cancel = cancel
-        if tracer is not NULL_TRACER:
-            rake.oracle.tracer = tracer
+    lowered = lower_pipeline(output, lanes=tgt.lanes, vector_bytes=tgt.vbytes)
+    baseline = tgt.baseline()
+    if cache is None:
+        cache = (OracleCache.with_disk(cache_dir) if cache_dir
+                 else OracleCache())
     # The selector's oracle doubles as the final verifier, so verification
     # queries share the memoization cache and show up under the ``verify``
     # stage of the statistics.
-    verifier = rake.oracle if verify else None
+    oracle = Oracle(stats=stats or SynthesisStats(), cache=cache,
+                    batch_eval=batch_eval, fingerprints=fingerprints,
+                    cancel=cancel, tracer=tracer)
+    rake = RakeSelector(options=options or LoweringOptions(), oracle=oracle,
+                        target=tgt)
 
     compiled = CompiledPipeline(backend=backend, lowered=lowered,
                                 stats=rake.stats, target=tgt.name)
     try:
         with tracer.span("pipeline.compile", backend=backend,
-                         lanes=lanes) as root:
+                         lanes=tgt.lanes) as root:
             for stage in lowered.stages:
                 cstage = CompiledStage(stage=stage)
                 extents = [1] + list(stage.func.update_extents)
@@ -225,9 +207,7 @@ def compile_pipeline(
                             if used == BACKEND_RAKE and rules is not None:
                                 with tracer.span("pipeline.rule_match") as rsp:
                                     try:
-                                        program = rules.match(
-                                            expr, rake.oracle
-                                        )
+                                        program = rules.match(expr, oracle)
                                     except CancelledError:
                                         raise
                                     except Exception as exc:
@@ -244,9 +224,9 @@ def compile_pipeline(
                                         rsp.set(hit=program is not None)
                                 if program is not None:
                                     via_rule = True
-                                    rake.stats.count_rule_hit()
+                                    rake.stats.count("rule_hits")
                                 else:
-                                    rake.stats.count_rule_miss()
+                                    rake.stats.count("rule_misses")
                             if used == BACKEND_RAKE and program is None:
                                 try:
                                     program = rake.select(expr).program
@@ -285,15 +265,14 @@ def compile_pipeline(
                                     )
                             if program is None:
                                 program = baseline.optimize(expr)
-                            if verifier is not None:
-                                with tracer.span("pipeline.verify"):
-                                    ok = verifier.equivalent(expr, program)
-                                if not ok:
-                                    raise ReproError(
-                                        f"selected program is not equivalent "
-                                        f"to the IR for stage {stage.name} "
-                                        f"({used})"
-                                    )
+                            with tracer.span("pipeline.verify"):
+                                ok = oracle.equivalent(expr, program)
+                            if not ok:
+                                raise ReproError(
+                                    f"selected program is not equivalent "
+                                    f"to the IR for stage {stage.name} "
+                                    f"({used})"
+                                )
                             if esp:
                                 esp.set(selector=used)
                         cstage.exprs.append(CompiledExpr(
@@ -309,10 +288,7 @@ def compile_pipeline(
     finally:
         if rules is not None:
             rules.flush()
-        if owns_selector:
-            rake.oracle.cache.flush()
-        elif tracer is not NULL_TRACER:
-            rake.oracle.tracer = NULL_TRACER
+        oracle.cache.flush()
     return compiled
 
 
@@ -329,7 +305,7 @@ def _learn_rule(rules, expr, program, tgt, stats) -> None:
     try:
         if rules.learn(expr, program, cost=cost,
                        provenance={"src": "pipeline"}):
-            stats.count_rule_mined()
+            stats.count("rules_mined")
     except Exception as exc:
         _log.warning(
             "failed to mine rule from fresh synthesis",

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 # Re-exported for callers that historically imported it from here; the
 # single implementation lives in repro.numerics.
 from .numerics import geomean  # noqa: F401
+from .synthesis.stats import COUNTERS
 
 
 @dataclass
@@ -108,33 +109,30 @@ def engine_summary(stats, telemetry: dict | None = None) -> str:
     ``{"record_id": ..., "store": ...}`` when the run emitted a telemetry
     record, so the printed summary is joinable back to its corpus row.
     """
-    lookups = stats.total_cache_hits + stats.total_cache_misses
-    rate = (stats.total_cache_hits / lookups) if lookups else 0.0
+    t = {c.name: stats.total(c.name) for c in COUNTERS}
+    lookups = t["cache_hits"] + t["cache_misses"]
+    rate = (t["cache_hits"] / lookups) if lookups else 0.0
     lines = [
         "",
         "synthesis engine:",
-        f"    oracle queries: {stats.total_queries} "
-        f"({stats.total_cache_hits} cache hits, "
-        f"{stats.total_cache_misses} misses, {rate:.0%} hit rate)",
-        f"    counterexamples: {stats.total_counterexamples}",
+        f"    oracle queries: {t['queries']} "
+        f"({t['cache_hits']} cache hits, "
+        f"{t['cache_misses']} misses, {rate:.0%} hit rate)",
+        f"    counterexamples: {t['counterexamples']}",
     ]
-    if stats.total_fingerprint_hits or stats.total_pruned_grammar_hits:
+    if t["fingerprint_hits"] or t["pruned_grammar_hits"]:
         lines.append(
-            f"    equivalence dedup: {stats.total_queries_saved} queries "
-            f"saved ({stats.total_fingerprint_hits} fingerprint hits, "
-            f"{stats.total_classes_formed} classes, "
-            f"{stats.total_class_splits} splits, "
-            f"{stats.total_pruned_grammar_hits} pruned-grammar hits)"
+            f"    equivalence dedup: {t['queries_saved']} queries "
+            f"saved ({t['fingerprint_hits']} fingerprint hits, "
+            f"{t['classes_formed']} classes, "
+            f"{t['class_splits']} splits, "
+            f"{t['pruned_grammar_hits']} pruned-grammar hits)"
         )
-    rule_activity = (
-        getattr(stats, "rule_hits", 0) + getattr(stats, "rule_misses", 0)
-        + getattr(stats, "rules_mined", 0)
-    )
-    if rule_activity:
+    if t["rule_hits"] + t["rule_misses"] + t["rules_mined"]:
         lines.append(
-            f"    rule library: {stats.rule_hits} hits, "
-            f"{stats.rule_misses} misses, {stats.rules_mined} mined, "
-            f"{stats.rule_recheck_failures} re-check failures"
+            f"    rule library: {t['rule_hits']} hits, "
+            f"{t['rule_misses']} misses, {t['rules_mined']} mined, "
+            f"{t['rule_recheck_failures']} re-check failures"
         )
     for name, stage in stats.stages.items():
         if stage.queries == 0:

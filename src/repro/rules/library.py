@@ -191,7 +191,7 @@ class RuleLibrary:
                 continue
             if ok:
                 return program
-            oracle.stats.count_rule_recheck_failure()
+            oracle.stats.count("rule_recheck_failures")
         return None
 
     # -- mining / feedback -------------------------------------------------

@@ -34,7 +34,7 @@ from .protocol import (
     JobView,
 )
 from .scheduler import Job, JobScheduler
-from .server import CompileServer, serve
+from .server import CompileServer
 
 __all__ = [
     "CompileRequest",
@@ -54,5 +54,4 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ServiceClient",
     "request_key",
-    "serve",
 ]

@@ -155,7 +155,9 @@ class CompileRequest:
         if type(self.priority) is not int:
             raise ProtocolError("compile request: priority must be an integer")
         if self.deadline_s is not None and (
-            not isinstance(self.deadline_s, (int, float)) or self.deadline_s <= 0
+            isinstance(self.deadline_s, bool)
+            or not isinstance(self.deadline_s, (int, float))
+            or self.deadline_s <= 0
         ):
             raise ProtocolError(
                 "compile request: deadline_s must be a positive number"

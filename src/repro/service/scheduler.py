@@ -27,7 +27,6 @@ directly, the server wraps it.
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
 import uuid
@@ -155,9 +154,13 @@ def default_compile_fn(request: CompileRequest, cancel: CancelToken,
 class JobScheduler:
     """Bounded queue + worker pool over a shared warm cache.
 
-    ``compile_fn(request, cancel, cache)`` produces a
-    :class:`CompileResult`; the default runs the real pipeline.  Tests
-    inject stubs to pin scheduling behaviour without synthesis cost.
+    ``compile_fn(request, cancel, cache, tracer=..., rules=...)`` produces
+    a :class:`CompileResult`; the default runs the real pipeline.  It is
+    always called with both keywords: ``tracer`` is the job's
+    :class:`~repro.trace.Tracer` (``None`` for an untraced job) and
+    ``rules`` its target's rule library (``None`` unless the job opted
+    in and the scheduler serves rules).  Tests inject stubs, taking
+    ``**_``, to pin scheduling behaviour without synthesis cost.
 
     Construct with ``paused=True`` (or call :meth:`pause`) to hold workers
     before they pick jobs — this is how tests and the server's smoke check
@@ -189,16 +192,6 @@ class JobScheduler:
             OracleCache.with_disk(cache_dir) if cache_dir else OracleCache()
         )
         self.compile_fn = compile_fn or default_compile_fn
-        # Stubs injected by tests keep the legacy 3-arg signature; only
-        # pass a tracer / rule library to compile functions that declare
-        # the keyword.
-        try:
-            params = inspect.signature(self.compile_fn).parameters
-            self._compile_takes_tracer = "tracer" in params
-            self._compile_takes_rules = "rules" in params
-        except (TypeError, ValueError):  # builtins / C callables
-            self._compile_takes_tracer = False
-            self._compile_takes_rules = False
         # Shared per-target rewrite-rule libraries (repro.rules): created
         # lazily on the first opted-in job for a target, living next to
         # the verdict store unless rules_dir says otherwise.
@@ -539,7 +532,7 @@ class JobScheduler:
         start = time.monotonic()
         state, error, result = JOB_DONE, None, None
         tracer = None
-        if job.request.trace and self._compile_takes_tracer:
+        if job.request.trace:
             tracer = Tracer()
             job.trace_id = tracer.trace_id
         _log.info("job started", job=job.id, workload=job.request.workload,
@@ -551,15 +544,9 @@ class JobScheduler:
             # queued must never start compiling.
             job.cancel_token.check()
             faults.fire(faults.SITE_SCHEDULER_JOB, tracer=tracer)
-            kwargs = {}
-            if tracer is not None:
-                kwargs["tracer"] = tracer
-            if self._compile_takes_rules:
-                library = self._rules_for(job.request)
-                if library is not None:
-                    kwargs["rules"] = library
             result = self.compile_fn(
-                job.request, job.cancel_token, self.cache, **kwargs
+                job.request, job.cancel_token, self.cache, tracer=tracer,
+                rules=self._rules_for(job.request),
             )
         except DeadlineExceededError as exc:
             state, error = JOB_TIMEOUT, str(exc)

@@ -18,19 +18,22 @@ Endpoints (see ``docs/service.md`` for schemas):
 * ``GET  /telemetry/summary`` — the persistent telemetry corpus's
   per-workload summary (``{"enabled": false}`` when telemetry is off).
 * ``POST /shutdown``         — graceful shutdown (also triggered by
-  SIGINT/SIGTERM under :func:`serve`).
+  SIGINT/SIGTERM under ``repro serve``).
 
 Graceful shutdown never strands a client: admission closes first (new
 submissions get ``503``), queued and running jobs drain to terminal
 states while status polls keep being answered, the shared verdict cache
 is flushed to disk, and only then does the HTTP loop stop.
+
+``repro serve`` builds a :class:`CompileServer` from its flags and runs
+it through the start-up every daemon shares (``repro.cli``): fault plan,
+signal handlers, port file, then :meth:`CompileServer.serve_forever`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import signal
 import socket
 import sys
 import threading
@@ -45,11 +48,8 @@ from ..errors import (
     QueueFullError,
     ServiceError,
 )
-from ..trace.log import get_logger
 from .protocol import PROTOCOL_VERSION, CompileRequest, parse_wait
 from .scheduler import JobScheduler
-
-_log = get_logger("repro.service.server")
 
 
 def _wants_trace(query: str | None) -> bool:
@@ -421,67 +421,3 @@ class CompileServer:
             self._serve_thread.join(timeout=5.0)
         return clean
 
-
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 8347,
-    workers: int = 2,
-    queue_size: int = 64,
-    cache_dir: str | None = None,
-    aging_rate: float = 1.0,
-    port_file: str | None = None,
-    quiet: bool = False,
-    fault_plan: str | None = None,
-    breaker_threshold: int = 5,
-    breaker_cooldown_s: float = 30.0,
-    rules: bool = False,
-    rules_dir: str | None = None,
-    telemetry_dir: str | None = None,
-    node_id: str | None = None,
-    cache_tier: str | None = None,
-) -> int:
-    """Run the daemon until SIGINT/SIGTERM or ``POST /shutdown``.
-
-    ``port_file`` (for scripts and CI) receives ``host port\\n`` once the
-    socket is bound — with ``port=0`` that is the only way to learn the
-    ephemeral port.  ``fault_plan`` (a built-in plan name or JSON file)
-    activates deterministic fault injection for the server's lifetime —
-    chaos testing, never production.  ``rules=True`` serves opted-in jobs
-    through shared per-target rewrite-rule libraries (:mod:`repro.rules`)
-    stored under ``rules_dir`` (default: the cache directory).
-    ``telemetry_dir`` enables the persistent compile-telemetry corpus
-    (:mod:`repro.telemetry`): one record per completed job, summarized
-    at ``GET /telemetry/summary``.  ``node_id`` names this daemon within
-    a cluster (stamped into job views and telemetry records);
-    ``cache_tier`` (``host:port``) layers the shared verdict-cache tier
-    behind the node-local cache.
-    """
-    if fault_plan:
-        plan = faults.activate(faults.load_plan(fault_plan))
-        _log.warning("fault injection active", plan=plan.name or fault_plan,
-                     rules=len(plan.rules), seed=plan.seed)
-    server = CompileServer(
-        host=host, port=port, workers=workers, queue_size=queue_size,
-        cache_dir=cache_dir, aging_rate=aging_rate, quiet=quiet,
-        breaker_threshold=breaker_threshold,
-        breaker_cooldown_s=breaker_cooldown_s,
-        rules=rules, rules_dir=rules_dir,
-        telemetry_dir=telemetry_dir,
-        node_id=node_id, cache_tier=cache_tier,
-    )
-    bound_host, bound_port = server.address
-
-    def _on_signal(signum, frame):
-        server.request_shutdown()
-
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, _on_signal)
-
-    if port_file:
-        with open(port_file, "w", encoding="utf-8") as fh:
-            fh.write(f"{bound_host} {bound_port}\n")
-    _log.info("listening", url=f"http://{bound_host}:{bound_port}",
-              workers=workers, queue_size=queue_size)
-    server.serve_forever()
-    _log.info("drained and stopped")
-    return 0

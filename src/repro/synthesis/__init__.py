@@ -19,7 +19,7 @@ from ..ir import expr as ir_expr
 from ..targets import nodes as N, resolve_target
 from .engine import OracleCache
 from .lifting import Lifter, LiftStep, lift
-from .lowering import Lowerer, LoweringOptions, lower
+from .lowering import Lowerer, LoweringOptions
 from .oracle import LAYOUT_DEINTERLEAVED, LAYOUT_INORDER, Oracle, denote
 from .stats import SynthesisStats
 from .swizzle_synth import synthesize_swizzles
@@ -42,26 +42,16 @@ class RakeSelector:
     Reusable across expressions; accumulates statistics for Table 1.
     ``target`` retargets the whole lowering — sketch grammar, swizzle
     grammar, cost model and vector width — via a registered
-    :class:`~repro.targets.TargetDescription` (name or instance).
-    ``sketches_fn`` overrides just the sketch grammar (the pre-target
-    retargeting hook; still honored when given).
+    :class:`~repro.targets.TargetDescription` (name or instance; ``None``
+    is HVX).
     """
 
-    vbytes: int = 128
     options: LoweringOptions = field(default_factory=LoweringOptions)
     oracle: Oracle = field(default_factory=Oracle)
-    sketches_fn: object = None
     target: object = None
 
     def __post_init__(self) -> None:
-        if self.target is not None:
-            self.target = resolve_target(self.target)
-            if self.vbytes == RakeSelector.vbytes:
-                # vbytes left at the class default: the target decides.
-                # An explicit width (and an explicit sketches_fn) wins.
-                self.vbytes = self.target.vbytes
-        else:
-            self.target = resolve_target(None)
+        self.target = resolve_target(self.target)
 
     @property
     def stats(self) -> SynthesisStats:
@@ -85,9 +75,7 @@ class RakeSelector:
         for attempt in range(self.max_lift_retries):
             lifter = Lifter(self.oracle)
             lifted = lifter.lift(expr, frozenset(banned))
-            lowerer = Lowerer(self.oracle, vbytes=self.vbytes,
-                              options=self.options,
-                              sketches_fn=self.sketches_fn,
+            lowerer = Lowerer(self.oracle, options=self.options,
                               target=self.target)
             try:
                 program = lowerer.lower(lifted)
@@ -106,14 +94,12 @@ class RakeSelector:
 
 def select_instructions(
     expr: ir_expr.Expr,
-    vbytes: int = 128,
     options: LoweringOptions | None = None,
     oracle: Oracle | None = None,
     target=None,
 ) -> SelectionResult:
     """Run Rake on a single Halide IR vector expression."""
     selector = RakeSelector(
-        vbytes=vbytes,
         options=options or LoweringOptions(),
         oracle=oracle or Oracle(),
         target=target,

@@ -213,7 +213,7 @@ class Fingerprinter:
         state.D.append(env_index)
         state.D.sort()
         state.classes.clear()
-        self.oracle.stats.count_class_split()
+        self.oracle.stats.count("class_splits")
         self.oracle.tracer.event("fingerprint.split", env=env_index)
 
     def _full_mismatch_env(self, state: _SpecState, digests: dict,
@@ -294,7 +294,7 @@ class Fingerprinter:
             ):
                 return
             state.classes[self._key(state, digests)] = _VERIFIED
-            self.oracle.stats.count_class_formed()
+            self.oracle.stats.count("classes_formed")
             return
         # Refuted: the class is only sound if some environment in D
         # separates it from the spec.  When the refutation lives outside
@@ -311,4 +311,4 @@ class Fingerprinter:
             if not isinstance(digests, dict):
                 return
         state.classes[self._key(state, digests)] = _REFUTED
-        self.oracle.stats.count_class_formed()
+        self.oracle.stats.count("classes_formed")

@@ -36,17 +36,12 @@ class LoweringOptions:
 class Lowerer:
     """Runs Algorithm 2 over one lifted expression.
 
-    ``target`` selects the backend: its sketch grammar, swizzle grammar
-    and cost model (paper Section 6's retargeting).  ``sketches_fn``
-    overrides just the sketch grammar, which is how the original Neon
-    port retargeted before full target descriptions existed; it still
-    wins over ``target.sketches`` when both are given.
+    ``target`` selects the backend: its vector width, sketch grammar,
+    swizzle grammar and cost model (paper Section 6's retargeting).
     """
 
     oracle: Oracle
-    vbytes: int = 128
     options: LoweringOptions = field(default_factory=LoweringOptions)
-    sketches_fn: object = None
     target: object = None
     _memo: dict = field(default_factory=dict)
 
@@ -81,13 +76,13 @@ class Lowerer:
         best: N.HvxExpr | None = None
         beta = self.target.infinite_cost
         examined = 0
-        sketches = self.sketches_fn or self.target.sketches
         tracer = self.oracle.tracer
         with tracer.span("lowering", layout=layout) as lsp:
             if lsp:
                 lsp.set(uber=U.uber_name(e))
             try:
-                sketch_iter = sketches(e, self._child, self.vbytes)
+                sketch_iter = self.target.sketches(e, self._child,
+                                                   self.target.vbytes)
             except UnsupportedExpressionError:
                 if lsp:
                     lsp.set(unsupported=True)
@@ -150,17 +145,3 @@ class Lowerer:
 
     def _child(self, e: U.UberExpr, layout: str) -> N.HvxExpr | None:
         return self._lower(e, layout)
-
-
-def lower(
-    e: U.UberExpr,
-    oracle: Oracle,
-    vbytes: int = 128,
-    options: LoweringOptions | None = None,
-    target=None,
-) -> N.HvxExpr:
-    """Convenience wrapper: lower one lifted expression."""
-    return Lowerer(
-        oracle, vbytes=vbytes, options=options or LoweringOptions(),
-        target=target,
-    ).lower(e)

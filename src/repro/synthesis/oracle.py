@@ -311,8 +311,8 @@ class Oracle:
             if cached is not None:
                 # Cache-first keeps warm runs pure hits: they never pay
                 # for (or depend on) any fingerprint work.
-                self.stats.count_query()
-                self.stats.count_cache_hit()
+                self.stats.count("queries")
+                self.stats.count("cache_hits")
                 sp.set(cache="hit", verdict=bool(cached))
                 return cached
             fp = self._fingerprinter()
@@ -322,13 +322,13 @@ class Oracle:
                     # Not counted as a query — the oracle never ran — but
                     # still recorded under the canonical key so cold disk
                     # stores stay complete for warm replay.
-                    self.stats.count_fingerprint_hit()
-                    self.stats.count_query_saved()
+                    self.stats.count("fingerprint_hits")
+                    self.stats.count("queries_saved")
                     self.cache.record(key, verdict)
                     sp.set(cache="fingerprint", verdict=bool(verdict))
                     return verdict
-            self.stats.count_query()
-            self.stats.count_cache_miss()
+            self.stats.count("queries")
+            self.stats.count("cache_misses")
             verdict = self._check_full(spec, candidate, layout)
             self.cache.record(key, verdict)
             if fp is not None:
@@ -348,7 +348,7 @@ class Oracle:
             verdict = self._check_full_batched(spec, candidate, layout)
             if verdict is not None:
                 return verdict
-        self.stats.count_fallback_eval()
+        self.stats.count("fallback_evals")
 
         # Phase 1: replay counterexamples recorded for THIS spec — the
         # inputs that refuted earlier candidates reject look-alikes fast.
@@ -373,7 +373,7 @@ class Oracle:
                 replay.append((index, env))
                 if len(replay) > 8:
                     replay.pop(0)
-                self.stats.count_counterexample()
+                self.stats.count("counterexamples")
                 self.tracer.event("oracle.counterexample", index=index)
                 self.cache.record_counterexample(self._spec_key(spec), index)
                 return False
@@ -395,9 +395,9 @@ class Oracle:
         if plan is None or not batch_plan.plan_usable(plan, bank_data):
             return None
         if plan.pure:
-            self.stats.count_batched_eval()
+            self.stats.count("batched_evals")
         else:
-            self.stats.count_fallback_eval()
+            self.stats.count("fallback_evals")
         want = self._spec_matrix(spec, bank_data, ev)
         try:
             got = ev.denote_bank(plan, bank_data, layout)
@@ -433,7 +433,7 @@ class Oracle:
         replay.append((first, bank[first]))
         if len(replay) > 8:
             replay.pop(0)
-        self.stats.count_counterexample()
+        self.stats.count("counterexamples")
         self.tracer.event("oracle.counterexample", index=first)
         self.cache.record_counterexample(self._spec_key(spec), first)
         return False
@@ -450,14 +450,14 @@ class Oracle:
         with self._stage_ctx(), self.tracer.span(
             "oracle.query", tag="lane0", layout=layout
         ) as sp:
-            self.stats.count_query()
+            self.stats.count("queries")
             key = self.query_key(spec, candidate, layout, tag="lane0")
             cached = self.cache.lookup(key)
             if cached is not None:
-                self.stats.count_cache_hit()
+                self.stats.count("cache_hits")
                 sp.set(cache="hit", verdict=bool(cached))
                 return cached
-            self.stats.count_cache_miss()
+            self.stats.count("cache_misses")
             verdict = self._check_lane0(spec, candidate, layout)
             self.cache.record(key, verdict)
             sp.set(cache="miss", verdict=bool(verdict))

@@ -9,36 +9,20 @@ The memoization engine (:mod:`repro.synthesis.engine`) extends each stage
 with structured cache metrics: verdict-cache hits and misses and the number
 of new counterexamples discovered, which is how cold/warm compilation runs
 are compared.
+
+Every counter is declared once, in :data:`COUNTERS`.  The per-stage
+attributes of :class:`StageStats`, ``SynthesisStats.count(name)`` and
+``total(name)``, the ``as_dict()`` totals, the telemetry record's totals
+and the service's ``/metrics`` counters all follow from that table.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 STAGES = ("lifting", "sketching", "swizzling", "verify")
-
-
-@dataclass
-class StageStats:
-    queries: int = 0
-    time_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    counterexamples: int = 0
-    batched_evals: int = 0
-    fallback_evals: int = 0
-    #: observational-equivalence metrics (repro.synthesis.fingerprints):
-    #: queries answered by an equivalence class instead of the oracle,
-    #: classes formed, classes invalidated by a distinguishing valuation,
-    #: oracle queries avoided, and placeholder lookups served by a
-    #: precomputed pruned grammar
-    fingerprint_hits: int = 0
-    classes_formed: int = 0
-    class_splits: int = 0
-    queries_saved: int = 0
-    pruned_grammar_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -95,12 +79,20 @@ COUNTERS = (
                  "re-check"),
 )
 
-#: StageStats counter fields summed by merged_with / totals / as_dict
-_COUNTER_FIELDS = tuple(c.name for c in COUNTERS if c.per_stage)
+#: counters kept per stage, one :class:`StageStats` attribute each
+_STAGE_COUNTERS = tuple(c.name for c in COUNTERS if c.per_stage)
 
-#: SynthesisStats-level counters (not per stage: a rule hit answers a
-#: whole spec before any stage starts)
-_RUN_FIELDS = tuple(c.name for c in COUNTERS if not c.per_stage)
+#: counters kept per run, one :class:`SynthesisStats` attribute each (a
+#: rule hit answers a whole spec before any stage starts)
+_RUN_COUNTERS = tuple(c.name for c in COUNTERS if not c.per_stage)
+
+#: One stage's wall time and one ``int`` attribute per per-stage counter.
+StageStats = make_dataclass(
+    "StageStats",
+    [("time_s", float, 0.0)]
+    + [(name, int, 0) for name in _STAGE_COUNTERS],
+    namespace={"__module__": __name__},
+)
 
 
 @dataclass
@@ -134,167 +126,28 @@ class SynthesisStats:
             self.stages[name].time_s += time.perf_counter() - start
             self._active.pop()
 
-    def _innermost(self) -> StageStats | None:
-        if self._active:
-            return self.stages[self._active[-1]]
-        return None
+    def count(self, name: str) -> None:
+        """Add one to counter ``name``: a per-stage counter counts against
+        the innermost active stage (outside every stage it is dropped), a
+        run counter against the run."""
+        if name in _STAGE_COUNTERS:
+            if not self._active:
+                return
+            owner = self.stages[self._active[-1]]
+        elif name in _RUN_COUNTERS:
+            owner = self
+        else:
+            raise ValueError(f"unknown synthesis counter: {name}")
+        setattr(owner, name, getattr(owner, name) + 1)
 
-    def count_query(self) -> None:
-        """Record one synthesis query against the innermost active stage."""
-        stage = self._innermost()
-        if stage is not None:
-            stage.queries += 1
-
-    def count_cache_hit(self) -> None:
-        """Record one verdict answered from the memoization cache."""
-        stage = self._innermost()
-        if stage is not None:
-            stage.cache_hits += 1
-
-    def count_cache_miss(self) -> None:
-        """Record one verdict that required a full differential pass."""
-        stage = self._innermost()
-        if stage is not None:
-            stage.cache_misses += 1
-
-    def count_counterexample(self) -> None:
-        """Record one newly discovered refuting valuation."""
-        stage = self._innermost()
-        if stage is not None:
-            stage.counterexamples += 1
-
-    def count_rule_hit(self) -> None:
-        """Record one spec whose selection came from the rewrite-rule
-        library's pattern-match fast path (no sketch/swizzle search)."""
-        self.rule_hits += 1
-
-    def count_rule_miss(self) -> None:
-        """Record one spec the rule library could not answer (no pattern
-        matched, or every instantiation failed its re-check) — the spec
-        fell through to full CEGIS synthesis."""
-        self.rule_misses += 1
-
-    def count_rule_mined(self) -> None:
-        """Record one freshly synthesized selection generalized into a
-        rule and persisted to the library."""
-        self.rules_mined += 1
-
-    def count_rule_recheck_failure(self) -> None:
-        """Record one instantiated rule candidate refuted by the full
-        valuation-bank re-check (an over-general rule; soundness holds
-        because the re-check gates every rule hit)."""
-        self.rule_recheck_failures += 1
-
-    def count_batched_eval(self) -> None:
-        """Record one full check answered by a pure batched plan."""
-        stage = self._innermost()
-        if stage is not None:
-            stage.batched_evals += 1
-
-    def count_fallback_eval(self) -> None:
-        """Record one full check that ran (at least partly) on the scalar
-        interpreters: a non-batchable candidate, a plan with per-node
-        fallbacks, or a disabled/unavailable batched engine."""
-        stage = self._innermost()
-        if stage is not None:
-            stage.fallback_evals += 1
-
-    def count_fingerprint_hit(self) -> None:
-        """Record one query answered from an observational-equivalence
-        class (denotation fingerprints) without consulting the oracle."""
-        stage = self._innermost()
-        if stage is not None:
-            stage.fingerprint_hits += 1
-
-    def count_class_formed(self) -> None:
-        """Record one new equivalence class keyed by its fingerprint."""
-        stage = self._innermost()
-        if stage is not None:
-            stage.classes_formed += 1
-
-    def count_class_split(self) -> None:
-        """Record one class invalidation: a distinguishing valuation
-        outside the fingerprint set extended it, splitting stale classes."""
-        stage = self._innermost()
-        if stage is not None:
-            stage.class_splits += 1
-
-    def count_query_saved(self) -> None:
-        """Record one oracle query avoided by equivalence-class dedup."""
-        stage = self._innermost()
-        if stage is not None:
-            stage.queries_saved += 1
-
-    def count_pruned_grammar_hit(self) -> None:
-        """Record one placeholder whose realizations came from a
-        precomputed pruned grammar instead of full enumeration."""
-        stage = self._innermost()
-        if stage is not None:
-            stage.pruned_grammar_hits += 1
-
-    @property
-    def total_queries(self) -> int:
-        return sum(s.queries for s in self.stages.values())
-
-    @property
-    def total_time_s(self) -> float:
-        return sum(s.time_s for s in self.stages.values())
-
-    @property
-    def total_cache_hits(self) -> int:
-        return sum(s.cache_hits for s in self.stages.values())
-
-    @property
-    def total_cache_misses(self) -> int:
-        return sum(s.cache_misses for s in self.stages.values())
-
-    @property
-    def total_counterexamples(self) -> int:
-        return sum(s.counterexamples for s in self.stages.values())
-
-    @property
-    def total_batched_evals(self) -> int:
-        return sum(s.batched_evals for s in self.stages.values())
-
-    @property
-    def total_fallback_evals(self) -> int:
-        return sum(s.fallback_evals for s in self.stages.values())
-
-    @property
-    def total_fingerprint_hits(self) -> int:
-        return sum(s.fingerprint_hits for s in self.stages.values())
-
-    @property
-    def total_classes_formed(self) -> int:
-        return sum(s.classes_formed for s in self.stages.values())
-
-    @property
-    def total_class_splits(self) -> int:
-        return sum(s.class_splits for s in self.stages.values())
-
-    @property
-    def total_queries_saved(self) -> int:
-        return sum(s.queries_saved for s in self.stages.values())
-
-    @property
-    def total_pruned_grammar_hits(self) -> int:
-        return sum(s.pruned_grammar_hits for s in self.stages.values())
-
-    def merged_with(self, other: "SynthesisStats") -> "SynthesisStats":
-        out = SynthesisStats()
-        for name in STAGES:
-            mine, theirs, merged = (
-                self.stages[name], other.stages[name], out.stages[name]
-            )
-            merged.time_s = mine.time_s + theirs.time_s
-            for fname in _COUNTER_FIELDS:
-                setattr(merged, fname,
-                        getattr(mine, fname) + getattr(theirs, fname))
-        out.expressions = self.expressions + other.expressions
-        for fname in _RUN_FIELDS:
-            setattr(out, fname,
-                    getattr(self, fname) + getattr(other, fname))
-        return out
+    def total(self, name: str):
+        """Counter ``name`` summed over the stages (a run counter's value
+        as it stands); ``"time_s"`` gives the stages' summed time."""
+        if name in _RUN_COUNTERS:
+            return getattr(self, name)
+        if name not in _STAGE_COUNTERS and name != "time_s":
+            raise ValueError(f"unknown synthesis counter: {name}")
+        return sum(getattr(s, name) for s in self.stages.values())
 
     def summary(self) -> dict:
         return {
@@ -316,16 +169,12 @@ class SynthesisStats:
             "stages": {
                 name: {
                     "time_s": round(s.time_s, 6),
-                    **{f: getattr(s, f) for f in _COUNTER_FIELDS},
+                    **{f: getattr(s, f) for f in _STAGE_COUNTERS},
                 }
                 for name, s in self.stages.items()
             },
             "totals": {
-                "time_s": round(self.total_time_s, 6),
-                **{
-                    f: sum(getattr(s, f) for s in self.stages.values())
-                    for f in _COUNTER_FIELDS
-                },
-                **{f: getattr(self, f) for f in _RUN_FIELDS},
+                "time_s": round(self.total("time_s"), 6),
+                **{c.name: self.total(c.name) for c in COUNTERS},
             },
         }

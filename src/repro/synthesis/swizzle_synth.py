@@ -152,7 +152,7 @@ def _synthesize(spec, sketch_expr, layout, oracle, budget, placeholders,
         options, pruned = _ranked_realizations(ph, target)
         if pruned:
             pruned_hits += 1
-            oracle.stats.count_pruned_grammar_hit()
+            oracle.stats.count("pruned_grammar_hits")
         option_lists.append(options)
     if sp and pruned_hits:
         sp.set(pruned_placeholders=pruned_hits)
@@ -210,5 +210,5 @@ def _synthesize(spec, sketch_expr, layout, oracle, budget, placeholders,
         if oracle.equivalent(spec, expr, layout):
             return expr, impl_cost
     if over_budget:
-        oracle.stats.count_query()
+        oracle.stats.count("queries")
     return None

@@ -122,12 +122,11 @@ class TargetDescription:
 
     # -- surrounding toolchain ---------------------------------------------
 
-    def baseline(self, vbytes: int | None = None):
+    def baseline(self):
         """The fallback pattern-matching optimizer (paper's 'LLVM')."""
         from ..baseline import HalideOptimizer
 
-        return HalideOptimizer(vbytes=self.vbytes if vbytes is None
-                               else vbytes)
+        return HalideOptimizer(vbytes=self.vbytes)
 
     def machine(self):
         """The cycle simulator's :class:`~repro.sim.machine.MachineConfig`."""

@@ -39,7 +39,7 @@ def held_server():
     from repro.service import CompileServer
     from repro.service.protocol import CompileResult
 
-    def quick_compile(request, cancel, cache):
+    def quick_compile(request, cancel, cache, **_):
         return CompileResult(workload=request.workload,
                              backend=request.backend, total_cycles=1)
 

@@ -350,8 +350,8 @@ def test_compile_identical_with_and_without_batching():
                 program_listing(ce.program)
                 for cs in compiled.stages for ce in cs.exprs
             )
-            runs[batch] = (listing, stats.total_counterexamples,
-                           stats.total_queries)
+            runs[batch] = (listing, stats.total("counterexamples"),
+                           stats.total("queries"))
         assert runs[True] == runs[False]
 
 
@@ -368,8 +368,8 @@ def test_verdict_cache_warm_loads_across_batching_modes(tmp_path):
     warm = SynthesisStats()
     compile_pipeline(wl.build(), backend="rake", batch_eval=True,
                      stats=warm, cache_dir=str(tmp_path))
-    assert warm.total_cache_misses == 0
-    assert warm.total_cache_hits > 0
+    assert warm.total("cache_misses") == 0
+    assert warm.total("cache_hits") > 0
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +467,6 @@ def test_lane0_counts_no_evaluations():
         oracle = Oracle(batch_eval=batch)
         for op in ("vadd", "vsub", "vmax"):
             oracle.equivalent_lane0(spec, H.HvxInstr(op, (ha, hb)))
-        assert oracle.stats.total_cache_misses == 3
-        assert oracle.stats.total_batched_evals == 0
-        assert oracle.stats.total_fallback_evals == 0
+        assert oracle.stats.total("cache_misses") == 3
+        assert oracle.stats.total("batched_evals") == 0
+        assert oracle.stats.total("fallback_evals") == 0

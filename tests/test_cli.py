@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _store_dirs, build_parser, main
 
 
 class TestParser:
@@ -259,3 +261,53 @@ class TestTraceCommand:
                      "--trace-out", str(path)]) == 0
         assert "wrote Chrome trace" in capsys.readouterr().out
         assert validate_chrome_trace(json.loads(path.read_text())) == []
+
+
+@pytest.mark.parametrize("argv", [["compile", "mul"], ["serve"],
+                                  ["mine-rules"]],
+                         ids=lambda argv: argv[0])
+def test_store_directory_rules(argv, tmp_path, monkeypatch, capsys):
+    """compile, serve and mine-rules resolve their cache, rules and
+    telemetry directories by the same rules."""
+    default = str(tmp_path / "default")
+    monkeypatch.setenv("REPRO_CACHE_DIR", default)
+    mining = argv[0] == "mine-rules"
+    cache, rules, telemetry = (str(tmp_path / name)
+                               for name in ("c", "r", "t"))
+
+    def dirs(*flags):
+        return _store_dirs(build_parser().parse_args(argv + list(flags)))
+
+    # --cache-dir beats --cache, which beats no flag.
+    assert dirs()[0] is None
+    assert dirs("--cache")[0] == default
+    assert dirs("--cache", "--cache-dir", cache)[0] == cache
+    # --rules-dir implies --rules unless --no-rules is given; rules
+    # default to the cache dir, else the default cache dir.
+    assert dirs("--rules-dir", rules)[1] == rules
+    if mining:
+        assert dirs()[1] == default
+        assert dirs("--cache-dir", cache)[1] == cache
+        assert dirs()[2] is None
+    else:
+        assert dirs()[1] is None
+        assert dirs("--rules")[1] == default
+        assert dirs("--rules", "--cache-dir", cache)[1] == cache
+        assert dirs("--no-rules", "--rules-dir", rules)[1] is None
+        # --telemetry-dir implies --telemetry.
+        assert dirs()[2] is None
+        assert dirs("--telemetry-dir", telemetry)[2] == telemetry
+        assert dirs("--telemetry")[2] == os.path.join(default, "telemetry")
+    # An unwritable directory is a one-line error that names the flag.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    bad = str(blocker / "sub")
+    cases = [("--cache-dir", ["--cache-dir", bad]),
+             ("--rules-dir" if mining else "--rules", ["--rules-dir", bad])]
+    if not mining:
+        cases.append(("--telemetry", ["--telemetry-dir", bad]))
+    for flag, flags in cases:
+        assert main(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ")
+        assert err.count("\n") == 1

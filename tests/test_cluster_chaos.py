@@ -177,7 +177,7 @@ class TestDrainUnderConcurrentSubmitters:
     def test_drain_never_strands_an_accepted_job(self):
         from repro.service.scheduler import CompileResult
 
-        def slow_compile(request, cancel, cache):
+        def slow_compile(request, cancel, cache, **_):
             return CompileResult(workload=request.workload,
                                  backend=request.backend, total_cycles=1)
 

@@ -31,7 +31,7 @@ def no_leaked_plan():
     faults.deactivate()
 
 
-def quick_compile(request, cancel, cache):
+def quick_compile(request, cancel, cache, **_):
     return CompileResult(workload=request.workload, backend=request.backend,
                          total_cycles=1)
 

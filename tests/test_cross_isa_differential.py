@@ -71,16 +71,16 @@ class TestBatchedCoverageGate:
         compiled = compile_pipeline(workloads.get(name).build(),
                                     target="neon")
         stats = compiled.stats
-        assert stats.total_batched_evals > 0
-        assert stats.total_fallback_evals == 0, (
-            f"{stats.total_fallback_evals} Neon oracle evaluations fell "
+        assert stats.total("batched_evals") > 0
+        assert stats.total("fallback_evals") == 0, (
+            f"{stats.total('fallback_evals')} Neon oracle evaluations fell "
             f"back to the scalar interpreter"
         )
 
     def test_hvx_queries_stay_batched(self):
         compiled = compile_pipeline(workloads.get("box_blur").build())
-        assert compiled.stats.total_batched_evals > 0
-        assert compiled.stats.total_fallback_evals == 0
+        assert compiled.stats.total("batched_evals") > 0
+        assert compiled.stats.total("fallback_evals") == 0
 
 
 class TestDifferentialMechanics:

@@ -200,8 +200,8 @@ class TestOracleMemoization:
         cand = B.shl(B.widen(u8v()), B.broadcast(1, 8, U16))
         assert oracle.equivalent(spec, cand)
         assert oracle.equivalent(spec, cand)
-        assert oracle.stats.total_cache_hits == 1
-        assert oracle.stats.total_cache_misses == 1
+        assert oracle.stats.total("cache_hits") == 1
+        assert oracle.stats.total("cache_misses") == 1
 
     def test_negative_verdicts_cached(self):
         oracle = Oracle()
@@ -209,16 +209,16 @@ class TestOracleMemoization:
         wrong = B.widen(u8v()) * 3
         assert not oracle.equivalent(spec, wrong)
         assert not oracle.equivalent(spec, wrong)
-        assert oracle.stats.total_cache_hits == 1
+        assert oracle.stats.total("cache_hits") == 1
 
     def test_lane0_queries_cached_separately(self):
         oracle = Oracle()
         spec, cand = u8v(), u8v()
         assert oracle.equivalent(spec, cand)
         assert oracle.equivalent_lane0(spec, cand)  # full hit can't answer
-        assert oracle.stats.total_cache_misses == 2
+        assert oracle.stats.total("cache_misses") == 2
         assert oracle.equivalent_lane0(spec, cand)
-        assert oracle.stats.total_cache_hits == 1
+        assert oracle.stats.total("cache_hits") == 1
 
     def test_out_of_stage_queries_attributed_to_verify(self):
         oracle = Oracle()
@@ -239,8 +239,8 @@ class TestOracleMemoization:
 
         second = Oracle(cache=OracleCache.with_disk(tmp_path))
         assert second.equivalent(spec, cand)
-        assert second.stats.total_cache_hits == 1
-        assert second.stats.total_cache_misses == 0
+        assert second.stats.total("cache_hits") == 1
+        assert second.stats.total("cache_misses") == 0
 
     def test_cached_verdict_needs_no_evaluation(self, tmp_path, monkeypatch):
         # A warm store answers without building a valuation bank at all.
@@ -277,7 +277,7 @@ class TestOracleMemoization:
         oracle = Oracle()
         assert oracle.equivalent(B.widen(u8v("a")) * 2, B.widen(u8v("a")) * 2)
         assert oracle.equivalent(B.widen(u8v("b")) * 2, B.widen(u8v("b")) * 2)
-        assert oracle.stats.total_cache_hits == 1
+        assert oracle.stats.total("cache_hits") == 1
 
 
 class TestConcurrentWriters:

@@ -15,6 +15,7 @@ import pytest
 
 import repro.workloads  # noqa: F401 - populate the registry
 from repro import faults
+from repro.cancel import CancelToken
 from repro.errors import DeadlineExceededError
 from repro.hvx import program_listing
 from repro.pipeline import compile_pipeline
@@ -75,8 +76,8 @@ class TestSlowOraclePlan:
         wl = get(WORKLOAD)
         with faults.injected(faults.load_plan("slow-oracle")):
             with pytest.raises(DeadlineExceededError):
-                compile_pipeline(
-                    wl.build(), cache=OracleCache(), deadline_s=0.1)
+                compile_pipeline(wl.build(), cache=OracleCache(),
+                                 cancel=CancelToken(timeout=0.1))
 
     def test_without_deadline_result_is_byte_identical(self, clean_reference):
         plan = faults.load_plan("slow-oracle")

@@ -263,24 +263,6 @@ class TestRetryPolicy:
         assert [a.delay(i) for i in range(3)] == \
             [b.delay(i) for i in range(3)]
 
-    def test_run_retries_then_succeeds(self):
-        calls = []
-        policy = RetryPolicy(attempts=2, base_s=0.0)
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise RuntimeError("transient")
-            return "ok"
-
-        assert policy.run(flaky) == "ok"
-        assert len(calls) == 3
-
-    def test_run_exhausts_budget_and_reraises(self):
-        policy = RetryPolicy(attempts=1, base_s=0.0)
-        with pytest.raises(RuntimeError):
-            policy.run(lambda: (_ for _ in ()).throw(RuntimeError("perm")))
-
 
 class TestCircuitBreaker:
     def make(self, threshold=2, cooldown=10.0):

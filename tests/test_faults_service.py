@@ -38,16 +38,16 @@ def no_leaked_plan():
     faults.deactivate()
 
 
-def quick_compile(request, cancel, cache):
+def quick_compile(request, cancel, cache, **_):
     return CompileResult(workload=request.workload, backend=request.backend,
                          total_cycles=1)
 
 
-def crash_compile(request, cancel, cache):
+def crash_compile(request, cancel, cache, **_):
     raise RuntimeError("synthesis exploded")  # untyped: a real crash
 
 
-def typed_failure_compile(request, cancel, cache):
+def typed_failure_compile(request, cancel, cache, **_):
     raise ProtocolError("bad request, healthy worker")
 
 
@@ -95,7 +95,7 @@ class TestSchedulerBreaker:
         calls = {"n": 0}
         healthy = threading.Event()
 
-        def flaky(request, cancel, cache):
+        def flaky(request, cancel, cache, **_):
             calls["n"] += 1
             if not healthy.is_set():
                 raise RuntimeError("still broken")
@@ -120,7 +120,7 @@ class TestSchedulerBreaker:
             sched.shutdown(drain=False)
 
     def test_degraded_results_counted_and_flagged(self):
-        def degraded_compile(request, cancel, cache):
+        def degraded_compile(request, cancel, cache, **_):
             return CompileResult(workload=request.workload,
                                  backend=request.backend,
                                  total_cycles=9, fallbacks=1, degraded=True)

@@ -64,9 +64,9 @@ class TestFingerprintFanOut:
         assert oracle.equivalent(spec, mul, LAYOUT_INORDER) is True
         # the mul form shares the shl form's denotation: one oracle
         # query, one class, one fan-out
-        assert oracle.stats.total_queries == 1
-        assert oracle.stats.total_fingerprint_hits == 1
-        assert oracle.stats.total_classes_formed == 1
+        assert oracle.stats.total("queries") == 1
+        assert oracle.stats.total("fingerprint_hits") == 1
+        assert oracle.stats.total("classes_formed") == 1
 
     def test_refuted_class_fans_out_false(self):
         oracle = Oracle()
@@ -75,8 +75,8 @@ class TestFingerprintFanOut:
         summed = B.widen(u8v()) + B.widen(u8v()) + B.widen(u8v())
         assert oracle.equivalent(spec, tripled, LAYOUT_INORDER) is False
         assert oracle.equivalent(spec, summed, LAYOUT_INORDER) is False
-        assert oracle.stats.total_queries == 1
-        assert oracle.stats.total_fingerprint_hits == 1
+        assert oracle.stats.total("queries") == 1
+        assert oracle.stats.total("fingerprint_hits") == 1
 
     def test_fingerprint_verdicts_recorded_in_cache(self):
         # Fan-out verdicts still land in the verdict cache: a warm run
@@ -90,8 +90,8 @@ class TestFingerprintFanOut:
         oracle.equivalent(spec, mul, LAYOUT_INORDER)
         warm = Oracle(cache=oracle.cache)
         assert warm.equivalent(spec, mul, LAYOUT_INORDER) is True
-        assert warm.stats.total_cache_hits == 1
-        assert warm.stats.total_fingerprint_hits == 0
+        assert warm.stats.total("cache_hits") == 1
+        assert warm.stats.total("fingerprint_hits") == 0
 
     def test_dropped_oracle_is_freed_at_once(self):
         # The index must hold its oracle weakly, or each finished
@@ -101,7 +101,7 @@ class TestFingerprintFanOut:
         oracle.equivalent(spec, B.shl(B.widen(u8v()), B.broadcast(1, 8, U16)),
                           LAYOUT_INORDER)
         assert oracle.equivalent(spec, B.widen(u8v()) * 2, LAYOUT_INORDER)
-        assert oracle.stats.total_fingerprint_hits == 1
+        assert oracle.stats.total("fingerprint_hits") == 1
         dropped = weakref.ref(oracle)
         gc.disable()
         try:
@@ -117,8 +117,8 @@ class TestFingerprintFanOut:
             spec, B.shl(B.widen(u8v()), B.broadcast(1, 8, U16)),
             LAYOUT_INORDER)
         oracle.equivalent(spec, B.widen(u8v()) * 2, LAYOUT_INORDER)
-        assert oracle.stats.total_queries == 2
-        assert oracle.stats.total_fingerprint_hits == 0
+        assert oracle.stats.total("queries") == 2
+        assert oracle.stats.total("fingerprint_hits") == 0
 
 
 @st.composite
@@ -186,7 +186,7 @@ class TestClassSplits:
         # compile where resolve/learn always run inside one
         with oracle.stats.stage("swizzling"):
             assert fp.resolve(spec, wrong, LAYOUT_INORDER) is False
-        assert oracle.stats.total_class_splits == 1
+        assert oracle.stats.total("class_splits") == 1
         assert outside[0] in state.D
         assert state.classes == {}  # stale classes invalidated
 
@@ -208,7 +208,7 @@ class TestClassSplits:
             state, outside[0])
         with oracle.stats.stage("swizzling"):
             fp.learn(spec, wrong, LAYOUT_INORDER, False)
-        assert oracle.stats.total_class_splits == 1
+        assert oracle.stats.total("class_splits") == 1
         assert outside[0] in state.D
         assert list(state.classes.values()) == [_REFUTED]
 
@@ -228,7 +228,7 @@ class TestClassSplits:
         state.cand_digests[(wrong, LAYOUT_INORDER)] = dict(state.spec_digests)
         fp.learn(spec, wrong, LAYOUT_INORDER, False)
         assert state.classes == {}
-        assert oracle.stats.total_class_splits == 0
+        assert oracle.stats.total("class_splits") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +247,8 @@ def test_no_fingerprints_identical_selection(name, target):
     without = compile_pipeline(wl.build(), backend="rake", target=target,
                                fingerprints=False)
     assert _selection(with_fp) == _selection(without)
-    assert with_fp.stats.total_queries <= without.stats.total_queries
-    assert without.stats.total_fingerprint_hits == 0
+    assert with_fp.stats.total("queries") <= without.stats.total("queries")
+    assert without.stats.total("fingerprint_hits") == 0
 
 
 @pytest.mark.slow
@@ -408,11 +408,11 @@ class TestOfflineBuilder:
         same programs (just without the pruned-grammar savings)."""
         wl = get("dilate3x3")
         masked = compile_pipeline(wl.build(), backend="rake")
-        assert masked.stats.total_pruned_grammar_hits == 0
+        assert masked.stats.total("pruned_grammar_hits") == 0
         os.environ.pop(pruning.ENV_DIR, None)
         pruning.invalidate()
         shipped = compile_pipeline(wl.build(), backend="rake")
-        assert shipped.stats.total_pruned_grammar_hits > 0
+        assert shipped.stats.total("pruned_grammar_hits") > 0
         assert _selection(masked) == _selection(shipped)
 
 

@@ -123,7 +123,7 @@ class TestNeonSynthesis:
     def test_selector_stats_accumulate(self):
         selector = neon_selector()
         selector.select(B.widen(u8v()))
-        assert selector.stats.total_queries > 0
+        assert selector.stats.total("queries") > 0
 
     def test_vector_width_is_q_register(self):
         assert NEON_VBYTES == 16

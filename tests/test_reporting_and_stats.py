@@ -13,7 +13,7 @@ from repro.reporting import (
     speedup_figure,
 )
 from repro.synthesis.lifting import LiftStep
-from repro.synthesis.stats import STAGES, SynthesisStats
+from repro.synthesis.stats import COUNTERS, STAGES, SynthesisStats
 
 
 class TestGeomean:
@@ -91,20 +91,20 @@ class TestSynthesisStats:
     def test_stage_attribution(self):
         stats = SynthesisStats()
         with stats.stage("lifting"):
-            stats.count_query()
-            stats.count_query()
+            stats.count("queries")
+            stats.count("queries")
         with stats.stage("swizzling"):
-            stats.count_query()
+            stats.count("queries")
         assert stats.stages["lifting"].queries == 2
         assert stats.stages["swizzling"].queries == 1
-        assert stats.total_queries == 3
+        assert stats.total("queries") == 3
 
     def test_nested_stages_attribute_innermost(self):
         stats = SynthesisStats()
         with stats.stage("sketching"):
             with stats.stage("swizzling"):
-                stats.count_query()
-            stats.count_query()
+                stats.count("queries")
+            stats.count("queries")
         assert stats.stages["swizzling"].queries == 1
         assert stats.stages["sketching"].queries == 1
 
@@ -119,23 +119,31 @@ class TestSynthesisStats:
         with stats.stage("lifting"):
             time.sleep(0.01)
         assert stats.stages["lifting"].time_s > 0
-        assert stats.total_time_s > 0
+        assert stats.total("time_s") > 0
 
     def test_queries_outside_stage_ignored(self):
         stats = SynthesisStats()
-        stats.count_query()
-        assert stats.total_queries == 0
+        stats.count("queries")
+        assert stats.total("queries") == 0
 
-    def test_merged_with(self):
-        a, b = SynthesisStats(), SynthesisStats()
-        with a.stage("lifting"):
-            a.count_query()
-        with b.stage("lifting"):
-            b.count_query()
-        b.expressions = 2
-        merged = a.merged_with(b)
-        assert merged.stages["lifting"].queries == 2
-        assert merged.expressions == 2
+    @pytest.mark.parametrize("counter", COUNTERS, ids=lambda c: c.name)
+    def test_every_counter_counts_and_totals(self, counter):
+        stats = SynthesisStats()
+        if counter.per_stage:
+            with stats.stage("sketching"):
+                stats.count(counter.name)
+            assert getattr(stats.stages["sketching"], counter.name) == 1
+        else:
+            stats.count(counter.name)
+        assert stats.total(counter.name) == 1
+        assert stats.as_dict()["totals"][counter.name] == 1
+
+    def test_unknown_counter_rejected(self):
+        stats = SynthesisStats()
+        with pytest.raises(ValueError, match="unknown synthesis counter"):
+            stats.count("query")
+        with pytest.raises(ValueError, match="unknown synthesis counter"):
+            stats.total("query")
 
     def test_summary_keys(self):
         stats = SynthesisStats()
@@ -147,33 +155,21 @@ class TestSynthesisStats:
     def test_cache_metrics_attributed(self):
         stats = SynthesisStats()
         with stats.stage("sketching"):
-            stats.count_cache_hit()
-            stats.count_cache_miss()
-            stats.count_counterexample()
+            stats.count("cache_hits")
+            stats.count("cache_misses")
+            stats.count("counterexamples")
         assert stats.stages["sketching"].cache_hits == 1
         assert stats.stages["sketching"].cache_misses == 1
         assert stats.stages["sketching"].counterexamples == 1
-        assert stats.total_cache_hits == 1
-        assert stats.total_cache_misses == 1
-        assert stats.total_counterexamples == 1
-
-    def test_merged_with_cache_metrics(self):
-        a, b = SynthesisStats(), SynthesisStats()
-        with a.stage("lifting"):
-            a.count_cache_hit()
-        with b.stage("lifting"):
-            b.count_cache_miss()
-            b.count_counterexample()
-        merged = a.merged_with(b)
-        assert merged.stages["lifting"].cache_hits == 1
-        assert merged.stages["lifting"].cache_misses == 1
-        assert merged.stages["lifting"].counterexamples == 1
+        assert stats.total("cache_hits") == 1
+        assert stats.total("cache_misses") == 1
+        assert stats.total("counterexamples") == 1
 
     def test_as_dict_shape(self):
         stats = SynthesisStats()
         with stats.stage("swizzling"):
-            stats.count_query()
-            stats.count_cache_miss()
+            stats.count("queries")
+            stats.count("cache_misses")
         d = stats.as_dict()
         assert set(d) == {"expressions", "stages", "totals"}
         assert set(d["stages"]) == set(STAGES)
@@ -192,10 +188,10 @@ class TestSynthesisStats:
 
         stats = SynthesisStats()
         with stats.stage("lifting"):
-            stats.count_query()
-            stats.count_cache_hit()
-            stats.count_query()
-            stats.count_cache_miss()
+            stats.count("queries")
+            stats.count("cache_hits")
+            stats.count("queries")
+            stats.count("cache_misses")
         text = engine_summary(stats)
         assert "oracle queries: 2" in text
         assert "1 cache hits" in text

@@ -68,7 +68,7 @@ def clean_reference():
     wl = get(WORKLOAD)
     stats = SynthesisStats()
     compiled = compile_pipeline(wl.build(), cache=OracleCache(), stats=stats)
-    return listings(compiled), stats.total_cache_misses
+    return listings(compiled), stats.total("cache_misses")
 
 
 def assert_store_is_sound(path):
@@ -114,7 +114,7 @@ class TestCancelledCompileLeavesSoundCaches:
         warm_stats = SynthesisStats()
         warm = compile_pipeline(wl.build(), cache=cache, stats=warm_stats)
         assert listings(warm) == reference
-        assert warm_stats.total_cache_misses <= clean_misses
+        assert warm_stats.total("cache_misses") <= clean_misses
 
     def test_deadline_mid_compile_is_equally_sound(self, tmp_path,
                                                    clean_reference):
@@ -123,7 +123,8 @@ class TestCancelledCompileLeavesSoundCaches:
         wl = get(WORKLOAD)
         with pytest.raises(DeadlineExceededError):
             # Far shorter than a cold compile: expires inside synthesis.
-            compile_pipeline(wl.build(), cache=cache, deadline_s=0.02)
+            compile_pipeline(wl.build(), cache=cache,
+                             cancel=CancelToken(timeout=0.02))
         cache.flush()
         assert_store_is_sound(tmp_path / "oracle.jsonl")
         warm = compile_pipeline(wl.build(), cache=cache)
@@ -138,7 +139,7 @@ class TestSchedulerCancelRealCompile:
         started = threading.Event()
         proceed = threading.Event()
 
-        def gated(request, cancel, cache):
+        def gated(request, cancel, cache, **_):
             # Hold the worker at a query boundary so the test can land a
             # cancel while the job is deterministically RUNNING; the real
             # compile then observes the tripped token at its first check.
@@ -185,7 +186,7 @@ class TestSchedulerCancelRealCompile:
     def test_queued_job_with_passed_deadline_never_compiles(self):
         ran = []
 
-        def tattling(request, cancel, cache):
+        def tattling(request, cancel, cache, **_):
             ran.append(request)  # pragma: no cover - must not happen
             return default_compile_fn(request, cancel, cache)
 

@@ -66,6 +66,8 @@ class TestCompileRequest:
         {"height": False},
         {"priority": True},
         {"batch_eval": 1},
+        {"deadline_s": True},
+        {"deadline_s": False},
     ])
     def test_invalid_fields_rejected(self, patch):
         data = {"workload": "mul", **patch}

@@ -26,12 +26,12 @@ from repro.service.protocol import (
 from repro.service.scheduler import JobScheduler
 
 
-def quick_compile(request, cancel, cache):
+def quick_compile(request, cancel, cache, **_):
     return CompileResult(workload=request.workload, backend=request.backend,
                          total_cycles=1)
 
 
-def cancellable_compile(request, cancel, cache):
+def cancellable_compile(request, cancel, cache, **_):
     """Spin at query-boundary granularity until cancelled/timed out."""
     for _ in range(2000):
         cancel.check()
@@ -152,7 +152,7 @@ class TestAdmission:
             s.submit(CompileRequest(workload="mul"))
 
     def test_worker_survives_failing_job(self):
-        def flaky(request, cancel, cache):
+        def flaky(request, cancel, cache, **_):
             if request.width == 64:
                 raise RuntimeError("boom")
             return quick_compile(request, cancel, cache)
@@ -257,7 +257,7 @@ class TestCancellationAndDeadlines:
     def test_cancel_queued_job_never_runs(self):
         ran = []
 
-        def tattling(request, cancel, cache):
+        def tattling(request, cancel, cache, **_):
             ran.append(request)
             return quick_compile(request, cancel, cache)
 
@@ -321,7 +321,7 @@ class TestShutdown:
 
         cache = OracleCache.with_disk(tmp_path)
 
-        def recording(request, cancel, cache):
+        def recording(request, cancel, cache, **_):
             cache.record("k" * 64, True)
             return quick_compile(request, cancel, cache)
 

