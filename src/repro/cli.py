@@ -214,13 +214,11 @@ def _cmd_list(args) -> int:
 
 def _compile_one(name: str, backend: str, show_programs: bool,
                  width: int | None, height: int | None, asm: bool = False,
-                 cache_dir: str | None = None,
-                 batch_eval: bool = True, fingerprints: bool = True,
+                 cache_dir: str | None = None, batch_eval: bool = True,
                  tracer=None, target: str = "hvx", rules=None):
     wl = get(name)
     compiled = compile_pipeline(wl.build(), backend=backend,
                                 cache_dir=cache_dir, batch_eval=batch_eval,
-                                fingerprints=fingerprints,
                                 tracer=tracer, target=target, rules=rules)
     cycles = measure(compiled, width or wl.width, height or wl.height)
     label = backend if target == "hvx" else f"{backend}/{target}"
@@ -285,7 +283,6 @@ def _cmd_compile(args) -> int:
                 args.workload, backend, args.show_programs, args.width,
                 args.height, asm=args.asm, cache_dir=cache_dir,
                 batch_eval=not args.no_batch_eval,
-                fingerprints=not args.no_fingerprints,
                 tracer=tracer, target=args.target,
                 rules=rules_lib if backend == "rake" else None,
             )
@@ -324,7 +321,6 @@ def _cmd_compile(args) -> int:
                 degraded=bool(getattr(compiled, "degraded", False)),
                 knobs={
                     "batch_eval": not args.no_batch_eval,
-                    "fingerprints": not args.no_fingerprints,
                     "rules": rules_lib is not None and backend == "rake",
                     "cache": cache_dir is not None,
                 },
@@ -390,8 +386,7 @@ def _cmd_speedups(args) -> int:
             continue
         _log.info("compiling", workload=wl.name)
         rake = compile_pipeline(wl.build(), backend="rake",
-                                batch_eval=not args.no_batch_eval,
-                                fingerprints=not args.no_fingerprints)
+                                batch_eval=not args.no_batch_eval)
         base = compile_pipeline(wl.build(), backend="baseline")
         rows.append(SpeedupRow(
             name=wl.name,
@@ -780,12 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the batched NumPy oracle and check "
                             "every valuation through the scalar "
                             "interpreters (identical verdicts, slower)")
-    fingerprints = shared()
-    fingerprints.add_argument("--no-fingerprints", action="store_true",
-                              help="disable observational-equivalence "
-                                   "dedup (denotation fingerprints) and "
-                                   "query the oracle for every candidate "
-                                   "(identical selections, more queries)")
     cache = shared()
     cache.add_argument("--cache", action="store_true",
                        help="persist oracle verdicts in the default cache "
@@ -839,8 +828,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compile = sub.add_parser(
         "compile", help="compile one benchmark",
-        parents=[target, size, cache, batch, fingerprints, fault_plan,
-                 rules, rules_dir, telemetry])
+        parents=[target, size, cache, batch, fault_plan, rules, rules_dir,
+                 telemetry])
     p_compile.add_argument("workload")
     p_compile.add_argument("--backend", choices=("rake", "baseline", "both"),
                            default="both")
@@ -860,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_speed = sub.add_parser("speedups",
                              help="the Figure 11 sweep (slow: full synthesis)",
-                             parents=[batch, fingerprints])
+                             parents=[batch])
     p_speed.add_argument("--only", nargs="*", default=None,
                          help="restrict to these workloads")
 

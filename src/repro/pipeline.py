@@ -116,7 +116,6 @@ def compile_pipeline(
     cache: OracleCache | None = None,
     cache_dir: str | None = None,
     batch_eval: bool = True,
-    fingerprints: bool = True,
     cancel: CancelToken | None = None,
     tracer=None,
     target: str = "hvx",
@@ -154,12 +153,11 @@ def compile_pipeline(
     against the full valuation bank (inside ``match``) *and* by the final
     verify pass below, so selections are sound with or without rules.
 
-    Three switches exist for ablations and differential tests; each
+    Two switches exist for ablations and differential tests; each
     leaves the selections unchanged.  ``options`` sets the paper's
     lowering design choices (EXPERIMENTS.md A3 measures lane-0 pruning
     through it).  ``batch_eval=False`` forces every oracle check onto the
-    scalar interpreters.  ``fingerprints=False`` disables
-    observational-equivalence dedup (:mod:`repro.synthesis.fingerprints`).
+    scalar interpreters.
 
     Every selected program, Rake's or the baseline's, is checked against
     the IR by the selector's oracle before it is returned.
@@ -182,8 +180,7 @@ def compile_pipeline(
     # queries share the memoization cache and show up under the ``verify``
     # stage of the statistics.
     oracle = Oracle(stats=stats or SynthesisStats(), cache=cache,
-                    batch_eval=batch_eval, fingerprints=fingerprints,
-                    cancel=cancel, tracer=tracer)
+                    batch_eval=batch_eval, cancel=cancel, tracer=tracer)
     rake = RakeSelector(options=options or LoweringOptions(), oracle=oracle,
                         target=tgt)
 

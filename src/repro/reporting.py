@@ -120,13 +120,9 @@ def engine_summary(stats, telemetry: dict | None = None) -> str:
         f"{t['cache_misses']} misses, {rate:.0%} hit rate)",
         f"    counterexamples: {t['counterexamples']}",
     ]
-    if t["fingerprint_hits"] or t["pruned_grammar_hits"]:
+    if t["pruned_grammar_hits"]:
         lines.append(
-            f"    equivalence dedup: {t['queries_saved']} queries "
-            f"saved ({t['fingerprint_hits']} fingerprint hits, "
-            f"{t['classes_formed']} classes, "
-            f"{t['class_splits']} splits, "
-            f"{t['pruned_grammar_hits']} pruned-grammar hits)"
+            f"    pruned grammars: {t['pruned_grammar_hits']} hits"
         )
     if t["rule_hits"] + t["rule_misses"] + t["rules_mined"]:
         lines.append(

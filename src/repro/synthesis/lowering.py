@@ -81,8 +81,7 @@ class Lowerer:
             if lsp:
                 lsp.set(uber=U.uber_name(e))
             try:
-                sketch_iter = self.target.sketches(e, self._child,
-                                                   self.target.vbytes)
+                sketch_iter = self.target.sketches(e, self._child)
             except UnsupportedExpressionError:
                 if lsp:
                     lsp.set(unsupported=True)

@@ -127,10 +127,6 @@ class Oracle:
     #: batched exactly); verdicts are identical either way, so this does
     #: not participate in cache keys
     batch_eval: bool = True
-    #: deduplicate queries through observational-equivalence classes
-    #: (:mod:`repro.synthesis.fingerprints`); fingerprint-resolved verdicts
-    #: equal the differential pass's, so this does not split cache keys
-    fingerprints: bool = True
     cache: engine.OracleCache = field(default_factory=engine.OracleCache)
     #: cooperative cancellation checked at every query boundary — a raised
     #: cancellation happens *before* the differential pass starts, so the
@@ -149,7 +145,6 @@ class Oracle:
     _bank_data_cache: dict = field(default_factory=dict)
     _spec_matrix_cache: dict = field(default_factory=dict)
     _env0_cache: dict = field(default_factory=dict)
-    _fingerprint_index: object = field(default=None, repr=False)
 
     def bank_for(self, spec) -> list:
         key = spec
@@ -194,17 +189,6 @@ class Oracle:
         # after construction, e.g. by a traced service job).
         self._batch_evaluator.tracer = self.tracer
         return self._batch_evaluator
-
-    def _fingerprinter(self):
-        """The observational-equivalence index, or ``None`` when disabled
-        (``fingerprints=False``)."""
-        if not self.fingerprints:
-            return None
-        if self._fingerprint_index is None:
-            from .fingerprints import Fingerprinter
-
-            self._fingerprint_index = Fingerprinter(self)
-        return self._fingerprint_index
 
     def _bank_data(self, spec):
         """The bank stacked as int64 matrices, or ``None`` if not exact."""
@@ -306,33 +290,16 @@ class Oracle:
             "oracle.query", tag="full", layout=layout
         ) as sp:
             faults.fire(faults.SITE_ORACLE_QUERY, tracer=self.tracer)
+            self.stats.count("queries")
             key = self.query_key(spec, candidate, layout)
             cached = self.cache.lookup(key)
             if cached is not None:
-                # Cache-first keeps warm runs pure hits: they never pay
-                # for (or depend on) any fingerprint work.
-                self.stats.count("queries")
                 self.stats.count("cache_hits")
                 sp.set(cache="hit", verdict=bool(cached))
                 return cached
-            fp = self._fingerprinter()
-            if fp is not None:
-                verdict = fp.resolve(spec, candidate, layout)
-                if verdict is not None:
-                    # Not counted as a query — the oracle never ran — but
-                    # still recorded under the canonical key so cold disk
-                    # stores stay complete for warm replay.
-                    self.stats.count("fingerprint_hits")
-                    self.stats.count("queries_saved")
-                    self.cache.record(key, verdict)
-                    sp.set(cache="fingerprint", verdict=bool(verdict))
-                    return verdict
-            self.stats.count("queries")
             self.stats.count("cache_misses")
             verdict = self._check_full(spec, candidate, layout)
             self.cache.record(key, verdict)
-            if fp is not None:
-                fp.learn(spec, candidate, layout, verdict)
             sp.set(cache="miss", verdict=bool(verdict))
             return verdict
 

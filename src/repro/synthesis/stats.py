@@ -52,16 +52,8 @@ COUNTERS = (
             help="new refuting valuations discovered"),
     Counter("batched_evals"),
     Counter("fallback_evals"),
-    Counter("fingerprint_hits", metric="repro_fingerprint_hits_total",
-            help="queries answered from an observational-equivalence "
-                 "class"),
-    Counter("classes_formed", metric="repro_classes_formed_total",
-            help="denotation-fingerprint equivalence classes formed"),
-    Counter("class_splits", metric="repro_class_splits_total",
-            help="class invalidations after a distinguishing valuation "
-                 "extended the fingerprint set"),
-    Counter("queries_saved", metric="repro_queries_saved_total",
-            help="oracle queries avoided by equivalence-class dedup"),
+    # Always 0; kept only because perfbench/run.py reads its total.
+    Counter("fingerprint_hits"),
     Counter("pruned_grammar_hits", metric="repro_pruned_grammar_hits_total",
             help="placeholder enumerations served by a precomputed pruned "
                  "grammar"),

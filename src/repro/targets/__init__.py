@@ -69,8 +69,9 @@ class TargetDescription:
 
     # -- sketch grammar ----------------------------------------------------
 
-    def sketches(self, e, child, vbytes):
-        """Swizzle-free sketch candidates for one uber-instruction."""
+    def sketches(self, e, child):
+        """Swizzle-free sketch candidates for one uber-instruction, at
+        this target's vector width."""
         raise NotImplementedError
 
     # -- cost model --------------------------------------------------------

@@ -90,10 +90,10 @@ class HvxTarget(TargetDescription):
 
     # -- sketch grammar ----------------------------------------------------
 
-    def sketches(self, e, child, vbytes):
+    def sketches(self, e, child):
         from ..synthesis import grammar
 
-        return grammar.sketches(e, child, vbytes)
+        return grammar.sketches(e, child, self.vbytes)
 
     # -- cost model --------------------------------------------------------
 

@@ -94,10 +94,10 @@ class NeonTarget(TargetDescription):
 
     # -- sketch grammar ----------------------------------------------------
 
-    def sketches(self, e, child, vbytes):
+    def sketches(self, e, child):
         from ..neon import grammar
 
-        return grammar.sketches(e, child, vbytes)
+        return grammar.sketches(e, child, self.vbytes)
 
     # -- cost model --------------------------------------------------------
 

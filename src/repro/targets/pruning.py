@@ -1,11 +1,10 @@
-"""Precomputed pruned swizzle grammars (the offline half of PR 7's
-observational-equivalence work; grape's ``prune.py`` idea applied to the
-realization enumeration).
+"""Precomputed pruned swizzle grammars (grape's ``prune.py`` idea applied
+to the realization enumeration).
 
 Every realization the swizzle grammar yields for one placeholder reads
 the same memory window, so whole realization lists collapse to a single
-observational-equivalence class — querying the oracle per realization
-combo re-discovers that fact at compile time, every time.  The
+observational-equivalence class — enumerating every realization combo
+re-discovers that fact at compile time, every time.  The
 ``repro prune-grammar`` CLI subcommand runs the discovery *offline*: it
 harvests the placeholder shapes the workload suite actually enumerates,
 verifies by scalar evaluation that each shape's realizations are

@@ -1,11 +1,11 @@
 """Every expression node class memoizes its hash through
 :func:`repro.types.cache_expr_hash`.
 
-Expression trees key the oracle's memo tables, the fingerprint index and
-the plan caches; a class hashing through the dataclass-generated
-``__hash__`` alone re-walks its whole subtree on every lookup.  The cached
-value must equal the generated one, so dict and set order — and with it
-every count and selection — cannot move.
+Expression trees key the oracle's memo tables and the plan caches; a
+class hashing through the dataclass-generated ``__hash__`` alone re-walks
+its whole subtree on every lookup.  The cached value must equal the
+generated one, so dict and set order — and with it every count and
+selection — cannot move.
 """
 
 from __future__ import annotations

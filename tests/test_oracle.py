@@ -1,5 +1,8 @@
 """Tests for the equivalence oracle and valuation generation."""
 
+import gc
+import weakref
+
 from repro.hvx import isa as H
 from repro.ir import builder as B
 from repro.synthesis.oracle import (
@@ -146,6 +149,31 @@ class TestOracle:
     def test_error_candidates_rejected(self, oracle):
         # A candidate that reads an unbound buffer is simply not equivalent.
         assert not oracle.equivalent(u8v(), B.load("ghost", 0, 8, U8))
+
+    def test_every_checked_candidate_is_one_query(self, oracle):
+        # Two spellings of one denotation are two candidates, so two
+        # full checks, as in the paper's query counts.
+        spec = B.widen(u8v()) * 2
+        oracle.equivalent(spec, B.shl(B.widen(u8v()), B.broadcast(1, 8, U16)))
+        oracle.equivalent(spec, B.widen(u8v()) * 2)
+        assert oracle.stats.total("queries") == 2
+        assert oracle.stats.total("cache_misses") == 2
+
+    def test_dropped_oracle_is_freed_at_once(self):
+        # No reference cycle may hold an oracle, or each finished
+        # compile's banks and plans wait for the cyclic collector.
+        oracle = Oracle()
+        spec = B.widen(u8v()) * 2
+        oracle.equivalent(spec, B.shl(B.widen(u8v()), B.broadcast(1, 8, U16)),
+                          LAYOUT_INORDER)
+        assert oracle.equivalent(spec, B.widen(u8v()) * 2, LAYOUT_INORDER)
+        dropped = weakref.ref(oracle)
+        gc.disable()
+        try:
+            del oracle
+            assert dropped() is None
+        finally:
+            gc.enable()
 
 
 def _vcmp_gt_127():

@@ -179,8 +179,7 @@ class TestSynthesisStats:
             assert set(metrics) == {
                 "queries", "time_s", "cache_hits", "cache_misses",
                 "counterexamples", "batched_evals", "fallback_evals",
-                "fingerprint_hits", "classes_formed", "class_splits",
-                "queries_saved", "pruned_grammar_hits",
+                "fingerprint_hits", "pruned_grammar_hits",
             }
 
     def test_engine_summary_render(self):

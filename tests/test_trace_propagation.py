@@ -54,9 +54,7 @@ class TestTracedPipeline:
         _compiled, tree = traced
         queries = _spans_named(tree, "oracle.query")
         assert queries
-        assert {q["attrs"]["cache"] for q in queries} <= {
-            "hit", "miss", "fingerprint"
-        }
+        assert {q["attrs"]["cache"] for q in queries} <= {"hit", "miss"}
         assert all(q["attrs"]["tag"] in ("full", "lane0") for q in queries)
 
     def test_tracing_does_not_change_output(self, traced):
