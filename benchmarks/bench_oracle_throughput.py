@@ -2,9 +2,10 @@
 
 Measures steady-state ``_check_full`` throughput (queries/sec and
 valuation-environments/sec) on a fixed set of spec/candidate pairs — both
-equivalences, which scan the whole bank, and refutations, which exit
-through the counterexample replay set — with the batched engine on and
-off.  Results land in ``benchmarks/results/oracle_throughput.json``.
+equivalences, which scan the whole bank, and refutations, which the
+scalar loop stops at the first mismatching environment — with the
+batched engine on and off.  Results land in
+``benchmarks/results/oracle_throughput.json``.
 
 ``--smoke`` instead compiles a couple of fast workloads end to end and
 asserts (via the oracle's ``batched_evals``/``fallback_evals`` counters)
@@ -58,7 +59,7 @@ def _throughput(batch_eval: bool, repeats: int) -> dict:
     oracle = Oracle(batch_eval=batch_eval)
     pairs = _pairs()
     verdicts = {}
-    # Warm-up: build banks, record counterexamples, compile plans.
+    # Warm-up: build banks and spec denotations, compile plans.
     for name, spec, cand in pairs:
         verdicts[name] = oracle._check_full(spec, cand, LAYOUT_INORDER)
     n_envs = len(oracle.bank_for(pairs[0][1]))

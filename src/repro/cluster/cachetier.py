@@ -27,10 +27,6 @@ client reconnects transparently and trips a small internal breaker
 after consecutive failures so a dead tier costs one timeout per
 cooldown window, not one per lookup.
 
-Counterexamples stay **node-local** on purpose: they are cheap to
-rediscover, order-sensitive to replay, and sharing them buys nothing
-the shared verdicts don't already provide.
-
 Fault sites ``cachetier.get`` / ``cachetier.put`` fire in the *client*
 on every tier interaction, which is how the ``cachetier-outage`` plan
 proves a total tier outage never fails a compile.
@@ -343,7 +339,6 @@ class TieredOracleCache:
     and scheduler consume.  ``lookup`` falls through local → tier and
     backfills the local cache on a tier hit; ``record`` writes local
     first (correctness) then publishes to the tier (best-effort).
-    Counterexamples never touch the tier — see the module docstring.
     The adapter can not raise on the tier's behalf: the client already
     swallows every failure mode.
     """
@@ -364,12 +359,6 @@ class TieredOracleCache:
     def record(self, key: str, verdict: bool) -> None:
         self.local.record(key, verdict)
         self.tier.put(key, verdict)
-
-    def counterexample_indices(self, skey: str) -> list[int]:
-        return self.local.counterexample_indices(skey)
-
-    def record_counterexample(self, skey: str, index: int) -> None:
-        self.local.record_counterexample(skey, index)
 
     def __len__(self) -> int:
         return len(self.local)

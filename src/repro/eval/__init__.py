@@ -11,8 +11,9 @@ Exactness is the contract: plans reproduce the scalar interpreters bit for
 bit (two's-complement wrap and saturation via masking/clipping, with
 compile-time interval bounds proving no intermediate ever leaves the int64
 range).  Any node the plan compiler cannot express falls back per-node to
-the exact scalar interpreters, so the engine is a pure accelerator: verdicts, counterexample indices and cache keys are
-unchanged (see ``tests/test_batched_eval.py`` for the differential suite).
+the exact scalar interpreters, so the engine is a pure accelerator:
+verdicts, refutation counts and cache keys are unchanged (see
+``tests/test_batched_eval.py`` for the differential suite).
 """
 
 from .plan import BankData, BatchedEvaluator, Plan

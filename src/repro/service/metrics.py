@@ -80,9 +80,6 @@ class Gauge(Counter):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1) -> None:
-        self.inc(-amount)
-
     def set(self, value: float) -> None:
         with self._lock:
             self._value = value

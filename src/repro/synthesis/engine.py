@@ -7,13 +7,9 @@ keyed by a canonical structural hash of ``(spec, candidate, layout, seed,
 rounds)`` that is insensitive to buffer/scalar renaming but sensitive to
 layout.  Verdicts live in an in-process map and, optionally, an
 append-only JSONL store on disk, so repeated compilations and shared
-subexpressions across kernels skip re-verification entirely.  The CEGIS
-counterexample bank is persisted as bank *indices* (the bank itself is a
-deterministic function of the spec and seed), so refuting inputs survive
-across runs.
+subexpressions across kernels skip re-verification entirely.
 
-Verdicts are pure functions of ``(spec, candidate, layout, seed, rounds)``:
-counterexample replay only short-circuits work the bank pass would repeat,
+Verdicts are pure functions of ``(spec, candidate, layout, seed, rounds)``,
 so caching is sound.
 
 Caveat on rename-insensitivity: the valuation bank assigns pseudo-random
@@ -26,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import os
 import threading
 from pathlib import Path
@@ -96,32 +91,12 @@ def _canon_value(value, field_name: str, names: dict) -> str:
     return repr(value)
 
 
-def query_key(
-    spec,
-    candidate,
-    layout: str,
-    seed: int = 0,
-    rounds: int = 0,
-    tag: str = "full",
-) -> str:
-    """Stable cache key for one equivalence query.
-
-    Insensitive to buffer/scalar renaming (names are positionalized with a
-    map shared between spec and candidate), sensitive to layout, oracle
-    seed, randomized-round count and query kind (full vs lane-0).
-    """
-    names: dict = {}
-    spec_part = canonical_expr(spec, names)
-    cand_part = canonical_expr(candidate, names)
-    raw = f"{tag}|{layout}|{seed}|{rounds}|{spec_part}|{cand_part}"
-    return hashlib.sha256(raw.encode()).hexdigest()
-
-
 def canonical_spec(spec) -> str:
     """Rename-insensitive canonical rendering of one spec expression.
 
     This is the **single** definition of spec identity shared by the
-    verdict cache (:func:`spec_key`), the service's request coalescer
+    verdict cache's query keys (``Oracle.query_key`` renders the spec the
+    same way), the service's request coalescer
     (:mod:`repro.service.coalesce`) and the rewrite-rule library
     (:mod:`repro.rules`) — every layer that answers "have we seen this
     spec before?" must hash the same rendering, or cache keys, coalescing
@@ -130,49 +105,39 @@ def canonical_spec(spec) -> str:
     return canonical_expr(spec, {})
 
 
-def spec_key(spec, seed: int = 0, rounds: int = 0) -> str:
-    """Stable key for a specification's counterexample bank."""
-    raw = f"ce|{seed}|{rounds}|{canonical_spec(spec)}"
-    return hashlib.sha256(raw.encode()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
-# Verdict / counterexample cache
+# Verdict cache
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass
 class OracleCache:
-    """Verdict cache: in-process maps over an optional append log.
+    """Verdict cache: an in-process map over an optional append log.
 
-    With a log (:meth:`with_disk`) every verdict and counterexample
-    index is also a line of ``oracle.jsonl``::
+    With a log (:meth:`with_disk`) every verdict is also a line of
+    ``oracle.jsonl``::
 
         {"t": "v", "k": "<query key>", "v": 0 | 1}
-        {"t": "c", "k": "<spec key>",  "i": <bank index>}
 
     loaded once when the cache opens and appended through
     :class:`~repro.fsutil.AppendLog` (batches of 128; fault sites
-    ``cache.load`` / ``cache.flush``; a failed flush re-queues).  A
-    record of any other shape is corrupt: a wrongly typed verdict
-    replayed forever would be a permanent false accept.
+    ``cache.load`` / ``cache.flush``; a failed flush re-queues).
+    Stores written while the oracle kept a counterexample set also hold
+    ``{"t": "c", "k": "<spec key>", "i": <bank index>}`` lines; a
+    well-formed one is accepted and ignored.  A record of any other
+    shape is corrupt: a wrongly typed verdict replayed forever would be
+    a permanent false accept.
 
     Safe to share between threads: the compilation service hands one cache
     to every worker so concurrent jobs warm each other.  Verdicts are pure
     functions of their key, so a lost race is just a duplicate proof —
-    the lock only protects the maps, never a verdict's validity.
+    the lock only protects the map, never a verdict's validity.
     """
 
     store: AppendLog | None = None
     _verdicts: dict = dataclasses.field(default_factory=dict)
-    _counterexamples: dict = dataclasses.field(default_factory=dict)
     _lock: threading.RLock = dataclasses.field(
         default_factory=threading.RLock, repr=False
-    )
-    #: counterexample indices loaded from the store; replayed after this
-    #: cache's own (``_counterexamples``), in file order
-    _stored_counterexamples: dict = dataclasses.field(
-        default_factory=dict, init=False, repr=False
     )
 
     @classmethod
@@ -197,12 +162,8 @@ class OracleCache:
         if kind == "v" and type(verdict) is int and verdict in (0, 1):
             self._verdicts[key] = bool(verdict)
             return True
-        if kind == "c" and type(index) is int and index >= 0:
-            bucket = self._stored_counterexamples.setdefault(key, [])
-            if index not in bucket:
-                bucket.append(index)
-            return True
-        return False
+        # An older store's counterexample line: valid, but decides nothing.
+        return kind == "c" and type(index) is int and index >= 0
 
     def lookup(self, key: str) -> bool | None:
         with self._lock:
@@ -214,22 +175,6 @@ class OracleCache:
             self._verdicts[key] = verdict
             if fresh and self.store is not None:
                 self.store.append({"t": "v", "k": key, "v": int(verdict)})
-
-    def counterexample_indices(self, skey: str) -> list[int]:
-        with self._lock:
-            own = self._counterexamples.get(skey, [])
-            stored = self._stored_counterexamples.get(skey, ())
-            return own + [i for i in stored if i not in own]
-
-    def record_counterexample(self, skey: str, index: int) -> None:
-        with self._lock:
-            bucket = self._counterexamples.setdefault(skey, [])
-            if index in bucket:
-                return
-            bucket.append(index)
-            stored = self._stored_counterexamples.get(skey, ())
-            if self.store is not None and index not in stored:
-                self.store.append({"t": "c", "k": skey, "i": index})
 
     def __len__(self) -> int:
         with self._lock:

@@ -218,10 +218,6 @@ class _ChainBuilder:
             and b.offset == a.offset + 1 and a.elem == b.elem
         )
 
-    def _window_vec(self, read: U.LoadData) -> AbstractWindow:
-        return AbstractWindow(read.buffer, read.offset, read.lanes,
-                              read.elem, read.stride)
-
     def _read_impl(self, read: U.UberExpr, layout: str) -> H.HvxExpr | None:
         if isinstance(read, U.LoadData):
             sk = next(iter(_load_sketches(read, self.child, self.vbytes)), None)

@@ -1,16 +1,14 @@
 """Equivalence oracle: the verification back-end of every synthesis stage.
 
 The paper discharges equivalence queries with an SMT solver (Rosette/z3);
-this environment has no solver, so the oracle implements the same
-*inductive synthesis* loop with concrete testing (DESIGN.md substitution 1):
-
-1. Candidates are first checked against cached counterexamples — inputs
-   that refuted earlier candidates (the CEGIS example set).
-2. Survivors run against the structured valuation bank (ramps, boundary
-   values, randoms).
-3. A configurable number of extra randomized rounds serves as the
-   "verification" step; a failure there is recorded as a new counterexample
-   and immediately refutes future look-alikes.
+this environment has no solver, so the oracle tests concretely
+(DESIGN.md substitution 1): a full check denotes the candidate over the
+spec's whole valuation bank (ramps, boundary values, randoms, plus a
+configurable number of extra randomized rounds that serve as the
+"verification" step) and accepts only if every environment matches.
+CEGIS keeps the inputs that refuted earlier candidates because each
+solver call is expensive; testing every candidate against the whole bank
+makes that example set redundant, so the oracle keeps none.
 
 The oracle is generic over expression kinds: IR, uber and HVX expressions
 are all evaluated to logical lane tuples through :func:`denote`.
@@ -19,8 +17,7 @@ Verdicts are memoized through :class:`repro.synthesis.engine.OracleCache`
 under a canonical structural key, so repeated queries — within one
 compilation, across kernels that share subexpressions, and (with a disk
 store) across runs — skip the differential pass entirely.  A verdict is a
-pure function of ``(spec, candidate, layout, seed, rounds)``: the replay
-set only short-circuits failures the bank pass would rediscover, which is
+pure function of ``(spec, candidate, layout, seed, rounds)``, which is
 what makes memoization sound.
 """
 
@@ -117,7 +114,7 @@ def denote(expr, env: ir_interp.Environment, layout: str = LAYOUT_INORDER) -> tu
 
 @dataclass
 class Oracle:
-    """Counterexample-caching differential equivalence checker."""
+    """Differential equivalence checker over one valuation bank per spec."""
 
     stats: SynthesisStats = field(default_factory=SynthesisStats)
     extra_random_rounds: int = 4
@@ -136,11 +133,9 @@ class Oracle:
     #: every span a shared null context manager, so instrumentation costs
     #: one attribute load + one call when tracing is disabled
     tracer: object = NULL_TRACER  # Tracer | NullTracer
-    _counterexamples: dict = field(default_factory=dict)
     _bank_cache: dict = field(default_factory=dict)
     _spec_cache: dict = field(default_factory=dict)
     _canon_cache: dict = field(default_factory=dict)
-    _spec_key_cache: dict = field(default_factory=dict)
     _batch_evaluator: object = field(default=None, repr=False)
     _bank_data_cache: dict = field(default_factory=dict)
     _spec_matrix_cache: dict = field(default_factory=dict)
@@ -227,7 +222,13 @@ class Oracle:
 
     def query_key(self, spec, candidate, layout: str,
                   tag: str = "full") -> str:
-        """Canonical memoization key for one query (see engine.query_key)."""
+        """Stable cache key for one equivalence query.
+
+        Insensitive to buffer/scalar renaming (names are positionalized
+        with a map shared between spec and candidate), sensitive to
+        layout, oracle seed, randomized-round count and query kind
+        (``tag``: full vs lane-0).  The spec's rendering is memoized.
+        """
         cached = self._canon_cache.get(spec)
         if cached is None:
             names: dict = {}
@@ -239,41 +240,12 @@ class Oracle:
                f"{spec_part}|{cand_part}")
         return hashlib.sha256(raw.encode()).hexdigest()
 
-    def _spec_key(self, spec) -> str:
-        key = self._spec_key_cache.get(spec)
-        if key is None:
-            key = self._spec_key_cache[spec] = engine.spec_key(
-                spec, self.seed, self.extra_random_rounds
-            )
-        return key
-
     def _stage_ctx(self):
         """Attribute out-of-stage queries (the pipeline's final check) to
         the ``verify`` stage so their cost is visible in Table 1 output."""
         if self.stats._active:
             return nullcontext()
         return self.stats.stage("verify")
-
-    # -- counterexample bank ------------------------------------------------
-
-    def _replay_for(self, spec) -> list:
-        """The CEGIS replay set for ``spec``, reloaded from the persistent
-        store (as bank indices) the first time the spec is queried."""
-        replay = self._counterexamples.get(spec)
-        if replay is None:
-            replay = []
-            stored = self.cache.counterexample_indices(self._spec_key(spec))
-            if stored:
-                bank = self.bank_for(spec)
-                replay = [
-                    (i, bank[i]) for i in stored if 0 <= i < len(bank)
-                ]
-            self._counterexamples[spec] = replay
-        return replay
-
-    def counterexamples_for(self, spec) -> list:
-        """Public view of the replay set (index, environment) pairs."""
-        return list(self._replay_for(spec))
 
     # -- queries ------------------------------------------------------------
 
@@ -317,42 +289,24 @@ class Oracle:
                 return verdict
         self.stats.count("fallback_evals")
 
-        # Phase 1: replay counterexamples recorded for THIS spec — the
-        # inputs that refuted earlier candidates reject look-alikes fast.
-        replay = self._replay_for(spec)
-        for index, env in replay:
+        # Scalar reference: one pass over the bank, refuted at the first
+        # mismatching environment.
+        for index, env in enumerate(self.bank_for(spec)):
             try:
                 got = denote(candidate, env, layout)
             except EvaluationError:
                 return False
             if got != self._spec_lanes(spec, index, env):
-                return False
-
-        # Phase 2 + 3: the structured bank, then randomized verification.
-        bank = self.bank_for(spec)
-        for index, env in enumerate(bank):
-            try:
-                got = denote(candidate, env, layout)
-            except EvaluationError:
-                return False
-            want = self._spec_lanes(spec, index, env)
-            if got != want:
-                replay.append((index, env))
-                if len(replay) > 8:
-                    replay.pop(0)
                 self.stats.count("counterexamples")
-                self.tracer.event("oracle.counterexample", index=index)
-                self.cache.record_counterexample(self._spec_key(spec), index)
                 return False
         return True
 
     def _check_full_batched(self, spec, candidate, layout: str):
         """Whole-bank check in one compiled pass (the batched fast path).
 
-        Returns ``True``/``False`` with *byte-identical* semantics to the
-        scalar phases — including which environment index is recorded as a
-        counterexample — or ``None`` when the candidate (or bank) cannot be
-        batched exactly and the caller must run the scalar phases instead.
+        Returns the scalar loop's verdict, counting a refutation the same
+        way, or ``None`` when the candidate (or bank) cannot be batched
+        exactly and the caller must run the scalar loop instead.
         """
         ev = self._evaluator()
         bank_data = self._bank_data(spec)
@@ -373,36 +327,9 @@ class Oracle:
             # and the buffer shapes, which are identical across the bank —
             # so the scalar loop would refute on its very first valuation.
             return False
-        np = batch_plan.np
-        if got.shape == want.shape:
-            eq_env = (got == want).all(axis=1)
-        else:
-            eq_env = None  # lane-count mismatch: every valuation differs
-
-        # Phase 1: replay — a recorded counterexample index that still
-        # mismatches refutes before any new counterexample is recorded.
-        replay = self._replay_for(spec)
-        for index, _env in replay:
-            if eq_env is None or not eq_env[index]:
-                return False
-
-        # Phase 2 + 3: the bank scan collapses to one vectorized compare;
-        # the first mismatching index is recovered so counterexample
-        # recording and replay ordering match the scalar loop exactly.
-        if eq_env is None:
-            first = 0
-        else:
-            bad = np.flatnonzero(~eq_env)
-            if bad.size == 0:
-                return True
-            first = int(bad[0])
-        bank = self.bank_for(spec)
-        replay.append((first, bank[first]))
-        if len(replay) > 8:
-            replay.pop(0)
+        if got.shape == want.shape and (got == want).all():
+            return True
         self.stats.count("counterexamples")
-        self.tracer.event("oracle.counterexample", index=first)
-        self.cache.record_counterexample(self._spec_key(spec), first)
         return False
 
     def equivalent_lane0(self, spec, candidate, layout: str = LAYOUT_INORDER) -> bool:

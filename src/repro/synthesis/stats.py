@@ -7,8 +7,8 @@ benchmark harness can reproduce the paper's compilation-statistics table.
 
 The memoization engine (:mod:`repro.synthesis.engine`) extends each stage
 with structured cache metrics: verdict-cache hits and misses and the number
-of new counterexamples discovered, which is how cold/warm compilation runs
-are compared.
+of full checks refuted by a bank valuation, which is how cold/warm
+compilation runs are compared.
 
 Every counter is declared once, in :data:`COUNTERS`.  The per-stage
 attributes of :class:`StageStats`, ``SynthesisStats.count(name)`` and
@@ -49,7 +49,7 @@ COUNTERS = (
     Counter("cache_misses", metric="repro_oracle_cache_misses_total",
             help="queries that required a full differential pass"),
     Counter("counterexamples", metric="repro_oracle_counterexamples_total",
-            help="new refuting valuations discovered"),
+            help="full checks refuted by a valuation-bank mismatch"),
     Counter("batched_evals"),
     Counter("fallback_evals"),
     # Always 0; kept only because perfbench/run.py reads its total.

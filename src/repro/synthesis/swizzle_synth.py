@@ -22,20 +22,6 @@ from .sketch import is_concrete, placeholder_summary, placeholders_of
 MAX_COMBOS = 64
 
 
-def substitute(expr: N.HvxExpr, target: N.HvxExpr,
-               replacement: N.HvxExpr) -> N.HvxExpr:
-    """Replace every occurrence of ``target`` (by equality) in ``expr``."""
-    if expr == target:
-        return replacement
-    children = expr.children
-    if not children:
-        return expr
-    new_children = tuple(substitute(c, target, replacement) for c in children)
-    if new_children == children:
-        return expr
-    return expr.with_children(new_children)
-
-
 def substitute_many(expr: N.HvxExpr, mapping: dict,
                     _classes: tuple = None) -> N.HvxExpr:
     """Replace every occurrence of any ``mapping`` key in one tree walk.

@@ -2,8 +2,8 @@
 
 The swizzle grammar below is the original HVX realization enumeration,
 moved verbatim from :mod:`repro.synthesis.sketch`: yield order is part of
-the search's observable behaviour (verdict order, counterexample order,
-cache-key sequences), so PR-1/2 disk stores must warm-load unchanged.
+the search's observable behaviour (verdict order, cache-key sequences),
+so PR-1/2 disk stores must warm-load unchanged.
 """
 
 from __future__ import annotations

@@ -51,9 +51,6 @@ class ScalarType:
     def __repr__(self) -> str:
         return self.name
 
-    def with_bits(self, bits: int) -> "ScalarType":
-        return ScalarType(bits, self.signed)
-
     def widened(self) -> "ScalarType":
         """The type with double the bit width (same signedness)."""
         if self.bits >= 64:
@@ -139,12 +136,6 @@ class VectorType:
     @property
     def bytes(self) -> int:
         return self.bits // 8
-
-    def with_elem(self, elem: ScalarType) -> "VectorType":
-        return VectorType(elem, self.lanes)
-
-    def with_lanes(self, lanes: int) -> "VectorType":
-        return VectorType(self.elem, lanes)
 
     def widened(self) -> "VectorType":
         return VectorType(self.elem.widened(), self.lanes)

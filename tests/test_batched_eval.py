@@ -4,8 +4,8 @@ The contract under test: for every expression the plan compiler accepts,
 ``denote_bank`` over the whole valuation bank is *bit-identical* to the
 scalar ``denote`` per environment — including which ``EvaluationError``
 cases refute (raise) rather than crash — and an oracle with the batched
-path enabled produces the same verdicts, the same counterexample indices,
-the same selected programs and the same verdict-cache keys as the scalar
+path enabled produces the same verdicts, the same refutation counts, the
+same selected programs and the same verdict-cache keys as the scalar
 oracle.
 """
 
@@ -299,27 +299,28 @@ def test_elem_mismatched_bank_keeps_scalar_path():
 
 
 # ---------------------------------------------------------------------------
-# Oracle parity: counterexample indices, programs, cache keys
+# Oracle parity: verdicts, refutation counts, programs, cache keys
 # ---------------------------------------------------------------------------
 
 
 def test_counterexample_indices_identical():
-    """The batched bank scan must record the same first-mismatch index."""
+    """The batched bank scan refutes and counts exactly as the scalar loop:
+    a valuation mismatch counts, an evaluation error does not."""
     la, lb = E.Load("A", 0, LANES, U8), E.Load("B", 0, LANES, U8)
     spec = E.Add(la, lb)
-    wrong = [
+    cands = [
+        E.Add(lb, la),
         E.Sub(la, lb),
         E.Add(la, E.Load("B", 1, LANES, U8)),
         E.Max(la, lb),
         E.Add(E.Add(la, lb), E.Broadcast(E.ScalarVar("s", U8), LANES)),
     ]
-    batched, scalar = Oracle(batch_eval=True), Oracle(batch_eval=False)
-    for cand in wrong:
-        assert batched.equivalent(spec, cand) is False
-        assert scalar.equivalent(spec, cand) is False
-        got = [i for i, _env in batched.counterexamples_for(spec)]
-        want = [i for i, _env in scalar.counterexamples_for(spec)]
-        assert got == want
+    runs = {}
+    for batch in (True, False):
+        oracle = Oracle(batch_eval=batch)
+        runs[batch] = ([oracle.equivalent(spec, c) for c in cands],
+                       oracle.stats.total("counterexamples"))
+    assert runs[True] == runs[False] == ([True] + [False] * 4, 3)
 
 
 def test_lane0_uses_env0_without_full_bank():

@@ -156,13 +156,6 @@ class TestTieredOracleCache:
         # Node B's first lookup is warmed by node A's publish.
         assert b.lookup("proved-on-a") is False
 
-    def test_counterexamples_stay_local(self, tier, tier_client):
-        cache = TieredOracleCache(OracleCache(), tier_client)
-        cache.record_counterexample("skey", 3)
-        assert cache.counterexample_indices("skey") == [3]
-        stats = tier_client.server_stats()
-        assert stats["puts"] == 0  # nothing crossed the wire
-
     def test_outage_mid_compile_degrades_silently(self, tier):
         cache = TieredOracleCache(OracleCache(),
                                   CacheTierClient(tier.endpoint))

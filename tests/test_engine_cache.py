@@ -3,8 +3,8 @@
 Covers canonical query keying (rename-insensitive, layout/seed/tag
 sensitive), the verdict store on disk (``OracleCache.with_disk``; the
 append log it sits on has its own contract suite in
-``test_append_log.py``), and counterexample-bank persistence across
-Oracle instances.
+``test_append_log.py``), and verdict persistence across Oracle
+instances.
 """
 
 import json
@@ -20,8 +20,6 @@ from repro.synthesis.engine import (
     CACHE_FILE_NAME,
     OracleCache,
     default_cache_dir,
-    query_key,
-    spec_key,
 )
 from repro.synthesis.oracle import LAYOUT_DEINTERLEAVED, LAYOUT_INORDER, Oracle
 from repro.types import U8, U16
@@ -29,6 +27,12 @@ from repro.types import U8, U16
 
 def u8v(buffer="in", offset=0, lanes=8):
     return B.load(buffer, offset, lanes, U8)
+
+
+def query_key(spec, cand, layout, seed=0, rounds=0, tag="full"):
+    """One query's key from a fresh oracle (an empty rendering memo)."""
+    oracle = Oracle(seed=seed, extra_random_rounds=rounds)
+    return oracle.query_key(spec, cand, layout, tag=tag)
 
 
 class TestQueryKey:
@@ -78,15 +82,14 @@ class TestQueryKey:
             query_key(spec, H.HvxLoad("in", 0, 8, U8), LAYOUT_INORDER)
 
     def test_oracle_key_matches_module_key(self):
+        """A key served through the oracle's memoized spec rendering equals
+        a fresh oracle's, even after a candidate named an extra buffer."""
         spec = B.widen(u8v()) * 2
         cand = B.widen(u8v()) * 3
         oracle = Oracle(seed=7, extra_random_rounds=2)
+        oracle.query_key(spec, B.widen(u8v("other")) * 2, LAYOUT_INORDER)
         assert oracle.query_key(spec, cand, LAYOUT_INORDER) == \
             query_key(spec, cand, LAYOUT_INORDER, seed=7, rounds=2)
-
-    def test_spec_key_rename_insensitive(self):
-        assert spec_key(B.widen(u8v("x")) * 2) == \
-            spec_key(B.widen(u8v("y")) * 2)
 
 
 class TestDiskStore:
@@ -96,20 +99,16 @@ class TestDiskStore:
         store = OracleCache.with_disk(tmp_path)
         assert len(store) == 0
         assert store.lookup("nope") is None
-        assert store.counterexample_indices("nope") == []
 
     def test_roundtrip(self, tmp_path):
         store = OracleCache.with_disk(tmp_path)
         store.record("k1", True)
         store.record("k2", False)
-        store.record_counterexample("s1", 3)
-        store.record_counterexample("s1", 5)
         store.flush()
 
         reloaded = OracleCache.with_disk(tmp_path)
         assert reloaded.lookup("k1") is True
         assert reloaded.lookup("k2") is False
-        assert reloaded.counterexample_indices("s1") == [3, 5]
 
     def test_corrupt_lines_skipped(self, tmp_path):
         path = tmp_path / "oracle.jsonl"
@@ -118,13 +117,13 @@ class TestDiskStore:
             + "{not json at all\n"
             + json.dumps(["wrong", "shape"]) + "\n"
             + json.dumps({"t": "??", "k": "x"}) + "\n"
-            + json.dumps({"t": "c", "k": "s", "i": 2}) + "\n"
+            + json.dumps({"t": "c", "k": "s", "i": 2}) + "\n"  # older store
             + '{"t": "v", "k": "trunc'  # interrupted final write
         )
         store = OracleCache.with_disk(tmp_path)
         assert store.lookup("good") is True
-        assert store.counterexample_indices("s") == [2]
         assert len(store) == 1
+        assert store.store.corrupt_lines == 4
 
     @pytest.mark.parametrize("record", [
         {"t": "v", "k": "K", "v": "0"},    # truthy string: a false accept
@@ -149,7 +148,6 @@ class TestDiskStore:
             assert store.store.corrupt_lines == 1
             assert store.store.quarantined is not None
             assert store.lookup("K") is None
-            assert store.counterexample_indices("K") == []
             assert store.lookup("good") is False
             assert [decode_record(x) for x in path.read_text().splitlines()] \
                 == [good]
@@ -171,26 +169,8 @@ class TestDiskStore:
         store = OracleCache.with_disk(tmp_path)
         store.record("k", True)
         store.record("k", True)
-        store.record_counterexample("s", 1)
-        store.record_counterexample("s", 1)
         store.flush()
-        assert len(path.read_text().splitlines()) == 2
-
-    def test_own_counterexamples_replay_before_stored_ones(self, tmp_path):
-        """The oracle's replay window evicts from the front, so the order
-        is part of the verdict-count contract: this cache's own indices
-        first, then the stored ones in file order."""
-        first = OracleCache.with_disk(tmp_path)
-        for index in (3, 5, 8):
-            first.record_counterexample("s", index)
-        first.flush()
-        second = OracleCache.with_disk(tmp_path)
-        second.record_counterexample("s", 7)
-        second.record_counterexample("s", 5)
-        assert second.counterexample_indices("s") == [7, 5, 3, 8]
-        second.flush()  # only the new index is appended
-        assert OracleCache.with_disk(tmp_path).counterexample_indices("s") \
-            == [3, 5, 8, 7]
+        assert len(path.read_text().splitlines()) == 1
 
 
 class TestOracleMemoization:
@@ -257,22 +237,6 @@ class TestOracleMemoization:
         cold = Oracle(cache=OracleCache.with_disk(tmp_path))
         assert not cold.equivalent(spec, wrong)
 
-    def test_counterexamples_persist_across_oracles(self, tmp_path):
-        spec = B.widen(u8v()) * 2
-        wrong = B.widen(u8v()) * 3
-
-        first = Oracle(cache=OracleCache.with_disk(tmp_path))
-        assert not first.equivalent(spec, wrong)
-        assert first.counterexamples_for(spec)
-        first.cache.flush()
-
-        second = Oracle(cache=OracleCache.with_disk(tmp_path))
-        replay = second.counterexamples_for(spec)
-        assert replay
-        # the persisted index resolves to the same refuting environment
-        assert [i for i, _env in replay] == \
-            [i for i, _env in first.counterexamples_for(spec)]
-
     def test_rename_shares_cache_entry(self):
         oracle = Oracle()
         assert oracle.equivalent(B.widen(u8v("a")) * 2, B.widen(u8v("a")) * 2)
@@ -327,7 +291,6 @@ class TestConcurrentWriters:
         second.record("shared", True)
         first.record("first-only", False)
         second.record("second-only", True)
-        second.record_counterexample("s", 7)
         first.flush()
         second.flush()
 
@@ -337,7 +300,6 @@ class TestConcurrentWriters:
         assert merged.lookup("shared") is True
         assert merged.lookup("first-only") is False
         assert merged.lookup("second-only") is True
-        assert merged.counterexample_indices("s") == [7]
         assert len(merged) == 3
 
     def test_interleaved_flushes_from_competing_threads(self, tmp_path):

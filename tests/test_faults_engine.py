@@ -76,8 +76,8 @@ class TestDiskStoreResilience:
         )
         store = OracleCache.with_disk(tmp_path)
         assert store.store.corrupt_lines == 0
+        assert store.store.quarantined is None
         assert store.lookup("old") is True
-        assert store.counterexample_indices("spec") == [4]
 
     def test_injected_torn_flush_never_corrupts_reload(self, tmp_path):
         """A flush torn mid-line costs at most the torn record: the next

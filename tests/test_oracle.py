@@ -1,10 +1,12 @@
 """Tests for the equivalence oracle and valuation generation."""
 
 import gc
+import json
 import weakref
 
 from repro.hvx import isa as H
 from repro.ir import builder as B
+from repro.synthesis.engine import CACHE_FILE_NAME, OracleCache
 from repro.synthesis.oracle import (
     LAYOUT_DEINTERLEAVED,
     LAYOUT_INORDER,
@@ -113,13 +115,19 @@ class TestOracle:
         cand = B.sat_cast(U8, (row + 8) >> 4)
         assert oracle.equivalent(spec, cand)
 
-    def test_counterexamples_cached(self, oracle):
+    def test_refuted_checks_append_only_verdicts(self, tmp_path):
+        # Every full check runs the whole bank, so each refutation is
+        # counted and the store records verdicts, never examples.
+        oracle = Oracle(cache=OracleCache.with_disk(tmp_path))
         spec = B.widen(u8v()) * 2
-        wrong = B.widen(u8v()) * 3
-        assert not oracle.equivalent(spec, wrong)
-        assert oracle._counterexamples[spec]
-        # a second wrong candidate is rejected via the cached example
-        assert not oracle.equivalent(spec, B.widen(u8v()) * 4)
+        with oracle.stats.stage("lifting"):
+            assert not oracle.equivalent(spec, B.widen(u8v()) * 3)
+            assert not oracle.equivalent(spec, B.widen(u8v()) * 4)
+            assert oracle.equivalent(spec, B.widen(u8v()) * 2)
+        oracle.cache.flush()
+        lines = (tmp_path / CACHE_FILE_NAME).read_text().splitlines()
+        assert [json.loads(line)["t"] for line in lines] == ["v", "v", "v"]
+        assert oracle.stats.total("counterexamples") == 2
 
     def test_lane0_pruning_rejects(self, oracle):
         spec = B.widen(u8v()) * 2

@@ -219,7 +219,6 @@ def test_store_loads_without_reserializing(tmp_path, monkeypatch):
     cache = OracleCache.with_disk(tmp_path)
     for i in range(300):
         cache.record(f"k{i}", i % 3 == 0)
-        cache.record_counterexample(f"s{i % 7}", i % 5)
     cache.flush()
 
     def no_dumps(*args, **kwargs):
@@ -229,4 +228,3 @@ def test_store_loads_without_reserializing(tmp_path, monkeypatch):
     again = OracleCache.with_disk(tmp_path)
     assert again.store.corrupt_lines == 0
     assert all(again.lookup(f"k{i}") is (i % 3 == 0) for i in range(300))
-    assert again.counterexample_indices("s0") == [0, 2, 4, 1, 3]

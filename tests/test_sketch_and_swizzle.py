@@ -22,7 +22,7 @@ from repro.synthesis.sketch import (
     is_concrete,
     placeholders_of,
 )
-from repro.synthesis.swizzle_synth import substitute, synthesize_swizzles
+from repro.synthesis.swizzle_synth import substitute_many, synthesize_swizzles
 from repro.types import U16, U8
 
 
@@ -89,7 +89,7 @@ class TestSubstitute:
         w = AbstractWindow("in", 0, 8, U8)
         expr = H.HvxInstr("vadd", (w, w))
         load = H.HvxLoad("in", 0, 8, U8)
-        out = substitute(expr, w, load)
+        out = substitute_many(expr, {w: load})
         assert is_concrete(out)
         assert out.args == (load, load)
 
