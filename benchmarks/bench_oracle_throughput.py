@@ -15,6 +15,12 @@ interpreters.  It then times steady-state ``_check_lane0`` over the same
 pairs with the batched engine on and off, in one process, and fails
 unless the verdicts agree and the batched check is at least 3x faster —
 a ratio of two runs on one machine, so runner speed cancels out.
+Last, it records every ``Oracle.query_key`` call of one
+``gaussian5x5``/hvx and one ``conv3x3a16``/neon compile (619 keys) and
+replays them twice: through one oracle whose rendering memo is shared by
+every key, as in a compile, and with that memo emptied before each key.
+It fails unless both passes give the compile's keys and the shared pass
+is at least 4x faster (a same-run ratio again).
 """
 
 import argparse
@@ -36,6 +42,9 @@ RESULTS = Path(__file__).parent / "results" / "oracle_throughput.json"
 SMOKE_WORKLOADS = ["mul", "dilate3x3"]
 MIN_BATCHED_FRACTION = 0.9
 MIN_LANE0_SPEEDUP = 3.0
+#: (workload, target) compiles whose query-key sequence the smoke replays
+KEY_REPLAY = [("gaussian5x5", "hvx"), ("conv3x3a16", "neon")]
+MIN_SHARED_MEMO_SPEEDUP = 4.0
 
 
 def _pairs():
@@ -117,6 +126,71 @@ def run_lane0_ratio(repeats: int = 100) -> bool:
     return True
 
 
+def _recorded_key_calls() -> list:
+    """``(oracle, spec, candidate, layout, tag, key)`` of every
+    ``Oracle.query_key`` call the :data:`KEY_REPLAY` compiles make."""
+    calls = []
+    real = Oracle.query_key
+
+    def recording(self, spec, candidate, layout, tag="full"):
+        key = real(self, spec, candidate, layout, tag)
+        calls.append((self, spec, candidate, layout, tag, key))
+        return key
+
+    Oracle.query_key = recording
+    try:
+        for name, target in KEY_REPLAY:
+            compile_pipeline(get(name).build(), backend="rake",
+                             target=target)
+    finally:
+        Oracle.query_key = real
+    return calls
+
+
+def _replay_keys(calls: list, shared: bool, trials: int = 5) -> tuple:
+    """``(best seconds, keys)`` for re-deriving every recorded key on
+    fresh oracles; unless ``shared``, each key starts from an empty
+    rendering memo."""
+    best, keys = float("inf"), []
+    for _ in range(trials):
+        oracles = {}
+        keys = []
+        start = time.perf_counter()
+        for compiled, spec, candidate, layout, tag, _key in calls:
+            oracle = oracles.get(id(compiled))
+            if oracle is None:
+                oracle = oracles[id(compiled)] = Oracle(
+                    seed=compiled.seed,
+                    extra_random_rounds=compiled.extra_random_rounds)
+            if not shared:
+                oracle._canon_cache.clear()
+            keys.append(oracle.query_key(spec, candidate, layout, tag))
+        best = min(best, time.perf_counter() - start)
+    return best, keys
+
+
+def run_query_key_ratio() -> bool:
+    """Same-run gate: a compile-long rendering memo must key as a fresh
+    render does, and faster."""
+    calls = _recorded_key_calls()
+    want = [call[-1] for call in calls]
+    shared_s, shared_keys = _replay_keys(calls, shared=True)
+    fresh_s, fresh_keys = _replay_keys(calls, shared=False)
+    ratio = fresh_s / shared_s
+    print(f"query keys: {len(calls)} replayed, shared memo "
+          f"{shared_s * 1e3:.1f} ms, fresh memo per key "
+          f"{fresh_s * 1e3:.1f} ms ({ratio:.1f}x)")
+    if shared_keys != want or fresh_keys != want:
+        print("FAIL: replayed query keys differ from the compile's",
+              file=sys.stderr)
+        return False
+    if ratio < MIN_SHARED_MEMO_SPEEDUP:
+        print(f"FAIL: shared-memo keys under {MIN_SHARED_MEMO_SPEEDUP:.0f}x "
+              f"the fresh-memo ones", file=sys.stderr)
+        return False
+    return True
+
+
 def run_throughput(repeats: int) -> dict:
     scalar = _throughput(batch_eval=False, repeats=repeats)
     batched = _throughput(batch_eval=True, repeats=repeats)
@@ -152,7 +226,7 @@ def run_smoke() -> int:
         print(f"FAIL: batched fraction at or below "
               f"{MIN_BATCHED_FRACTION:.0%}", file=sys.stderr)
         return 1
-    if not run_lane0_ratio():
+    if not run_lane0_ratio() or not run_query_key_ratio():
         return 1
     print("smoke OK")
     return 0
@@ -166,7 +240,8 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="compile a fast subset and assert >90%% of "
                              "full checks ran batched, then that batched "
-                             "lane-0 checks are >=3x the scalar ones")
+                             "lane-0 checks are >=3x the scalar ones and "
+                             "shared-memo query keys >=4x fresh-memo ones")
     parser.add_argument("--json", default=str(RESULTS), metavar="PATH",
                         help="where to write the JSON report")
     args = parser.parse_args(argv)

@@ -12,10 +12,11 @@ subexpressions across kernels skip re-verification entirely.
 Verdicts are pure functions of ``(spec, candidate, layout, seed, rounds)``,
 so caching is sound.
 
-Caveat on rename-insensitivity: the valuation bank assigns pseudo-random
-streams to buffers in name-sorted order, so two expressions equal up to
-renaming receive *isomorphic* (not identical) valuations.  A cached verdict
-for a renamed twin is exactly as trustworthy as a fresh differential pass.
+Caveat on rename-insensitivity: each buffer draws its own stream, keyed
+by its name, so two expressions equal up to renaming receive *independent*
+valuations, not isomorphic ones.  A cached verdict for a renamed twin is
+exactly as trustworthy as a fresh differential pass: both are the same test
+on a bank drawn the same way, just from different random words.
 """
 
 from __future__ import annotations
@@ -56,18 +57,25 @@ _NAME_FIELDS = frozenset({"buffer", "buffer0", "buffer1", "name"})
 _EXPR_BASES = (ir_expr.Expr, uber_instr.UberExpr, hvx_isa.HvxExpr)
 
 
-def canonical_expr(node, names: dict) -> str:
+def canonical_expr(node, names: dict, memo: dict | None = None) -> str:
     """Render any expression kind (IR, uber, HVX, sketch) canonically.
 
     ``names`` maps buffer/scalar names to positional ids in first-occurrence
     order; passing one map across several expressions keeps their shared
     names consistent (a candidate must read the *same* buffers as its spec).
+
+    The rendering comes from ``node``'s template in ``memo`` (built on a
+    miss, see :func:`_template`); passing one memo across many calls
+    renders each distinct node once, however many trees share it.
     """
-    cls = type(node)
-    parts = [cls.__name__]
-    for name in _field_names(cls):
-        parts.append(_canon_value(getattr(node, name), name, names))
-    return "(" + " ".join(parts) + ")"
+    pieces, local = _template(node, {} if memo is None else memo)
+    if not local:
+        return pieces[0]
+    for name in local:
+        names.setdefault(name, f"%{len(names)}")
+    out = list(pieces)
+    out[1::2] = map(names.__getitem__, pieces[1::2])
+    return "".join(out)
 
 
 @functools.cache
@@ -76,19 +84,65 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
-def _canon_value(value, field_name: str, names: dict) -> str:
+def _template(node, memo: dict) -> tuple:
+    """``node``'s rendering with its names left as slots, memoized.
+
+    A template is ``(pieces, local_names)``: ``pieces`` alternates literal
+    strings and slots, starting and ending with a literal, and each slot
+    holds a buffer/scalar name as it appears in the tree; ``local_names``
+    lists the distinct names in first-occurrence order.  Rendering looks
+    them up in that order, so the outer map grows exactly as a walk of the
+    whole tree would grow it, and then replaces each slot by its id.  A
+    node's template is built from its children's, whose slots carry over
+    unchanged.
+    """
+    template = memo.get(node)
+    if template is None:
+        cls = type(node)
+        # ``pieces`` holds the finished pieces; ``run`` the parts of the
+        # literal still open after them.
+        pieces: list = []
+        run = ["(" + cls.__name__]
+        for name in _field_names(cls):
+            run.append(" ")
+            _add_value(getattr(node, name), name in _NAME_FIELDS, pieces,
+                       run, memo)
+        run.append(")")
+        pieces.append("".join(run))
+        template = memo[node] = (tuple(pieces),
+                                 tuple(dict.fromkeys(pieces[1::2])))
+    return template
+
+
+def _add_value(value, is_name: bool, pieces: list, run: list,
+               memo: dict) -> None:
+    """Render one field value into ``pieces``/``run``; a name closes the
+    open literal and becomes a slot."""
     if isinstance(value, _EXPR_BASES):
-        return canonical_expr(value, names)
-    if isinstance(value, (ScalarType, VectorType)):
-        return value.name
-    if isinstance(value, str):
-        if field_name in _NAME_FIELDS:
-            return names.setdefault(value, f"%{len(names)}")
-        return value
-    if isinstance(value, (tuple, list)):
-        return "[" + " ".join(_canon_value(v, field_name, names)
-                              for v in value) + "]"
-    return repr(value)
+        sub = _template(value, memo)[0]
+        run.append(sub[0])
+        if len(sub) > 1:
+            pieces.append("".join(run))
+            run.clear()
+            pieces += sub[1:-1]
+            run.append(sub[-1])
+    elif isinstance(value, (ScalarType, VectorType)):
+        run.append(value.name)
+    elif isinstance(value, str):
+        if is_name:
+            pieces += ("".join(run), value)
+            run.clear()
+        else:
+            run.append(value)
+    elif isinstance(value, (tuple, list)):
+        run.append("[")
+        for i, item in enumerate(value):
+            if i:
+                run.append(" ")
+            _add_value(item, is_name, pieces, run, memo)
+        run.append("]")
+    else:
+        run.append(repr(value))
 
 
 def canonical_spec(spec) -> str:

@@ -112,6 +112,12 @@ def denote(expr, env: ir_interp.Environment, layout: str = LAYOUT_INORDER) -> tu
     raise EvaluationError(f"cannot denote {type(expr).__name__}")
 
 
+def _memo():
+    """A per-compile memo field: derived state, so not a constructor
+    parameter and no part of the oracle's repr or equality."""
+    return field(default_factory=dict, init=False, repr=False, compare=False)
+
+
 @dataclass
 class Oracle:
     """Differential equivalence checker over one valuation bank per spec."""
@@ -133,13 +139,16 @@ class Oracle:
     #: every span a shared null context manager, so instrumentation costs
     #: one attribute load + one call when tracing is disabled
     tracer: object = NULL_TRACER  # Tracer | NullTracer
-    _bank_cache: dict = field(default_factory=dict)
-    _spec_cache: dict = field(default_factory=dict)
-    _canon_cache: dict = field(default_factory=dict)
-    _batch_evaluator: object = field(default=None, repr=False)
-    _bank_data_cache: dict = field(default_factory=dict)
-    _spec_matrix_cache: dict = field(default_factory=dict)
-    _env0_cache: dict = field(default_factory=dict)
+    _bank_cache: dict = _memo()
+    _spec_cache: dict = _memo()
+    #: node -> rendering template (``engine._template``) for every spec and
+    #: candidate this oracle keys
+    _canon_cache: dict = _memo()
+    _batch_evaluator: object = field(default=None, init=False, repr=False,
+                                     compare=False)
+    _bank_data_cache: dict = _memo()
+    _spec_matrix_cache: dict = _memo()
+    _env0_cache: dict = _memo()
 
     def bank_for(self, spec) -> list:
         key = spec
@@ -227,15 +236,13 @@ class Oracle:
         Insensitive to buffer/scalar renaming (names are positionalized
         with a map shared between spec and candidate), sensitive to
         layout, oracle seed, randomized-round count and query kind
-        (``tag``: full vs lane-0).  The spec's rendering is memoized.
+        (``tag``: full vs lane-0).  Both trees render from per-node
+        templates memoized for this oracle's lifetime, so each distinct
+        node of the compile is rendered once, not once per query.
         """
-        cached = self._canon_cache.get(spec)
-        if cached is None:
-            names: dict = {}
-            cached = (engine.canonical_expr(spec, names), dict(names))
-            self._canon_cache[spec] = cached
-        spec_part, names = cached
-        cand_part = engine.canonical_expr(candidate, dict(names))
+        names: dict = {}
+        spec_part = engine.canonical_expr(spec, names, self._canon_cache)
+        cand_part = engine.canonical_expr(candidate, names, self._canon_cache)
         raw = (f"{tag}|{layout}|{self.seed}|{self.extra_random_rounds}|"
                f"{spec_part}|{cand_part}")
         return hashlib.sha256(raw.encode()).hexdigest()

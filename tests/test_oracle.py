@@ -1,6 +1,7 @@
 """Tests for the equivalence oracle and valuation generation."""
 
 import gc
+import inspect
 import json
 import weakref
 
@@ -182,6 +183,18 @@ class TestOracle:
             assert dropped() is None
         finally:
             gc.enable()
+
+    def test_memos_are_not_settable_shown_or_compared(self):
+        # The per-compile memos are derived state: no constructor
+        # parameter, and no part of the oracle's repr or equality.
+        params = inspect.signature(Oracle).parameters
+        assert not [name for name in params if name.startswith("_")]
+        assert len(params) == 7
+        used = Oracle()
+        used.equivalent(B.widen(u8v()) * 2, B.widen(u8v()) * 2)
+        assert used._canon_cache and used._bank_cache
+        assert "_cache" not in repr(used)
+        assert used == Oracle(stats=used.stats, cache=used.cache)
 
 
 def _vcmp_gt_127():
