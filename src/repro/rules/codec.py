@@ -232,13 +232,14 @@ class SpecPattern:
     bindings: Bindings
 
 
-def abstract_spec(spec) -> SpecPattern:
-    """Abstract one spec expression into its pattern keys and bindings."""
+def abstract_spec(spec, memo: dict | None = None) -> SpecPattern:
+    """Abstract one spec expression into its pattern keys and bindings;
+    ``memo`` is passed on to :func:`canonical_spec`."""
     ab = Abstraction()
     tree = encode_node(spec, ab)
     pattern = json.dumps(tree, separators=(",", ":"), sort_keys=True)
     return SpecPattern(
-        exact=hashlib.sha256(canonical_spec(spec).encode()).hexdigest(),
+        exact=hashlib.sha256(canonical_spec(spec, memo).encode()).hexdigest(),
         lhs=hashlib.sha256(pattern.encode()).hexdigest(),
         root=root_signature(spec),
         bindings=ab.bindings(),

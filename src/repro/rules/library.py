@@ -161,13 +161,15 @@ class RuleLibrary:
         at most :data:`MAX_CANDIDATES` total.  Every candidate is
         instantiated under the spec's own bindings and re-checked with one
         full-bank oracle query; a refuted candidate counts a
-        ``rule_recheck_failure`` and the search continues.
+        ``rule_recheck_failure`` and the search continues.  The exact key
+        renders ``spec`` through the oracle's template memo, which its
+        query keys then reuse.
         """
         with self._lock:
             if not self._seen or root_signature(spec) not in self._roots:
                 return None
         try:
-            pattern = abstract_spec(spec)
+            pattern = abstract_spec(spec, oracle._canon_cache)
         except RuleCodecError:
             return None
         with self._lock:

@@ -25,6 +25,7 @@ import dataclasses
 import functools
 import os
 import threading
+import weakref
 from pathlib import Path
 
 from .. import faults
@@ -145,7 +146,7 @@ def _add_value(value, is_name: bool, pieces: list, run: list,
         run.append(repr(value))
 
 
-def canonical_spec(spec) -> str:
+def canonical_spec(spec, memo: dict | None = None) -> str:
     """Rename-insensitive canonical rendering of one spec expression.
 
     This is the **single** definition of spec identity shared by the
@@ -154,9 +155,11 @@ def canonical_spec(spec) -> str:
     (:mod:`repro.service.coalesce`) and the rewrite-rule library
     (:mod:`repro.rules`) — every layer that answers "have we seen this
     spec before?" must hash the same rendering, or cache keys, coalescing
-    keys and rule keys drift apart.
+    keys and rule keys drift apart.  ``memo`` is a template memo as for
+    :func:`canonical_expr`; the rule library passes the oracle's, so the
+    spec's templates are built once for both.
     """
-    return canonical_expr(spec, {})
+    return canonical_expr(spec, {}, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -164,32 +167,47 @@ def canonical_spec(spec) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: fresh verdicts per map record: a full batch is written at once
+VERDICTS_PER_RECORD = 128
+
+
 @dataclasses.dataclass
 class OracleCache:
     """Verdict cache: an in-process map over an optional append log.
 
-    With a log (:meth:`with_disk`) every verdict is also a line of
-    ``oracle.jsonl``::
+    With a log (:meth:`with_disk`) the cache's fresh verdicts are written
+    to ``oracle.jsonl`` through :class:`~repro.fsutil.AppendLog` (fault
+    sites ``cache.load`` / ``cache.flush``) as map records, one line per
+    write holding every verdict recorded since the last::
 
-        {"t": "v", "k": "<query key>", "v": 0 | 1}
+        {"t": "m", "m": {"<query key>": 0 | 1, ...}}
 
-    loaded once when the cache opens and appended through
-    :class:`~repro.fsutil.AppendLog` (batches of 128; fault sites
-    ``cache.load`` / ``cache.flush``; a failed flush re-queues).
-    Stores written while the oracle kept a counterexample set also hold
-    ``{"t": "c", "k": "<spec key>", "i": <bank index>}`` lines; a
-    well-formed one is accepted and ignored.  A record of any other
-    shape is corrupt: a wrongly typed verdict replayed forever would be
-    a permanent false accept.
+    :meth:`record` keeps its fresh verdicts in one pending map, which is
+    written when it holds :data:`VERDICTS_PER_RECORD` verdicts, on
+    :meth:`flush`, and when the cache is collected or the interpreter
+    exits (a finalizer that holds the log and the map, never the cache).
+    A failed write stays queued in the log for the next one.
+
+    The file is loaded once, when the cache opens.  A map record loads
+    only if ``m`` is a non-empty object whose every value is the integer
+    0 or 1.  Older stores hold one ``{"t": "v", "k": "<query key>",
+    "v": 0 | 1}`` line per verdict, and those written while the oracle
+    kept a counterexample set also ``{"t": "c", "k": "<spec key>", "i":
+    <bank index>}`` lines; both still load (a well-formed ``"c"`` line is
+    accepted and ignored).  A record of any other shape is corrupt, whole:
+    a wrongly typed verdict replayed forever would be a permanent false
+    accept.
 
     Safe to share between threads: the compilation service hands one cache
     to every worker so concurrent jobs warm each other.  Verdicts are pure
     functions of their key, so a lost race is just a duplicate proof —
-    the lock only protects the map, never a verdict's validity.
+    the lock only protects the maps, never a verdict's validity.
     """
 
     store: AppendLog | None = None
-    _verdicts: dict = dataclasses.field(default_factory=dict)
+    _verdicts: dict = dataclasses.field(default_factory=dict, repr=False)
+    #: fresh verdicts not yet written, as the ints they are written as
+    _pending: dict = dataclasses.field(default_factory=dict, repr=False)
     _lock: threading.RLock = dataclasses.field(
         default_factory=threading.RLock, repr=False
     )
@@ -201,15 +219,26 @@ class OracleCache:
         directory = Path(directory) if directory else default_cache_dir()
         cache = cls()
         cache.store = AppendLog(
-            directory / CACHE_FILE_NAME, cache, flush_every=128,
+            directory / CACHE_FILE_NAME,
             load_site=faults.SITE_CACHE_LOAD,
             flush_site=faults.SITE_CACHE_FLUSH,
         )
         cache.store.load(cache._load_record)
+        weakref.finalize(cache, _write_pending, cache.store, cache._pending,
+                         cache._lock)
         return cache
 
     def _load_record(self, rec: dict) -> bool:
-        key, kind = rec.get("k"), rec.get("t")
+        kind = rec.get("t")
+        if kind == "m":
+            batch = rec.get("m")
+            if (not isinstance(batch, dict)
+                    or set(map(type, batch.values())) != {int}
+                    or not set(batch.values()) <= {0, 1}):
+                return False
+            self._verdicts.update(zip(batch, map(bool, batch.values())))
+            return True
+        key = rec.get("k")
         if not isinstance(key, str):
             return False
         verdict, index = rec.get("v"), rec.get("i")
@@ -228,7 +257,9 @@ class OracleCache:
             fresh = key not in self._verdicts
             self._verdicts[key] = verdict
             if fresh and self.store is not None:
-                self.store.append({"t": "v", "k": key, "v": int(verdict)})
+                self._pending[key] = int(verdict)
+                if len(self._pending) >= VERDICTS_PER_RECORD:
+                    _write_pending(self.store, self._pending, self._lock)
 
     def __len__(self) -> int:
         with self._lock:
@@ -236,4 +267,16 @@ class OracleCache:
 
     def flush(self) -> None:
         if self.store is not None:
-            self.store.flush()
+            _write_pending(self.store, self._pending, self._lock)
+
+
+def _write_pending(store: AppendLog, pending: dict, lock) -> None:
+    """Append ``pending`` to ``store`` as one map record, written at once,
+    and empty it; with nothing pending, retry what a failed write left
+    queued."""
+    with lock:
+        if pending:
+            store.append({"t": "m", "m": pending})
+            pending.clear()
+        else:
+            store.flush()

@@ -35,7 +35,10 @@ def no_leaked_plan():
 
 
 class Verdicts:
-    flush_every = 128
+    # The cache batches its verdicts itself, 128 to one map record, and
+    # the log writes each record at once.
+    flush_every = 1
+    batch, batch_lines = 128, 1
     requeue = True
     load_site = faults.SITE_CACHE_LOAD
     flush_site = faults.SITE_CACHE_FLUSH
@@ -57,6 +60,7 @@ class Verdicts:
 
 class Rules:
     flush_every = 32
+    batch = batch_lines = 32
     requeue = True
     load_site = faults.SITE_RULES_LOAD
     flush_site = None
@@ -84,6 +88,7 @@ class Rules:
 
 class Telemetry:
     flush_every = 8
+    batch = batch_lines = 8
     requeue = False
     load_site = None
     flush_site = faults.SITE_TELEMETRY_FLUSH
@@ -112,12 +117,12 @@ def store(request):
 
 
 def filled(store, directory, n):
-    """A store on ``directory`` holding records ``0..n-1``, flushed;
-    returns the log's path."""
+    """A store on ``directory`` holding records ``0..n-1``, each flushed
+    on its own so that it is one line; returns the log's path."""
     owner = store.open(directory)
     for i in range(n):
         store.add(owner, i)
-    owner.flush()
+        owner.flush()
     return store.log(owner).path
 
 
@@ -240,11 +245,13 @@ def test_failed_compaction_keeps_the_quarantined_copy(store, tmp_path,
 def test_flush_at_batch_size(store, tmp_path):
     owner = store.open(tmp_path)
     path = store.log(owner).path
-    for i in range(store.flush_every - 1):
+    for i in range(store.batch - 1):
         store.add(owner, i)
     assert not path.exists()  # still queued
-    store.add(owner, store.flush_every - 1)  # fills the batch
-    assert len(path.read_text().splitlines()) == store.flush_every
+    store.add(owner, store.batch - 1)  # fills the batch
+    assert len(path.read_text().splitlines()) == store.batch_lines
+    present, corrupt, _ = store.reload(tmp_path, store.batch)
+    assert present == set(range(store.batch)) and corrupt == 0
 
 
 def test_failed_flush_requeues_or_drops(store, tmp_path):

@@ -136,6 +136,15 @@ class TestDiskStore:
         {"t": "c", "k": "K", "i": -1},
         {"t": "c", "k": "K", "i": 2.0},
         {"t": "c", "k": None, "i": 2},
+        # A map record is corrupt whole, its well-typed verdict "J" too.
+        {"t": "m", "m": {"J": 1, "K": True}},
+        {"t": "m", "m": {"J": 1, "K": "1"}},
+        {"t": "m", "m": {"J": 1, "K": 2}},
+        {"t": "m", "m": {"J": 1, "K": 1.0}},
+        {"t": "m", "m": {"J": 1, "K": None}},
+        {"t": "m", "k": "K", "v": 1},      # no map, though a verdict's shape
+        {"t": "m", "m": [["K", 1]]},       # not an object
+        {"t": "m", "m": {}},
     ])
     def test_mistyped_records_are_corrupt(self, tmp_path, record):
         """A CRC-valid (or legacy) record with a wrongly typed field is
@@ -148,6 +157,7 @@ class TestDiskStore:
             assert store.store.corrupt_lines == 1
             assert store.store.quarantined is not None
             assert store.lookup("K") is None
+            assert store.lookup("J") is None
             assert store.lookup("good") is False
             assert [decode_record(x) for x in path.read_text().splitlines()] \
                 == [good]
@@ -162,7 +172,71 @@ class TestDiskStore:
         rec = json.loads(path.read_text())
         crc = rec.pop("crc")
         assert isinstance(crc, int)  # every new record is checksummed
-        assert rec == {"t": "v", "k": "k", "v": 1}
+        assert rec == {"t": "m", "m": {"k": 1}}
+
+    def test_map_records_round_trip(self, tmp_path):
+        """300 fresh verdicts land as two full map records and the flushed
+        rest: three lines, typed ints, and the same map on reload."""
+        path = tmp_path / "oracle.jsonl"
+        store = OracleCache.with_disk(tmp_path)
+        verdicts = {f"k{i}": i % 3 == 0 for i in range(300)}
+        for key, verdict in verdicts.items():
+            store.record(key, verdict)
+        store.flush()
+        recs = [decode_record(x) for x in path.read_text().splitlines()]
+        assert [len(rec["m"]) for rec in recs] == [128, 128, 44]
+        assert all(rec["t"] == "m" and set(rec) == {"t", "m"}
+                   and {type(v) for v in rec["m"].values()} == {int}
+                   for rec in recs)
+        reloaded = OracleCache.with_disk(tmp_path)
+        assert reloaded._verdicts == verdicts
+        assert reloaded.store.corrupt_lines == 0
+
+    def test_mixed_store_loads_as_one_verdict_per_line(self, tmp_path):
+        """Legacy verdict and counterexample lines and map records load
+        the same map as the same verdicts written one per line."""
+        verdicts = {f"k{i}": i % 2 == 0 for i in range(10)}
+        per_line = tmp_path / "per-line"
+        per_line.mkdir()
+        (per_line / CACHE_FILE_NAME).write_text("".join(
+            encode_record({"t": "v", "k": k, "v": int(v)}) + "\n"
+            for k, v in verdicts.items()))
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        items = [(k, int(v)) for k, v in verdicts.items()]
+        lines = [
+            encode_record({"t": "m", "m": dict(items[:4])}),
+            encode_record({"t": "v", "k": items[4][0], "v": items[4][1]}),
+            json.dumps({"t": "v", "k": items[5][0], "v": items[5][1]}),
+            encode_record({"t": "c", "k": "spec", "i": 3}),
+            json.dumps({"t": "m", "m": dict(items[6:9])}),  # no crc
+            encode_record({"t": "m", "m": dict(items[8:])}),  # a duplicate
+        ]
+        (mixed / CACHE_FILE_NAME).write_text("\n".join(lines) + "\n")
+        before = (mixed / CACHE_FILE_NAME).read_bytes()
+        store = OracleCache.with_disk(mixed)
+        assert store._verdicts == OracleCache.with_disk(per_line)._verdicts
+        assert store._verdicts == verdicts
+        assert store.store.corrupt_lines == 0
+        assert (mixed / CACHE_FILE_NAME).read_bytes() == before
+
+    def test_repr_leaves_out_the_verdicts(self, tmp_path):
+        """A cache's repr names its store, not its ~7k verdicts; nor does
+        an oracle's repr after a compile list the cache's."""
+        path = tmp_path / CACHE_FILE_NAME
+        path.write_text("".join(
+            encode_record({"t": "m", "m": {
+                f"{b:03d}-{i:064d}": i % 2 for i in range(128)}}) + "\n"
+            for b in range(56)))
+        cache = OracleCache.with_disk(tmp_path)
+        cache.record("fresh", True)  # pending, unwritten
+        assert len(cache) == 56 * 128 + 1
+        assert len(repr(cache)) < 200
+        oracle = Oracle(cache=cache)
+        spec = B.widen(u8v()) * 2
+        assert oracle.equivalent(spec, B.shl(B.widen(u8v()),
+                                             B.broadcast(1, 8, U16)))
+        assert len(repr(oracle)) < len(repr(Oracle())) + 200
 
     def test_duplicates_not_rewritten(self, tmp_path):
         path = tmp_path / "oracle.jsonl"
@@ -249,6 +323,7 @@ class TestConcurrentWriters:
     processes; appends must interleave at line granularity."""
 
     def test_threads_sharing_one_store(self, tmp_path):
+        import sys
         import threading
 
         path = tmp_path / "oracle.jsonl"
@@ -265,17 +340,27 @@ class TestConcurrentWriters:
         threads = [
             threading.Thread(target=writer, args=(t,)) for t in range(8)
         ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-record
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
         store.flush()
 
-        lines = path.read_text().splitlines()
-        assert len(lines) == 8 * 200  # no duplicates, no losses
-        for line in lines:
+        written = []
+        for line in path.read_text().splitlines():
             rec = json.loads(line)  # raises if any line tore
-            assert rec["t"] == "v"
+            assert rec["t"] == "m"
+            assert {type(v) for v in rec["m"].values()} == {int}
+            written += rec["m"]
+        # no duplicates, no losses
+        assert sorted(written) == sorted(
+            f"k{t}-{i}" for t in range(8) for i in range(200))
         reloaded = OracleCache.with_disk(tmp_path)
         assert len(reloaded) == 8 * 200
         assert reloaded.lookup("k3-101") is ((3 + 101) % 2 == 0)
@@ -323,11 +408,13 @@ class TestConcurrentWriters:
         for th in threads:
             th.join()
 
-        keys = set()
+        keys = []
         for line in path.read_text().splitlines():
             rec = json.loads(line)  # a torn write would fail here
-            keys.add(rec["k"])
-        assert keys == {f"w{t}-{i}" for t in range(4) for i in range(100)}
+            assert rec["m"] and set(rec["m"].values()) == {1}
+            keys += rec["m"]
+        assert sorted(keys) == sorted(
+            f"w{t}-{i}" for t in range(4) for i in range(100))
 
 
 class TestCacheDir:

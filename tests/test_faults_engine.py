@@ -80,8 +80,9 @@ class TestDiskStoreResilience:
         assert store.lookup("old") is True
 
     def test_injected_torn_flush_never_corrupts_reload(self, tmp_path):
-        """A flush torn mid-line costs at most the torn record: the next
-        load skips it, quarantines, and compacts to a fully valid file."""
+        """A flush torn mid-line costs at most the torn record, here one
+        map of 8 verdicts: the next load skips it, quarantines, and
+        compacts to a fully valid file."""
         path = tmp_path / "oracle.jsonl"
         store = OracleCache.with_disk(tmp_path)
         for i in range(8):
@@ -109,10 +110,43 @@ class TestDiskStoreResilience:
                       every=1),
         ])):
             store.flush()
-        assert store.store.write_errors == 1
+        assert store.store.write_errors == 1  # one per failed flush
         assert not path.exists()
+        store.record("b", False)
         store.flush()  # fault cleared: the re-queued record lands
-        assert OracleCache.with_disk(tmp_path).lookup("a") is True
+        assert store.store.write_errors == 1
+        reloaded = OracleCache.with_disk(tmp_path)
+        assert reloaded.lookup("a") is True and reloaded.lookup("b") is False
+        # The queued map and the next one, whole, each verdict once.
+        assert [decode_record(x) for x in path.read_text().splitlines()] \
+            == [{"t": "m", "m": {"a": 1}}, {"t": "m", "m": {"b": 0}}]
+
+    def test_torn_map_flush_costs_only_its_own_batch(self, tmp_path):
+        """A torn flush (a writer dying mid-write) loses its own map of
+        verdicts, whole: not the batch written before it, and not one
+        that the next process writes after loading the store."""
+        path = tmp_path / "oracle.jsonl"
+        store = OracleCache.with_disk(tmp_path)
+        for i in range(128):  # a full batch, written at once
+            store.record(f"a{i}", True)
+        for i in range(5):
+            store.record(f"b{i}", False)
+        with faults.injected(FaultPlan(rules=[
+            FaultRule(site=faults.SITE_CACHE_FLUSH, kind="torn_write",
+                      every=1),
+        ])):
+            store.flush()
+        assert len(path.read_text().splitlines()) == 2
+
+        restarted = OracleCache.with_disk(tmp_path)
+        assert restarted.store.corrupt_lines == 1  # the torn batch alone
+        assert restarted._verdicts == {f"a{i}": True for i in range(128)}
+        restarted.record("c", True)
+        restarted.flush()
+        reloaded = OracleCache.with_disk(tmp_path)
+        assert reloaded.store.corrupt_lines == 0
+        assert reloaded._verdicts == {
+            **{f"a{i}": True for i in range(128)}, "c": True}
 
     def test_injected_load_oserror_starts_empty_not_crashed(self, tmp_path):
         self.write_store(tmp_path, {"a": True})

@@ -127,7 +127,8 @@ class TestOracle:
             assert oracle.equivalent(spec, B.widen(u8v()) * 2)
         oracle.cache.flush()
         lines = (tmp_path / CACHE_FILE_NAME).read_text().splitlines()
-        assert [json.loads(line)["t"] for line in lines] == ["v", "v", "v"]
+        assert [json.loads(line)["t"] for line in lines] == ["m"]
+        assert sorted(json.loads(lines[0])["m"].values()) == [0, 0, 1]
         assert oracle.stats.total("counterexamples") == 2
 
     def test_lane0_pruning_rejects(self, oracle):

@@ -170,6 +170,39 @@ class TestCanonicalSpecSharing:
                 == abstract_spec(_mul_spec("zzz")).exact)
 
 
+    def test_match_renders_through_the_oracle_memo(self, monkeypatch):
+        """``match`` keys its exact index through the oracle's template
+        memo: the key is the fresh-memo rendering's, byte for byte, and
+        the recheck's query key finds the spec's template built."""
+        import hashlib
+
+        from repro.synthesis.engine import canonical_spec
+
+        spec = workload_specs("mul")[0]
+        oracle = Oracle()
+        # A memo that already holds other templates renders the same key.
+        oracle.query_key(_mul_spec("zzz", 3), _mul_spec("zzz", 3), "inorder")
+        shared = abstract_spec(spec, oracle._canon_cache).exact
+        fresh = canonical_spec(spec)
+        assert fresh == canonical_spec(spec, {})
+        assert shared == abstract_spec(spec).exact
+        assert shared == hashlib.sha256(fresh.encode()).hexdigest()
+
+        library = RuleLibrary()
+        assert library.learn(spec, RakeSelector().select(spec).program)
+        oracle = Oracle()
+        built = []
+        equivalent = oracle.equivalent
+
+        def recheck(spec, program):
+            built.append(spec in oracle._canon_cache)
+            return equivalent(spec, program)
+
+        monkeypatch.setattr(oracle, "equivalent", recheck)
+        assert library.match(spec, oracle) is not None
+        assert built == [True]  # built by the exact key, before the query
+
+
 # -- library: learn, match, persist ------------------------------------------
 
 

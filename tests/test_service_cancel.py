@@ -84,14 +84,16 @@ def clean_reference():
 
 
 def assert_store_is_sound(path):
-    """Every flushed line must be a complete, parseable record."""
+    """Every flushed line must be a complete, parseable map record of
+    typed verdicts."""
     if not path.exists():
         return
     for line in path.read_text().splitlines():
         rec = json.loads(line)  # raises on a torn line
-        assert rec["t"] == "v"
-        assert isinstance(rec["k"], str) and rec["k"]
-        assert rec["v"] in (0, 1)
+        assert rec["t"] == "m" and rec["m"]
+        for key, verdict in rec["m"].items():
+            assert key
+            assert type(verdict) is int and verdict in (0, 1)
 
 
 class TestCancelledCompileLeavesSoundCaches:

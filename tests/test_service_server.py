@@ -168,9 +168,9 @@ class TestGracefulShutdown:
             pytest.fail("server kept serving after graceful shutdown")
         store = tmp_path / "oracle.jsonl"
         assert store.exists()
-        # Every flushed line is a complete record.
+        # Every flushed line is a complete map record.
         for line in store.read_text().splitlines():
-            assert json.loads(line)["t"] in ("v", "c")
+            assert json.loads(line)["t"] == "m"
 
     def test_submissions_after_shutdown_are_rejected(self):
         server = CompileServer(workers=1, quiet=True,
