@@ -3,9 +3,10 @@
 The oracle's differential pass evaluates every candidate once per valuation
 in the bank; the scalar interpreters walk the expression tree per
 environment over Python ints.  This package compiles an IR / uber / HVX
-expression *once* into a flat post-order evaluation plan over int64 NumPy
-arrays, then evaluates the whole bank in one call by stacking environments
-along a batch axis (shape ``envs x lanes``).
+expression *once* into a DAG of evaluation steps over int64 NumPy arrays,
+then evaluates the whole bank in one call by stacking environments along
+a batch axis (shape ``envs x lanes``); each step runs once per bank, and
+candidates that share subtrees share their values.
 
 Exactness is the contract: plans reproduce the scalar interpreters bit for
 bit (two's-complement wrap and saturation via masking/clipping, with

@@ -1,12 +1,14 @@
 """Plan IR and executor for the batched denotation engine.
 
-A *plan* is a flat post-order list of :class:`CompiledNode` steps over a
-shared-subtree DAG.  Each step's ``fn`` maps ``(bank, child_arrays)`` to an
-int64 NumPy array of shape ``(envs, lanes)`` holding the node's *typed*
-values — the same signed-interpretation integers the scalar interpreters
-pass around (post-wrap, so every stored value lies in the node's element
+A *plan* is the root of a shared-subtree DAG of :class:`CompiledNode`
+steps.  Each step's ``fn`` maps ``(bank, child_arrays)`` to an int64
+NumPy array of shape ``(envs, lanes)`` holding the node's *typed* values
+— the same signed-interpretation integers the scalar interpreters pass
+around (post-wrap, so every stored value lies in the node's element
 range).  Evaluating a plan against a :class:`BankData` therefore denotes
 the expression over every environment of the valuation bank at once.
+The evaluator keeps every node value it computed on the bank it last
+ran, so a node shared by several plans runs once per bank.
 
 Exactness rules:
 
@@ -32,14 +34,17 @@ on its first environment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import faults
+from .. import faults, targets
 from ..errors import EvaluationError
+from ..hvx.isa import HvxSplat
+from ..ir import expr as ir_expr
 from ..trace.core import NULL_TRACER
 from ..types import ScalarType
+from ..uber import instructions as uber_instr
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -104,9 +109,13 @@ class ValueInfo:
 
 
 class CompiledNode:
-    """One step of a plan: ``fn(bank, child_arrays) -> int64 (envs, lanes)``."""
+    """One step of a plan: ``fn(bank, child_arrays) -> int64 (envs, lanes)``.
 
-    __slots__ = ("fn", "children", "info", "is_fallback")
+    ``pure`` holds when neither this node nor any node below it is a
+    fallback step; it is set once, from the children's.
+    """
+
+    __slots__ = ("fn", "children", "info", "is_fallback", "pure")
 
     def __init__(self, fn: Callable, children: Tuple["CompiledNode", ...],
                  info: ValueInfo, is_fallback: bool = False) -> None:
@@ -114,10 +123,11 @@ class CompiledNode:
         self.children = children
         self.info = info
         self.is_fallback = is_fallback
+        self.pure = not is_fallback and all(c.pure for c in children)
 
 
 class Plan:
-    """A post-order step list for one root expression.
+    """One root expression's compiled node, ready to run over a bank.
 
     ``claims`` records the ``(buffer, elem)`` pairs of every raw IR/uber
     load in the expression.  Those loads pass buffer contents through
@@ -127,15 +137,18 @@ class Plan:
     run (a mismatch simply keeps the scalar path, which is always exact).
     """
 
-    __slots__ = ("root", "steps", "pure", "is_hvx", "claims")
+    __slots__ = ("root", "is_hvx", "claims")
 
-    def __init__(self, root: CompiledNode, steps: List[CompiledNode],
-                 is_hvx: bool, claims: frozenset) -> None:
+    def __init__(self, root: CompiledNode, is_hvx: bool,
+                 claims: frozenset) -> None:
         self.root = root
-        self.steps = steps
-        self.pure = not any(step.is_fallback for step in steps)
         self.is_hvx = is_hvx
         self.claims = claims
+
+    @property
+    def pure(self) -> bool:
+        """No step of the plan re-enters a scalar interpreter."""
+        return self.root.pure
 
 
 def plan_usable(plan: Plan, bank: BankData) -> bool:
@@ -148,32 +161,20 @@ def plan_usable(plan: Plan, bank: BankData) -> bool:
     return True
 
 
-def collect_load_claims(expr) -> frozenset:
-    """All ``(buffer, elem)`` pairs of raw IR/uber loads under ``expr``.
+def _claim_parts(node) -> Tuple[frozenset, tuple]:
+    """``(own claims, sub-expressions)`` of one expression node.
 
-    Walks across all three expression families, including the scalar IR
-    expressions embedded in ``BroadcastScalar`` / ``HvxSplat`` nodes.  HVX
-    loads re-wrap to their own element type and need no claim.
+    Raw IR/uber loads claim ``(buffer, elem)``; the sub-expressions span
+    all three families, including the scalar IR expressions embedded in
+    ``BroadcastScalar`` / ``HvxSplat`` nodes.  HVX loads re-wrap to their
+    own element type and need no claim.
     """
 
-    from ..hvx.isa import HvxSplat
-    from ..ir import expr as ir_expr
-    from ..uber import instructions as uber_instr
-
-    claims = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ir_expr.Load):
-            claims.add((node.buffer, node.elem))
-        elif isinstance(node, uber_instr.LoadData):
-            claims.add((node.buffer, node.elem))
-        elif isinstance(node, uber_instr.BroadcastScalar):
-            stack.append(node.scalar)
-        elif isinstance(node, HvxSplat):
-            stack.append(node.scalar)
-        stack.extend(node.children)
-    return frozenset(claims)
+    if isinstance(node, (ir_expr.Load, uber_instr.LoadData)):
+        return frozenset({(node.buffer, node.elem)}), tuple(node.children)
+    if isinstance(node, (uber_instr.BroadcastScalar, HvxSplat)):
+        return frozenset(), (node.scalar, *node.children)
+    return frozenset(), tuple(node.children)
 
 
 @dataclass
@@ -213,37 +214,30 @@ def read_buffer(bank: BankData, name: str, offset: int, lanes: int,
     return data[:, start:stop:stride]
 
 
-def _postorder(root: CompiledNode) -> List[CompiledNode]:
-    steps: List[CompiledNode] = []
-    seen = set()
-    stack: List[Tuple[CompiledNode, bool]] = [(root, False)]
-    while stack:
-        node, emit = stack.pop()
-        if emit:
-            steps.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for child in node.children:
-            if id(child) not in seen:
-                stack.append((child, False))
-    return steps
-
-
 class BatchedEvaluator:
     """Compiles expressions to plans (memoized) and runs them over banks.
 
     Plans are memoized by expression *value* — the expression dataclasses
     are frozen and hashable, and two equal expressions denote identically
     (buffer and scalar names are part of equality), so equal candidates in
-    a wave share one plan and all of its subtree nodes.
+    a wave share one plan and all of its subtree nodes.  Load claims are
+    memoized per expression node, so a plan's claims cost one union over
+    its root's operands.
+
+    :meth:`denote_bank` keeps the read-only value of every node it
+    evaluated on the last bank it ran on, and drops them all when a
+    different bank comes: a full check that follows a lane-0 check of the
+    same candidate, and sibling candidates sharing subtrees, reuse those
+    values instead of recomputing them.
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[object, CompiledNode] = {}
         self._plans: Dict[object, Optional[Plan]] = {}
+        self._claims: Dict[object, frozenset] = {}
+        #: the bank ``_values`` were computed on, and node -> value matrix
+        self._bank: Optional[BankData] = None
+        self._values: Dict[CompiledNode, object] = {}
         self.tracer = NULL_TRACER
         self.compile_errors = 0
 
@@ -279,40 +273,28 @@ class BatchedEvaluator:
                 if sp:
                     sp.set(error=type(exc).__name__)
             if sp:
-                sp.set(
-                    batched=plan is not None,
-                    steps=len(plan.steps) if plan is not None else 0,
-                    pure=plan.pure if plan is not None else False,
-                )
+                sp.set(batched=plan is not None,
+                       pure=plan.pure if plan is not None else False)
         self._plans[expr] = plan
         return plan
 
     def _build_plan(self, expr) -> Optional[Plan]:
-        from . import lower_ir
-        from .. import targets
-
-        kind = lower_ir.family_of(expr)
+        # ``is_hvx`` historically meant "machine expression" (as opposed
+        # to IR/uber); every target's family qualifies, so the layout
+        # handling in denote_bank is unchanged for HVX roots.
         machine = False
-        if kind is None:
-            kind = targets.machine_family_of(expr)
-            machine = kind is not None
-        if kind is None:
-            return None
+        if lower_ir.family_of(expr) is None:
+            machine = targets.machine_family_of(expr) is not None
+            if not machine:
+                return None
         root = self.node_for(expr)
         elem = root.info.elem
         if elem is not None and elem.bits > 32 and not elem.signed:
             # uint64 typed values cannot live in an int64 matrix.
             return None
-        # ``is_hvx`` historically meant "machine expression" (as opposed
-        # to IR/uber); every target's family qualifies, so the layout
-        # handling in denote_bank is unchanged for HVX roots.
-        return Plan(root, _postorder(root), is_hvx=machine,
-                    claims=collect_load_claims(expr))
+        return Plan(root, is_hvx=machine, claims=self.claims_of(expr))
 
     def _compile(self, expr) -> CompiledNode:
-        from . import lower_ir
-        from .. import targets
-
         family = lower_ir.family_of(expr)
         if family == "ir":
             return lower_ir.compile_ir(expr, self)
@@ -325,6 +307,28 @@ class BatchedEvaluator:
             f"cannot compile expression of type {type(expr).__name__}"
         )
 
+    def claims_of(self, expr) -> frozenset:
+        """All ``(buffer, elem)`` pairs of raw IR/uber loads under
+        ``expr`` (see :func:`_claim_parts`), memoized per node."""
+
+        memo = self._claims
+        stack = [expr]
+        while stack:
+            node = stack[-1]
+            if node in memo:
+                stack.pop()
+                continue
+            claims, subs = _claim_parts(node)
+            missing = [sub for sub in subs if sub not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            for sub in subs:
+                claims |= memo[sub]
+            memo[node] = claims
+        return memo[expr]
+
     # -- execution ---------------------------------------------------------
 
     def denote_bank(self, plan: Plan, bank: BankData,
@@ -333,14 +337,29 @@ class BatchedEvaluator:
 
         The result holds masked lane values exactly as ``Oracle.denote``
         produces them per environment (including the layout transform and
-        the 1-bit masking of predicate results for HVX roots).
+        the 1-bit masking of predicate results for HVX roots).  Node
+        values already computed on ``bank`` are reused, not recomputed.
         """
 
-        values: Dict[int, object] = {}
-        for step in plan.steps:
-            args = [values[id(child)] for child in step.children]
-            values[id(step)] = step.fn(bank, args)
-        arr = values[id(plan.root)]
+        if bank is not self._bank:
+            self._bank, self._values = bank, {}
+        values = self._values
+        # Children first, skipping every node whose value is kept.
+        stack = [plan.root]
+        while stack:
+            node = stack[-1]
+            if node in values:
+                stack.pop()
+                continue
+            missing = [c for c in node.children if c not in values]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            value = node.fn(bank, [values[c] for c in node.children])
+            value.flags.writeable = False
+            values[node] = value
+        arr = values[plan.root]
         info = plan.root.info
         if plan.is_hvx and layout == LAYOUT_DEINTERLEAVED:
             if info.kind != "pair":
@@ -391,3 +410,7 @@ def make_fallback(expr, info: ValueInfo, family: str) -> CompiledNode:
         return cached
 
     return CompiledNode(fn, (), info, is_fallback=True)
+
+
+# Imported last: the lowerings import this module's names.
+from . import lower_ir  # noqa: E402

@@ -166,6 +166,12 @@ class AppendLog:
     Given an ``owner``, the log flushes when the owner is collected or
     at interpreter exit, whichever comes first; the exit hook holds the
     log, never the owner, so a dropped store is freed.
+
+    A write that leaves the file mid-line (a torn write) would swallow
+    the next batch into its partial line, so the log remembers when its
+    own last write did not end in a newline and opens the next payload
+    with one.  It reads nothing from the file to decide, so it never
+    acts on another writer's half-written batch.
     """
 
     def __init__(self, path, owner=None, *, flush_every: int = 1,
@@ -183,6 +189,8 @@ class AppendLog:
         self.load_errors = 0
         self.write_errors = 0
         self.quarantined: Path | None = None
+        #: whether this log's last write left the file mid-line
+        self._torn = False
         if owner is not None:
             weakref.finalize(owner, self.flush)
 
@@ -209,7 +217,9 @@ class AppendLog:
                   path=str(self.path), error=str(exc))
             return False
         survivors = []
-        for line in data.decode(errors="surrogateescape").splitlines():
+        # Lines end at "\n" alone: str.splitlines would also cut a legacy
+        # line at a raw U+2028 or U+0085 inside a JSON string.
+        for line in data.decode(errors="surrogateescape").split("\n"):
             if not line.strip():
                 continue
             rec = decode_record(line) if _utf8(line) else None
@@ -261,6 +271,8 @@ class AppendLog:
                 return
             pending, self._pending = self._pending, []
             payload = ("\n".join(pending) + "\n").encode()
+            if self._torn:
+                payload = b"\n" + payload
             try:
                 # A torn_write rule truncates the payload (a crash
                 # mid-append); the raising kinds fail the write.
@@ -271,9 +283,11 @@ class AppendLog:
                     self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
                 )
                 try:
-                    os.write(fd, payload)
+                    wrote = os.write(fd, payload)
                 finally:
                     os.close(fd)
+                if wrote:
+                    self._torn = payload[wrote - 1:wrote] != b"\n"
             except Exception as exc:
                 if self.requeue and not isinstance(exc, OSError):
                     raise

@@ -120,7 +120,8 @@ def _memo():
 
 @dataclass
 class Oracle:
-    """Differential equivalence checker over one valuation bank per spec."""
+    """Differential equivalence checker over one valuation bank per spec
+    footprint (its buffers and scalars)."""
 
     stats: SynthesisStats = field(default_factory=SynthesisStats)
     extra_random_rounds: int = 4
@@ -139,50 +140,45 @@ class Oracle:
     #: every span a shared null context manager, so instrumentation costs
     #: one attribute load + one call when tracing is disabled
     tracer: object = NULL_TRACER  # Tracer | NullTracer
+    #: footprint (``valuation.footprint``) -> ``(bank, stacked bank)``:
+    #: specs with equal footprints share both
     _bank_cache: dict = _memo()
+    #: spec -> its footprint's ``_bank_cache`` entry
+    _spec_bank_cache: dict = _memo()
     _spec_cache: dict = _memo()
     #: node -> rendering template (``engine._template``) for every spec and
     #: candidate this oracle keys
     _canon_cache: dict = _memo()
     _batch_evaluator: object = field(default=None, init=False, repr=False,
                                      compare=False)
-    _bank_data_cache: dict = _memo()
     _spec_matrix_cache: dict = _memo()
-    _env0_cache: dict = _memo()
+
+    def _bank(self, spec) -> tuple:
+        """``(bank, stacked bank)`` of the spec's footprint, built once
+        per footprint; the bank is stacked only with ``batch_eval``."""
+        entry = self._spec_bank_cache.get(spec)
+        if entry is None:
+            footprint = valuation.footprint(spec)
+            entry = self._bank_cache.get(footprint)
+            if entry is None:
+                bank = valuation.environment_bank(
+                    spec, n_random_extra=self.extra_random_rounds,
+                    seed=self.seed
+                )
+                data = valuation.bank_arrays(bank) if self.batch_eval \
+                    else None
+                entry = self._bank_cache[footprint] = (bank, data)
+            self._spec_bank_cache[spec] = entry
+        return entry
 
     def bank_for(self, spec) -> list:
-        key = spec
-        if key not in self._bank_cache:
-            self._bank_cache[key] = valuation.environment_bank(
-                spec, n_random_extra=self.extra_random_rounds, seed=self.seed
-            )
-        return self._bank_cache[key]
+        return self._bank(spec)[0]
 
     def _spec_lanes(self, spec, env_index: int, env) -> tuple:
         key = (spec, env_index)
         if key not in self._spec_cache:
             self._spec_cache[key] = denote(spec, env)
         return self._spec_cache[key]
-
-    def env0_for(self, spec):
-        """The first bank environment, built without the rest of the bank.
-
-        ``environment_zero`` is byte-identical to ``bank_for(spec)[0]``, so
-        the lane-0 pruning check never pays for a full bank construction.
-        """
-        return self._env0(spec)[0]
-
-    def _env0(self, spec) -> tuple:
-        """``(environment 0, its one-row BankData)`` for the lane-0 check;
-        the bank data is ``None`` when the row cannot be stacked exactly."""
-        entry = self._env0_cache.get(spec)
-        if entry is None:
-            bank = self._bank_cache.get(spec)
-            env = (bank[0] if bank is not None
-                   else valuation.environment_zero(spec, seed=self.seed))
-            entry = self._env0_cache[spec] = (env,
-                                              valuation.bank_arrays([env]))
-        return entry
 
     # -- batched evaluation -------------------------------------------------
 
@@ -196,11 +192,21 @@ class Oracle:
 
     def _bank_data(self, spec):
         """The bank stacked as int64 matrices, or ``None`` if not exact."""
-        if spec not in self._bank_data_cache:
-            self._bank_data_cache[spec] = valuation.bank_arrays(
-                self.bank_for(spec)
-            )
-        return self._bank_data_cache[spec]
+        return self._bank(spec)[1]
+
+    def _batched(self, spec, candidate):
+        """``(evaluator, plan, bank data)`` to check ``candidate`` over
+        the spec's whole bank, or ``None`` when the candidate (or bank)
+        cannot be batched exactly and the scalar interpreters must answer.
+        """
+        bank_data = self._bank_data(spec)
+        if bank_data is None:
+            return None
+        ev = self._evaluator()
+        plan = ev.plan_for(candidate)
+        if plan is None or not batch_plan.plan_usable(plan, bank_data):
+            return None
+        return ev, plan, bank_data
 
     def _spec_matrix(self, spec, bank_data, ev):
         """The spec's denotation over the whole bank, as a (envs, lanes)
@@ -315,13 +321,10 @@ class Oracle:
         way, or ``None`` when the candidate (or bank) cannot be batched
         exactly and the caller must run the scalar loop instead.
         """
-        ev = self._evaluator()
-        bank_data = self._bank_data(spec)
-        if bank_data is None:
+        batched = self._batched(spec, candidate)
+        if batched is None:
             return None
-        plan = ev.plan_for(candidate)
-        if plan is None or not batch_plan.plan_usable(plan, bank_data):
-            return None
+        ev, plan, bank_data = batched
         if plan.pure:
             self.stats.count("batched_evals")
         else:
@@ -342,9 +345,9 @@ class Oracle:
     def equivalent_lane0(self, spec, candidate, layout: str = LAYOUT_INORDER) -> bool:
         """The first-lane pruning check of Section 4.1.
 
-        Uses environment 0 alone and compares only the first lane, on the
-        candidate's batched plan when it has one.  A failure proves the
-        candidate wrong; a pass just promotes it to the full check.
+        Compares only the first lane in environment 0, on the candidate's
+        batched plan when it has one.  A failure proves the candidate
+        wrong; a pass just promotes it to the full check.
         """
         if self.cancel is not None:
             self.cancel.check()
@@ -365,32 +368,29 @@ class Oracle:
             return verdict
 
     def _check_lane0(self, spec, candidate, layout: str) -> bool:
+        """Lane 0 of environment 0 (the bank's first row) against the
+        spec's.
+
+        With ``batch_eval`` the candidate's plan runs over the spec's whole
+        bank, so the full check that follows a pass finds every node value
+        already computed; the check counts nothing, so lane-0 counters and
+        verdicts equal the scalar check's.  The scalar interpreters answer
+        on environment 0 alone when the candidate cannot be batched.
+        """
         if result_bits(spec) != result_bits(candidate):
             return False
+        batched = self._batched(spec, candidate) if self.batch_eval else None
+        if batched is not None:
+            ev, plan, bank_data = batched
+            try:
+                got = ev.denote_bank(plan, bank_data, layout)
+            except EvaluationError:
+                return False
+            want = self._spec_matrix(spec, bank_data, ev)
+            return got.size > 0 and bool(got[0, 0] == want[0, 0])
+        env = self.bank_for(spec)[0]
         try:
-            got = self._denote_env0(spec, candidate, layout)
+            got = denote(candidate, env, layout)
         except EvaluationError:
             return False
-        want = self._spec_cache.get((spec, 0))
-        if want is None:
-            want = self._spec_cache[(spec, 0)] = tuple(
-                self._denote_env0(spec, spec, LAYOUT_INORDER)
-            )
-        return bool(got) and got[0] == want[0]
-
-    def _denote_env0(self, spec, expr, layout: str):
-        """``denote(expr, env0_for(spec), layout)`` as a lane sequence.
-
-        With ``batch_eval`` it runs ``expr``'s memoized plan — the one a
-        later full check reuses — over the one-row bank of environment 0,
-        and counts nothing, so lane-0 counters and verdicts equal the
-        scalar check's; the scalar interpreters answer when the plan is
-        ``None`` or cannot run on that row.
-        """
-        env, row = self._env0(spec)
-        if self.batch_eval and row is not None:
-            ev = self._evaluator()
-            plan = ev.plan_for(expr)
-            if plan is not None and batch_plan.plan_usable(plan, row):
-                return ev.denote_bank(plan, row, layout)[0].tolist()
-        return denote(expr, env, layout)
+        return bool(got) and got[0] == self._spec_lanes(spec, 0, env)[0]

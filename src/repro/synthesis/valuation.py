@@ -230,16 +230,25 @@ def make_environment(
     return Environment(buffers=views, scalars=scalar_vals)
 
 
-def environment_bank(spec, n_random_extra: int = 2, seed: int = 0) -> list[Environment]:
-    """The standard valuation bank for a specification expression.
+def footprint(spec) -> tuple:
+    """``(buffers, scalars)`` of an IR or uber expression, as tuples.
 
-    Works for both IR and uber expressions.
+    A bank is a pure function of footprint, seed and round count, so specs
+    with equal footprints share one bank.
     """
     if isinstance(spec, ir_expr.Expr):
         buffers = buffer_specs_of(spec)
     else:
         buffers = uber_buffer_specs(spec)
-    scalars = scalar_names_of(spec)
+    return tuple(buffers), tuple(scalar_names_of(spec))
+
+
+def environment_bank(spec, n_random_extra: int = 2, seed: int = 0) -> list[Environment]:
+    """The standard valuation bank for a specification expression.
+
+    Works for both IR and uber expressions.
+    """
+    buffers, scalars = footprint(spec)
     envs = [
         make_environment(buffers, scalars, style, seed + i)
         for i, style in enumerate(BASE_STYLES)
@@ -249,20 +258,16 @@ def environment_bank(spec, n_random_extra: int = 2, seed: int = 0) -> list[Envir
     return envs
 
 
+# Kept only because perfbench/spans.py wraps it; nothing in src/ calls it.
 def environment_zero(spec, seed: int = 0) -> Environment:
     """Just the first environment of :func:`environment_bank`.
 
     Every value is a pure function of its buffer, style, seed and offset
     (see :func:`make_environment`), so this equals
     ``environment_bank(spec, seed=seed)[0]`` without paying for the other
-    environments — the oracle's lane-0 pruning path uses it to avoid full
-    bank construction.
+    environments.
     """
-    if isinstance(spec, ir_expr.Expr):
-        buffers = buffer_specs_of(spec)
-    else:
-        buffers = uber_buffer_specs(spec)
-    scalars = scalar_names_of(spec)
+    buffers, scalars = footprint(spec)
     return make_environment(buffers, scalars, BASE_STYLES[0], seed)
 
 
@@ -291,13 +296,16 @@ def bank_arrays(bank: list[Environment]):
                 for v in views
             ):
                 return None
-            buffers[name] = (np.stack([v.array for v in views]), elem, origin)
+            data = np.stack([v.array for v in views])
+            data.flags.writeable = False
+            buffers[name] = (data, elem, origin)
         scalars: dict = {}
         for name in first.scalars:
             vals = [env.scalars[name] for env in bank]
             if any(not (INT64_MIN <= v <= INT64_MAX) for v in vals):
                 return None
             scalars[name] = np.array(vals, dtype=np.int64)
+            scalars[name].flags.writeable = False
     except KeyError:
         return None
     return BankData(

@@ -203,6 +203,32 @@ def test_undecodable_byte_inside_a_legacy_line_is_corrupt(tmp_path):
     assert loaded == [{"k": "\u00e9"}] and log.corrupt_lines == 1
 
 
+def test_write_after_a_short_one_starts_a_new_line(tmp_path, monkeypatch):
+    """A write that lands only part of its payload leaves the file
+    mid-line; the log's next write opens with a newline, and a whole
+    write adds no blank line."""
+    import os
+
+    path = tmp_path / "log.jsonl"
+    log = fsutil.AppendLog(path)
+    real_write = os.write
+    monkeypatch.setattr(os, "write",
+                        lambda fd, data: real_write(fd, data[:len(data) // 2]))
+    log.append({"k": "short"})
+    log.flush()
+    monkeypatch.undo()
+    for i in range(3):
+        log.append({"k": i})
+        log.flush()
+    text = path.read_text()
+    assert "\n\n" not in text and text.count("\n") == 4
+    loaded = []
+    reader = fsutil.AppendLog(path)
+    assert reader.load(lambda rec: loaded.append(rec) or True, repair=False)
+    assert loaded == [{"k": 0}, {"k": 1}, {"k": 2}]
+    assert reader.corrupt_lines == 1
+
+
 def test_corrupt_log_is_quarantined_and_compacted(store, tmp_path):
     path = filled(store, tmp_path, 3)
     lines = path.read_text().splitlines()

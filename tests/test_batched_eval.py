@@ -323,15 +323,19 @@ def test_counterexample_indices_identical():
     assert runs[True] == runs[False] == ([True] + [False] * 4, 3)
 
 
-def test_lane0_uses_env0_without_full_bank():
+def test_lane0_reads_row_zero_of_the_full_bank():
+    """The lane-0 check denotes over the spec's whole bank, built once,
+    whose first row is environment 0."""
     la, lb = E.Load("A", 0, LANES, U8), E.Load("B", 0, LANES, U8)
     spec = E.Add(la, lb)
     oracle = Oracle()
     assert oracle.equivalent_lane0(spec, E.Add(lb, la)) is True
     assert oracle.equivalent_lane0(spec, E.Sub(la, lb)) is False
-    # The pruning check alone never built the 10-environment bank.
-    assert spec not in oracle._bank_cache
-    assert oracle.env0_for(spec) == oracle.bank_for(spec)[0]
+    ((bank, _data),) = oracle._bank_cache.values()
+    assert oracle.bank_for(spec) is bank
+    assert len(bank) == len(valuation.BASE_STYLES) \
+        + oracle.extra_random_rounds
+    assert bank[0] == valuation.environment_zero(spec, seed=oracle.seed)
 
 
 def test_compile_identical_with_and_without_batching():
@@ -471,3 +475,192 @@ def test_lane0_counts_no_evaluations():
         assert oracle.stats.total("cache_misses") == 3
         assert oracle.stats.total("batched_evals") == 0
         assert oracle.stats.total("fallback_evals") == 0
+
+
+# ---------------------------------------------------------------------------
+# One bank per footprint, each node evaluated once per bank
+# ---------------------------------------------------------------------------
+
+
+def plan_nodes(*roots):
+    """Every distinct node of the plans rooted at ``roots``."""
+    seen, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.children)
+    return list(seen.values())
+
+
+def count_evaluations(nodes) -> dict:
+    """Wrap each node's ``fn`` to count its calls; ``id(node) -> calls``."""
+    calls = {id(node): 0 for node in nodes}
+    for node in nodes:
+        def counted(bank, args, fn=node.fn, key=id(node)):
+            calls[key] += 1
+            return fn(bank, args)
+        node.fn = counted
+    return calls
+
+
+#: candidates that raise ``EvaluationError`` on both paths: unbound and
+#: out-of-range reads, an unbound scalar
+ERRORING = (
+    E.Add(E.Load("A", 0, LANES, U8), E.Load("Z", 0, LANES, U8)),
+    E.Add(E.Load("A", 1 << 14, LANES, U8), E.Load("B", 0, LANES, U8)),
+    E.Add(E.Load("A", 0, LANES, U8),
+          E.Broadcast(E.ScalarVar("missing", U8), LANES)),
+    U.AbsDiff(U.LoadData("Z", 0, LANES, U8), U.LoadData("A", 0, LANES, U8)),
+    H.HvxInstr("vadd", (H.HvxLoad("A", 0, HVX_LANES, U8),
+                        H.HvxLoad("Z", 0, HVX_LANES, U8))),
+    H.HvxInstr("vadd", (H.HvxLoad("A", 1 << 14, HVX_LANES, U8),
+                        H.HvxLoad("B", 0, HVX_LANES, U8))),
+)
+
+
+#: HVX-width specs a vector candidate can equal in full, and specs of
+#: other footprints whose banks hold other values for the same loads (the
+#: same buffers signed) or whose windows are shifted
+HVX_SPECS = (
+    E.Add(E.Load("A", 0, HVX_LANES, U8), E.Load("B", 0, HVX_LANES, U8)),
+    E.Max(E.Load("A", 0, HVX_LANES, U8), E.Load("B", 0, HVX_LANES, U8)),
+)
+OTHER_SPECS = (
+    E.Add(E.Load("A", 0, HVX_LANES, I8), E.Load("B", 0, HVX_LANES, I8)),
+    E.Add(E.Load("A", 1, HVX_LANES, U8), E.Load("B", 0, HVX_LANES, U8)),
+)
+#: candidates equal to some of those specs
+HVX_MATCHES = tuple(
+    H.HvxInstr(op, (H.HvxLoad("A", a, HVX_LANES, U8),
+                    H.HvxLoad("B", 0, HVX_LANES, U8)))
+    for op in ("vadd", "vmax") for a in (0, 1)
+)
+
+
+@st.composite
+def query_streams(draw):
+    """A spec and a stream of ``(candidate, mode, layout, other)``
+    queries over a small pool of candidates, so candidates recur: the
+    spec's own family plus the other two, the spec itself and its
+    subtrees, erroring candidates, and now and then (``other``) a spec of
+    another footprint, which moves the evaluator to another bank and
+    back."""
+    family = draw(st.sampled_from(["ir", "uber", "hvx"]))
+    if family == "ir":
+        spec = draw(ir_exprs())
+    elif family == "uber":
+        spec = draw(uber_exprs())
+    else:
+        spec = draw(st.sampled_from(LANE0_SPECS + HVX_SPECS))
+    pool = draw(st.lists(st.one_of(
+        ir_exprs(), uber_exprs(), hvx_exprs(), st.sampled_from(HVX_MATCHES),
+        st.sampled_from(ERRORING), st.sampled_from(list(spec)),
+    ), min_size=1, max_size=4))
+    others = [None] * 3 + list(LANE0_SPECS + HVX_SPECS + OTHER_SPECS)
+    return spec, draw(st.lists(
+        st.tuples(st.sampled_from(pool),
+                  st.sampled_from(["lane0", "full", "both"]),
+                  st.sampled_from([LAYOUT_INORDER, LAYOUT_DEINTERLEAVED]),
+                  st.sampled_from(others)),
+        min_size=1, max_size=10))
+
+
+def scalar_verdict(spec, cand, layout, mode):
+    oracle = Oracle(batch_eval=False)
+    if mode == "lane0":
+        return oracle.equivalent_lane0(spec, cand, layout)
+    return oracle.equivalent(spec, cand, layout)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(query_streams())
+def test_hot_memo_verdicts_match_a_fresh_scalar_oracle(stream):
+    """One oracle, its memo hot from every earlier query, answers each
+    lane-0 and full query as a fresh scalar oracle does."""
+    spec, queries = stream
+    oracle = Oracle()
+    for cand, mode, layout, other in queries:
+        target = spec if other is None else other
+        for kind in (("lane0", "full") if mode == "both" else (mode,)):
+            if kind == "lane0":
+                got = oracle.equivalent_lane0(target, cand, layout)
+            else:
+                got = oracle.equivalent(target, cand, layout)
+            assert got is scalar_verdict(target, cand, layout, kind), \
+                (kind, target, cand, layout)
+
+
+def test_equal_footprints_share_one_bank():
+    """Specs reading the same buffers and scalars share one bank; a
+    different offset, element type or scalar set gets its own."""
+    la, lb = E.Load("A", 0, LANES, U8), E.Load("B", 0, LANES, U8)
+    oracle = Oracle()
+    data = oracle._bank_data(E.Add(la, lb))
+    assert data is not None
+    for same in (E.Sub(la, lb), E.Max(lb, la), E.Absd(la, lb)):
+        assert oracle._bank_data(same) is data
+        assert oracle.bank_for(same) is oracle.bank_for(E.Add(la, lb))
+    s = E.Broadcast(E.ScalarVar("s", U8), LANES)
+    others = (
+        E.Add(E.Load("A", 1, LANES, U8), lb),
+        E.Add(E.Load("A", 0, LANES, I8), E.Load("B", 0, LANES, I8)),
+        E.Add(E.Add(la, lb), s),
+    )
+    banks = [oracle._bank_data(spec) for spec in others]
+    assert all(bank is not None and bank is not data for bank in banks)
+    assert len({id(bank) for bank in banks}) == len(others)
+    # A shared bank is the one each spec would get on its own.
+    assert oracle.bank_for(E.Sub(la, lb)) == valuation.environment_bank(
+        E.Sub(la, lb), n_random_extra=oracle.extra_random_rounds,
+        seed=oracle.seed)
+
+
+def test_memoized_values_and_bank_matrices_are_read_only():
+    s = E.Broadcast(E.ScalarVar("s", U8), HVX_LANES)
+    la, lb = E.Load("A", 0, HVX_LANES, U8), E.Load("B", 0, HVX_LANES, U8)
+    spec = E.Add(E.Add(la, lb), s)
+    cand = H.HvxInstr("vadd", (
+        H.HvxInstr("vadd", (H.HvxLoad("A", 0, HVX_LANES, U8),
+                            H.HvxLoad("B", 0, HVX_LANES, U8))),
+        H.HvxSplat(E.ScalarVar("s", U8), U8, HVX_LANES)))
+    oracle = Oracle()
+    assert oracle.equivalent(spec, cand) is True
+    values = oracle._batch_evaluator._values
+    assert values
+    for value in values.values():
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0, 0] = 0
+    data = oracle._bank_data(spec)
+    matrices = [m for m, _elem, _origin in data.buffers.values()]
+    matrices += list(data.scalars.values())
+    assert len(matrices) == 3
+    for matrix in matrices:
+        assert not matrix.flags.writeable
+
+
+def test_lane0_then_full_check_evaluates_each_node_once():
+    """A full check after a passing lane-0 check, and a sibling candidate
+    sharing its subtrees, evaluate no node a second time."""
+    ha, hb = H.HvxLoad("A", 0, HVX_LANES, U8), H.HvxLoad("B", 0, HVX_LANES, U8)
+    spec = E.Max(E.Load("A", 0, HVX_LANES, U8), E.Load("B", 0, HVX_LANES, U8))
+    cand = H.HvxInstr("vmax", (ha, hb))
+    sibling = H.HvxInstr("vmin", (ha, hb))
+    oracle = Oracle()
+    ev = oracle._evaluator()
+    nodes = plan_nodes(*(ev.plan_for(e).root for e in (spec, cand, sibling)))
+    calls = count_evaluations(nodes)
+    assert oracle.equivalent_lane0(spec, cand) is True
+    assert oracle.equivalent(spec, cand) is True
+    assert oracle.equivalent(spec, sibling) is False
+    assert sorted(calls.values()) == [1] * len(nodes)
+    # Another bank drops the kept values; coming back recomputes them.
+    other = E.Max(E.Load("A", 1, HVX_LANES, U8), E.Load("B", 0, HVX_LANES, U8))
+    assert oracle._bank_data(other) is not oracle._bank_data(spec)
+    oracle.equivalent_lane0(other, cand)
+    assert set(ev._values) == set(plan_nodes(ev.plan_for(other).root,
+                                             ev.plan_for(cand).root))
+    oracle.equivalent_lane0(spec, sibling)
+    assert calls[id(ev.plan_for(sibling).root)] == 2

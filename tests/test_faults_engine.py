@@ -148,6 +148,51 @@ class TestDiskStoreResilience:
         assert reloaded._verdicts == {
             **{f"a{i}": True for i in range(128)}, "c": True}
 
+    def test_flush_after_a_torn_one_starts_a_new_line(self, tmp_path):
+        """A torn flush leaves the file mid-line; the same cache's next
+        flush opens with a newline, so it is not joined to the torn line
+        and lost with it."""
+        store = OracleCache.with_disk(tmp_path)
+        for i in range(5):
+            store.record(f"a{i}", True)
+        with faults.injected(FaultPlan(rules=[
+            FaultRule(site=faults.SITE_CACHE_FLUSH, kind="torn_write",
+                      every=1),
+        ])):
+            store.flush()
+        for i in range(100):
+            store.record(f"b{i}", i % 2 == 0)
+        store.flush()
+        reloaded = OracleCache.with_disk(tmp_path)
+        assert reloaded.store.corrupt_lines == 1  # the torn batch alone
+        assert reloaded._verdicts == {f"b{i}": i % 2 == 0 for i in range(100)}
+
+    def test_line_separators_inside_strings_do_not_split_lines(self,
+                                                             tmp_path):
+        """Lines end at newlines only: a raw U+2028 or U+0085 inside a
+        legacy line's JSON string keeps the line whole."""
+        path = tmp_path / "oracle.jsonl"
+        stamped = encode_record({"t": "v", "k": "a\u2028b", "v": 1})
+        legacy = json.dumps({"t": "v", "k": "c\x85d", "v": 0},
+                            ensure_ascii=False)
+        raw = stamped.replace("\\u2028", "\u2028")
+        assert "\u2028" in raw and "\x85" in legacy
+        path.write_text(raw + "\n" + legacy + "\n", encoding="utf-8")
+        store = OracleCache.with_disk(tmp_path)
+        assert store.store.corrupt_lines == 0
+        assert store.store.quarantined is None
+        assert store._verdicts == {"a\u2028b": True, "c\x85d": False}
+
+    def test_crlf_store_loads_unquarantined(self, tmp_path):
+        path = tmp_path / "oracle.jsonl"
+        lines = [encode_record({"t": "m", "m": {"a": 1, "b": 0}}),
+                 encode_record({"t": "v", "k": "c", "v": 1})]
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+        store = OracleCache.with_disk(tmp_path)
+        assert store.store.corrupt_lines == 0
+        assert store.store.quarantined is None
+        assert store._verdicts == {"a": True, "b": False, "c": True}
+
     def test_injected_load_oserror_starts_empty_not_crashed(self, tmp_path):
         self.write_store(tmp_path, {"a": True})
         with faults.injected(FaultPlan(rules=[
