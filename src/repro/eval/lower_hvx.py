@@ -19,7 +19,8 @@ from typing import Callable, List, Optional
 
 from ..errors import EvaluationError
 from ..hvx import isa as H
-from ..types import ScalarType
+from ..synthesis import sketch as S
+from ..types import ScalarType, VectorType
 from .plan import (
     MAX_BATCHED_BITS,
     BankData,
@@ -35,10 +36,6 @@ from .plan import (
 
 I16 = ScalarType(16, True)
 U16 = ScalarType(16, False)
-
-
-def family_of(expr) -> Optional[str]:
-    return "hvx" if isinstance(expr, H.HvxExpr) else None
 
 
 def _info_hvx(node: H.HvxExpr) -> ValueInfo:
@@ -75,8 +72,6 @@ def _scaled(iv, w):
 
 
 def compile_hvx(node: H.HvxExpr, ev) -> CompiledNode:
-    from ..synthesis import sketch as S
-
     info = _info_hvx(node)
     if info.elem is not None and info.elem.bits > MAX_BATCHED_BITS:
         return make_fallback(node, info, "hvx")
@@ -89,14 +84,14 @@ def compile_hvx(node: H.HvxExpr, ev) -> CompiledNode:
            for k in kids):
         return make_fallback(node, info, "hvx")
 
-    fn = _build_hvx(node, info, kids, S)
+    fn = _build_hvx(node, info, kids)
     if fn is None:
         return make_fallback(node, info, "hvx")
     return CompiledNode(fn, tuple(kids), info)
 
 
-def _build_hvx(node: H.HvxExpr, info: ValueInfo, kids: List[CompiledNode],
-               S) -> Optional[Callable]:
+def _build_hvx(node: H.HvxExpr, info: ValueInfo,
+               kids: List[CompiledNode]) -> Optional[Callable]:
     if isinstance(node, H.HvxLoad):
         buffer, offset, lanes = node.buffer, node.offset, node.lanes
         elem = node.elem
@@ -108,8 +103,6 @@ def _build_hvx(node: H.HvxExpr, info: ValueInfo, kids: List[CompiledNode],
         return fn
 
     if isinstance(node, H.HvxSplat):
-        from ..types import VectorType
-
         if isinstance(node.scalar.type, VectorType):
 
             def fn(bank: BankData, args):

@@ -19,11 +19,10 @@ Neon-specific wrinkles, relative to HVX:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..hvx import isa as H
 from .lower_hvx import (
     _deinterleave_fn,
+    _info_hvx,
     _interleave_fn,
     _mul_fits,
     _rng,
@@ -33,29 +32,18 @@ from .plan import (
     MAX_BATCHED_BITS,
     BankData,
     CompiledNode,
-    ValueInfo,
     make_fallback,
     np,
     saturate_array,
     wrap_array,
 )
 
+#: op-name prefix of the instructions this module lowers
 PREFIX = "neon."
 
 
-def family_of(expr) -> Optional[str]:
-    if isinstance(expr, H.HvxInstr) and expr.op.startswith(PREFIX):
-        return "neon"
-    return None
-
-
-def _info(node: H.HvxExpr) -> ValueInfo:
-    t = node.type
-    return ValueInfo(t.kind, t.elem, t.lanes)
-
-
 def compile_neon(node: H.HvxInstr, ev) -> CompiledNode:
-    info = _info(node)
+    info = _info_hvx(node)
     if info.elem is not None and info.elem.bits > MAX_BATCHED_BITS:
         # family "hvx" re-enters the machine interpreter, which covers
         # neon ops through their registered sem_fns.

@@ -38,9 +38,9 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import faults, targets
+from .. import faults
 from ..errors import EvaluationError
-from ..hvx.isa import HvxSplat
+from ..hvx.isa import HvxExpr, HvxInstr, HvxSplat
 from ..ir import expr as ir_expr
 from ..trace.core import NULL_TRACER
 from ..types import ScalarType
@@ -280,13 +280,11 @@ class BatchedEvaluator:
 
     def _build_plan(self, expr) -> Optional[Plan]:
         # ``is_hvx`` historically meant "machine expression" (as opposed
-        # to IR/uber); every target's family qualifies, so the layout
+        # to IR/uber); every target's nodes qualify, so the layout
         # handling in denote_bank is unchanged for HVX roots.
-        machine = False
-        if lower_ir.family_of(expr) is None:
-            machine = targets.machine_family_of(expr) is not None
-            if not machine:
-                return None
+        machine = isinstance(expr, HvxExpr)
+        if not machine and lower_ir.family_of(expr) is None:
+            return None
         root = self.node_for(expr)
         elem = root.info.elem
         if elem is not None and elem.bits > 32 and not elem.signed:
@@ -300,9 +298,15 @@ class BatchedEvaluator:
             return lower_ir.compile_ir(expr, self)
         if family == "uber":
             return lower_ir.compile_uber(expr, self)
-        family = targets.machine_family_of(expr)
-        if family is not None:
-            return targets.machine_compile(expr, self, family)
+        # Neon instructions carry the ``neon.`` prefix; every other machine
+        # node (including the shared loads, splats, renames and
+        # placeholders inside a Neon tree) lowers through the HVX builders,
+        # which are target neutral for those nodes.
+        if isinstance(expr, HvxInstr) and expr.op.startswith(
+                lower_neon.PREFIX):
+            return lower_neon.compile_neon(expr, self)
+        if isinstance(expr, HvxExpr):
+            return lower_hvx.compile_hvx(expr, self)
         raise EvaluationError(
             f"cannot compile expression of type {type(expr).__name__}"
         )
@@ -413,4 +417,4 @@ def make_fallback(expr, info: ValueInfo, family: str) -> CompiledNode:
 
 
 # Imported last: the lowerings import this module's names.
-from . import lower_ir  # noqa: E402
+from . import lower_hvx, lower_ir, lower_neon  # noqa: E402

@@ -1,31 +1,37 @@
-"""Cost model for HVX expressions (paper Section 6, "Cost Model").
+"""Cost model for machine expressions (paper Section 6, "Cost Model").
 
 The paper's model is a per-resource instruction count: HVX has distinct
 functional units (multiply, shift, permute, ALU, load/store), different
 instructions execute on different units within the same cycle, so the cost
 of an expression is the *maximum* count over resources.  This biases the
-search toward implementations that spread work across units.
+search toward implementations that spread work across units.  Neon cores
+dual-issue rather than pack VLIW packets, but the ranking the search needs
+is still "spread work across the multiply, shift and permute pipes", so
+both targets share this model.
 
 We keep the paper's primary term and add two explainable tie-breakers:
-total instruction count and load count (unaligned loads count double, since
-``vmemu`` occupies the load unit longer).  Shared subexpressions (identical
-subtrees) are counted once — they live in a register.
+total instruction count and load count.  The one target-specific weight is
+an unaligned load's load-unit occupancy: 2 on HVX, where ``vmemu`` occupies
+the load unit longer, and 1 on Neon, where ``vld1`` takes any address.
+Shared subexpressions (identical subtrees) are counted once — they live in
+a register — and register renames (resource ``none``: lo/hi, Neon's
+``vpair``) are free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .isa import HvxExpr, HvxInstr, HvxLoad, HvxSplat
 
 
 @dataclass(frozen=True)
 class Cost:
-    """Cost summary of an HVX expression."""
+    """Cost summary of a machine expression."""
 
     per_resource: tuple  # sorted (resource, count) pairs
     total: int  # all compute/permute instructions
-    loads: int  # load-unit occupancy (vmemu counts double)
+    loads: int  # load-unit occupancy (unaligned loads weighted)
     splats: int  # broadcasts of loop invariants (hoisted, not costed)
 
     @property
@@ -64,14 +70,22 @@ def _unique_nodes(expr: HvxExpr) -> list[HvxExpr]:
     return ordered
 
 
-def cost_of(expr: HvxExpr) -> Cost:
+#: one memo per unaligned-load weight, so the two targets' rankings never
+#: share an entry
+_MEMOS: dict = {}
+
+
+def cost_of(expr: HvxExpr, unaligned_load_weight: int = 2) -> Cost:
     """Compute the cost of an expression tree with subtree sharing.
 
-    Memoized by expression value: the sketching and swizzling stages rank
-    the same realizations against many candidates, and expressions are
-    immutable, so the cost never changes.
+    ``unaligned_load_weight`` is the load-unit occupancy of one unaligned
+    load (2, HVX's weight, by default).  Memoized by expression value: the
+    sketching and swizzling stages rank the same realizations against many
+    candidates, and expressions are immutable, so the cost never changes.
     """
-    memo = cost_of._memo
+    memo = _MEMOS.get(unaligned_load_weight)
+    if memo is None:
+        memo = _MEMOS[unaligned_load_weight] = {}
     cached = memo.get(expr)
     if cached is not None:
         return cached
@@ -81,7 +95,7 @@ def cost_of(expr: HvxExpr) -> Cost:
     splats = 0
     for node in _unique_nodes(expr):
         if isinstance(node, HvxLoad):
-            loads += 1 if node.aligned else 2
+            loads += 1 if node.aligned else unaligned_load_weight
         elif isinstance(node, HvxSplat):
             splats += 1
         elif isinstance(node, HvxInstr):
@@ -98,9 +112,6 @@ def cost_of(expr: HvxExpr) -> Cost:
     )
     memo[expr] = result
     return result
-
-
-cost_of._memo = {}
 
 
 def display_latency(expr: HvxExpr) -> int:

@@ -14,9 +14,9 @@ that show up directly in the grammar:
 
 Like the HVX grammar, sketches are *swizzle-free*: data movement stays
 behind the abstract placeholders of :mod:`repro.synthesis.sketch`, and
-stage 3 concretizes them from the Neon swizzle grammar
-(:meth:`repro.targets.neon.NeonTarget.realizations` — ``vext`` splices,
-free ``vpair`` register pairs, ``vuzp``/``vzip`` permutes).
+stage 3 concretizes them from the swizzle grammar at the Neon entry's op
+names (:meth:`repro.targets.TargetDescription.realizations` — ``vext``
+splices, free ``vpair`` register pairs, ``vuzp``/``vzip`` permutes).
 
 The fixed-point core (load/broadcast/widen/vs-mpy-add/vv-mpy-add/narrow/
 elementwise/shift) is covered; mux lowering is left to future work.
@@ -31,7 +31,7 @@ from ..synthesis.grammar import ChildFn, Sketch, safe_instr, shape_of
 from ..synthesis.oracle import LAYOUT_INORDER
 from ..synthesis.sketch import AbstractPairWindow, AbstractWindow
 from ..targets import nodes as H
-from ..types import ScalarType
+from ..types import ScalarType, VectorType
 from ..uber import instructions as U
 from .semantics import NEON_VBYTES  # noqa: F401 - registers the ISA
 
@@ -51,8 +51,6 @@ def _pair_window(buffer: str, offset: int, lanes: int, elem: ScalarType):
 
 
 def _dup(scalar: ir_expr.Expr, elem: ScalarType, lanes: int, vbytes: int):
-    from ..types import VectorType
-
     return H.HvxSplat(
         scalar, elem, lanes,
         pairwise=shape_of(VectorType(elem, lanes), vbytes) == "pair",

@@ -16,6 +16,7 @@ from math import ceil
 
 from ..hvx import isa as H
 from ..pipeline import CompiledPipeline, CompiledStage
+from ..targets import resolve_target
 from .machine import DEFAULT_MACHINE, MachineConfig
 from .packets import initiation_interval, schedule_packets
 
@@ -136,9 +137,7 @@ def measure(
     ``neon``).
     """
     if machine is None:
-        from ..targets import resolve_target
-
-        machine = resolve_target(getattr(pipeline, "target", None)).machine()
+        machine = resolve_target(getattr(pipeline, "target", None)).machine
     result = PipelineCycles()
     for cstage in pipeline.stages:
         sc = stage_cycles(cstage, width, height, machine)

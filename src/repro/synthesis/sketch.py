@@ -32,7 +32,6 @@ interpreter through the ``evaluate_sketch`` hook.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..errors import EvaluationError
 from ..ir import interp as ir_interp
@@ -42,25 +41,6 @@ from ..types import ScalarType
 SWIZZLE_IDENTITY = "identity"
 SWIZZLE_INTERLEAVE = "interleave"
 SWIZZLE_DEINTERLEAVE = "deinterleave"
-
-
-#: realization lists memoized per (target name, placeholder) — placeholders
-#: are immutable values that recur across the sketches of one compilation,
-#: and each target's grammar is deterministic, so the enumeration only ever
-#: needs to run once per distinct placeholder
-_REALIZATION_MEMO: dict = {}
-
-
-def _target_realizations(placeholder, target=None) -> Iterator[N.HvxExpr]:
-    """Realizations from ``target``'s swizzle grammar (default: HVX)."""
-    from ..targets import resolve_target
-
-    tgt = resolve_target(target)
-    key = (tgt.name, placeholder)
-    cached = _REALIZATION_MEMO.get(key)
-    if cached is None:
-        cached = _REALIZATION_MEMO[key] = tuple(tgt.realizations(placeholder))
-    return iter(cached)
 
 
 @N.cache_expr_hash
@@ -82,9 +62,6 @@ class AbstractWindow(N.HvxExpr):
         values = env.buffer(self.buffer).read(self.offset, self.lanes, self.stride)
         return N.Vec(self.elem, values)
 
-    def realizations(self, target=None) -> Iterator[N.HvxExpr]:
-        return _target_realizations(self, target)
-
 
 @N.cache_expr_hash
 @dataclass(frozen=True)
@@ -104,9 +81,6 @@ class AbstractPairWindow(N.HvxExpr):
     def evaluate_sketch(self, env: ir_interp.Environment) -> N.VecPair:
         values = env.buffer(self.buffer).read(self.offset, self.lanes, 1)
         return N.VecPair(self.elem, values)
-
-    def realizations(self, target=None) -> Iterator[N.HvxExpr]:
-        return _target_realizations(self, target)
 
 
 @N.cache_expr_hash
@@ -134,9 +108,6 @@ class AbstractRows(N.HvxExpr):
         row0 = env.buffer(self.buffer0).read(self.offset0, self.lanes, self.stride)
         row1 = env.buffer(self.buffer1).read(self.offset1, self.lanes, self.stride)
         return N.VecPair(self.elem, row0 + row1)
-
-    def realizations(self, target=None) -> Iterator[N.HvxExpr]:
-        return _target_realizations(self, target)
 
 
 @N.cache_expr_hash
@@ -174,9 +145,6 @@ class AbstractSwizzle(N.HvxExpr):
         if self.mode == SWIZZLE_INTERLEAVE:
             return N.interleave(value)
         return N.deinterleave(value)
-
-    def realizations(self, target=None) -> Iterator[N.HvxExpr]:
-        return _target_realizations(self, target)
 
 
 def placeholders_of(expr: N.HvxExpr) -> list[N.HvxExpr]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import islice, product
 
-from ..targets import TargetDescription, nodes as N, resolve_target
+from ..targets import TargetDescription, nodes as N, pruning, resolve_target
 from .oracle import Oracle
 from .sketch import is_concrete, placeholder_summary, placeholders_of
 
@@ -52,7 +52,7 @@ def substitute_many(expr: N.HvxExpr, mapping: dict,
 #: ranked realizations per (target, placeholder) — placeholders are
 #: immutable values and identical windows/swizzles recur across sketches
 #: of one compilation; the key includes the target because each backend
-#: has its own swizzle grammar and cost model.  Cleared by
+#: has its own permute ops, unaligned-load rules and cost weight.  Cleared by
 #: :func:`repro.targets.pruning.invalidate` when pruned-grammar data
 #: files change underneath a running process.
 _REALIZATION_CACHE: dict = {}
@@ -83,7 +83,8 @@ def _ranked_realizations(placeholder, target: TargetDescription):
     cached = _REALIZATION_CACHE.get(key)
     if cached is None:
         options = list(target.realizations(placeholder))
-        options, pruned = target.pruned_realizations(placeholder, options)
+        options, pruned = pruning.pruned_options(target.name, placeholder,
+                                                 options)
         options = sorted(options, key=lambda impl: target.cost_of(impl).key)
         cached = _REALIZATION_CACHE[key] = (options, pruned)
     return cached

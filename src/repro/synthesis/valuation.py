@@ -39,6 +39,7 @@ from ..ir import expr as ir_expr
 from ..ir import traversal
 from ..ir.interp import BufferView, Environment
 from ..types import ScalarType
+from ..uber import instructions as U
 
 #: extra elements materialized on each side of the live range
 PAD_ELEMENTS = 512
@@ -75,8 +76,6 @@ def uber_buffer_specs(spec) -> list[BufferSpec]:
     Includes scalar loads hidden inside broadcast operands (a reduction's
     loop-invariant factor, e.g. ``x64(i32(A[k]))``).
     """
-    from ..uber import instructions as U
-
     out: dict[str, BufferSpec] = {}
 
     def add(buffer: str, elem: ScalarType, lo: int, hi: int) -> None:
@@ -101,8 +100,6 @@ def uber_buffer_specs(spec) -> list[BufferSpec]:
 
 def scalar_names_of(spec) -> list[tuple[str, ScalarType]]:
     """Free scalar variables of an IR or uber expression (incl. broadcasts)."""
-    from ..uber import instructions as U
-
     seen: dict[str, ScalarType] = {}
     for node in spec:
         scalar = None

@@ -1,26 +1,26 @@
-"""Target descriptions: everything ISA-specific behind one interface.
+"""Target descriptions: everything ISA-specific, as data.
 
 The synthesis pipeline (lift → sketch → swizzle → verify) is target
-agnostic; what varies between backends is captured by a
-:class:`TargetDescription`:
+agnostic; what varies between backends is one
+:class:`TargetDescription` value:
 
 * the vector register width (``vbytes``) and native u8 lane count,
-* the swizzle-free sketch grammar (``sketches``),
-* the cost model used to rank candidates and bound the search
-  (``cost_of`` / ``infinite_cost``),
-* the swizzle grammar — concrete realizations of the abstract data
-  movement placeholders (``realizations``),
-* the batched-denotation lowering hook for the oracle's NumPy engine
-  (``eval_family_of`` / ``eval_compile``),
-* the baseline (pattern matching) optimizer, the simulator machine
-  model, and the program printer.
+* the swizzle-free sketch grammar (``sketch_grammar``),
+* the simulator machine model (``machine``),
+* the four permute op names and the unaligned-load economics that
+  parameterize the one swizzle grammar
+  (:meth:`~TargetDescription.realizations`) and the one cost model
+  (:meth:`~TargetDescription.cost_of`).
 
 Two instances are registered: ``hvx`` (the paper's primary target) and
-``neon`` (the Section 6 retargeting story, at full pipeline parity).
-Instances are created lazily through :func:`get_target` so that importing
-this package never drags in grammar/cost/eval modules it does not need —
-which also keeps the import graph cycle-free (target modules import
-synthesis modules, not the other way around).
+``neon`` (the Section 6 retargeting story, at full pipeline parity).  Each
+lives in its own small module, imported by :func:`get_target` on first
+use, so importing this package never drags in a sketch grammar (the
+grammar modules import the synthesis modules, not the other way around).
+
+Batched denotation needs no entry here: :mod:`repro.eval.plan` sends
+``neon.`` instructions to the Neon lowering and every other machine node
+to the HVX lowering.
 
 See ``docs/targets.md`` for the contract and a walkthrough of adding a
 third backend.
@@ -28,126 +28,173 @@ third backend.
 
 from __future__ import annotations
 
-from ..errors import ReproError
+from dataclasses import dataclass
+from typing import Callable, Iterator
+
+from ..errors import EvaluationError, ReproError
+from ..hvx.cost import INFINITE_COST, Cost, cost_of
+from . import nodes as N
 
 #: registered backends, in registry order
 TARGET_NAMES = ("hvx", "neon")
 
-#: machine-expression family detection order: most specific prefix first
-#: (NEON instructions are tagged ``neon.``; bare ops belong to HVX)
-_FAMILY_ORDER = ("neon", "hvx")
-
 _INSTANCES: dict = {}
 
 
+@dataclass(frozen=True, eq=False)
 class TargetDescription:
-    """Base class for one backend's description.
-
-    Concrete subclasses assign the identity attributes and implement the
-    hook methods; everything here documents the contract and supplies the
-    few pieces that are genuinely target independent.
-    """
+    """One backend's description."""
 
     #: registry name ("hvx", "neon", ...)
-    name: str = ""
+    name: str
     #: vector register width in bytes
-    vbytes: int = 0
-    #: op-name prefix of this target's instruction families ("" for HVX)
-    prefix: str = ""
-    #: family tag used by the batched evaluator for this target's ops
-    eval_family: str = ""
-
-    # -- identity ----------------------------------------------------------
+    vbytes: int
+    #: swizzle-free sketch grammar, ``sketch_grammar(e, child, vbytes)``
+    sketch_grammar: Callable
+    #: the cycle simulator's :class:`~repro.sim.machine.MachineConfig`
+    machine: object
+    #: swizzle-grammar ops: pair two vectors, deinterleave a pair,
+    #: interleave a pair, and splice a window out of two aligned vectors
+    pair_op: str
+    deal_op: str
+    shuffle_op: str
+    align_op: str
+    #: offer an unaligned window as one plain load before the splice
+    unaligned_load_first: bool
+    #: load-unit occupancy of one unaligned load in the cost model (the
+    #: simulator's own figure is ``machine.unaligned_load_cost``)
+    unaligned_load_weight: int
 
     @property
     def lanes(self) -> int:
         """Native u8 lane count (one byte lane per register byte)."""
         return self.vbytes
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TargetDescription {self.name} vbytes={self.vbytes}>"
-
-    # -- sketch grammar ----------------------------------------------------
-
     def sketches(self, e, child):
         """Swizzle-free sketch candidates for one uber-instruction, at
         this target's vector width."""
-        raise NotImplementedError
+        return self.sketch_grammar(e, child, self.vbytes)
 
     # -- cost model --------------------------------------------------------
 
-    def cost_of(self, expr):
+    def cost_of(self, expr) -> Cost:
         """Cost of a machine expression under this target's model."""
-        raise NotImplementedError
+        return cost_of(expr, self.unaligned_load_weight)
 
     @property
-    def infinite_cost(self):
+    def infinite_cost(self) -> Cost:
         """The unattainable initial cost bound β of Algorithm 2."""
-        raise NotImplementedError
+        return INFINITE_COST
 
     # -- swizzle grammar ---------------------------------------------------
 
-    def realizations(self, placeholder):
+    def realizations(self, placeholder) -> Iterator[N.HvxExpr]:
         """Concrete load/shuffle sequences for one abstract placeholder.
 
-        Must yield cheapest-first under this target's cost model; the
-        swizzle synthesizer re-sorts defensively but relies on the
-        generator for its enumeration order.
+        Yields cheapest-first under this target's cost model; the swizzle
+        synthesizer re-sorts stably, so the yield order breaks cost ties
+        and is part of the search's observable behaviour (verdict order,
+        the pruned tables' keep-lists).
         """
-        raise NotImplementedError
+        if isinstance(placeholder, S.AbstractWindow):
+            yield from self._strided(
+                placeholder.buffer, placeholder.offset, placeholder.lanes,
+                placeholder.elem, placeholder.stride,
+            )
+        elif isinstance(placeholder, S.AbstractPairWindow):
+            buffer, offset, elem = (placeholder.buffer, placeholder.offset,
+                                    placeholder.elem)
+            half = placeholder.lanes // 2
+            yield from self._paired(
+                self._window(buffer, offset, half, elem),
+                self._window(buffer, offset + half, half, elem),
+            )
+        elif isinstance(placeholder, S.AbstractRows):
+            lanes, elem, stride = (placeholder.lanes, placeholder.elem,
+                                   placeholder.stride)
+            yield from self._paired(
+                self._strided(placeholder.buffer0, placeholder.offset0,
+                              lanes, elem, stride),
+                self._strided(placeholder.buffer1, placeholder.offset1,
+                              lanes, elem, stride),
+            )
+        elif isinstance(placeholder, S.AbstractSwizzle):
+            if placeholder.mode == S.SWIZZLE_IDENTITY:
+                yield placeholder.value
+            elif placeholder.mode == S.SWIZZLE_INTERLEAVE:
+                yield N.HvxInstr(self.shuffle_op, (placeholder.value,))
+            else:
+                yield N.HvxInstr(self.deal_op, (placeholder.value,))
+        else:
+            raise EvaluationError(
+                f"unknown placeholder: {type(placeholder).__name__}"
+            )
 
-    def pruned_realizations(self, placeholder, options: list):
-        """Apply this target's precomputed pruned grammar, if shipped.
+    def _window(self, buffer, offset, lanes, elem) -> Iterator[N.HvxExpr]:
+        """Single-vector loads of a dense window: one aligned load, or for
+        an unaligned window optionally one unaligned load, then a splice
+        of the two surrounding aligned vectors."""
+        if offset % lanes == 0:
+            yield N.HvxLoad(buffer, offset, lanes, elem)
+            return
+        if self.unaligned_load_first:
+            yield N.HvxLoad(buffer, offset, lanes, elem)
+        base = (offset // lanes) * lanes
+        yield N.HvxInstr(
+            self.align_op,
+            (N.HvxLoad(buffer, base, lanes, elem),
+             N.HvxLoad(buffer, base + lanes, lanes, elem)),
+            (offset - base,),
+        )
 
-        ``options`` is the full enumerated realization list for
-        ``placeholder``; returns ``(kept, pruned_flag)`` where a table
-        hit keeps only the offline-verified equivalence-class
-        representatives (see :mod:`repro.targets.pruning`).  Targets
-        without a ``pruned_<name>.json`` data file — including any new
-        third backend until its file is generated with
-        ``repro prune-grammar`` — fall back to the unmodified list.
-        """
-        from . import pruning
+    def _strided(self, buffer, offset, lanes, elem,
+                 stride) -> Iterator[N.HvxExpr]:
+        if stride == 1:
+            yield from self._window(buffer, offset, lanes, elem)
+        elif stride == 2:
+            # Pair the dense 2N window, deinterleave, and take the half
+            # that carries the requested parity.
+            dense = offset if offset % 2 == 0 else offset - 1
+            yield from self._dealt(
+                "lo" if offset % 2 == 0 else "hi",
+                self._window(buffer, dense, lanes, elem),
+                self._window(buffer, dense + lanes, lanes, elem),
+            )
+        elif stride == 4:
+            # stride-4 = the even lanes of two adjacent stride-2 windows.
+            yield from self._dealt(
+                "lo",
+                self._strided(buffer, offset, lanes, elem, 2),
+                self._strided(buffer, offset + 2 * lanes, lanes, elem, 2),
+            )
+        else:
+            raise EvaluationError(f"unsupported load stride: {stride}")
 
-        return pruning.pruned_options(self.name, placeholder, options)
+    def _paired(self, firsts, seconds) -> Iterator[N.HvxExpr]:
+        # Materialize the inner options once: regenerating them for every
+        # outer realization re-ran the enumeration quadratically.
+        seconds = list(seconds)
+        for a in firsts:
+            for b in seconds:
+                yield N.HvxInstr(self.pair_op, (a, b))
 
-    # -- batched evaluation ------------------------------------------------
-
-    def eval_family_of(self, expr):
-        """This target's family tag for ``expr``, or ``None``."""
-        raise NotImplementedError
-
-    def eval_compile(self, expr, ev):
-        """Compile one owned node to a batched-plan step."""
-        raise NotImplementedError
+    def _dealt(self, half, firsts, seconds) -> Iterator[N.HvxExpr]:
+        for paired in self._paired(firsts, seconds):
+            yield N.HvxInstr(half, (N.HvxInstr(self.deal_op, (paired,)),))
 
     # -- surrounding toolchain ---------------------------------------------
 
     def baseline(self):
         """The fallback pattern-matching optimizer (paper's 'LLVM')."""
+        # Imported on first use, once per compile: start-up does not load
+        # the pattern matcher.
         from ..baseline import HalideOptimizer
 
         return HalideOptimizer(vbytes=self.vbytes)
 
-    def machine(self):
-        """The cycle simulator's :class:`~repro.sim.machine.MachineConfig`."""
-        raise NotImplementedError
-
-    def interp(self, expr, env):
-        """Scalar reference evaluation of a machine expression."""
-        from . import nodes
-
-        return nodes.evaluate(expr, env)
-
-    def listing(self, program) -> list[str]:
-        """Pretty instruction listing of a selected program."""
-        from ..hvx import program_listing
-
-        return program_listing(program)
-
 
 def get_target(name: str) -> TargetDescription:
-    """The registered description for ``name`` (lazily instantiated)."""
+    """The registered description for ``name`` (lazily imported)."""
     inst = _INSTANCES.get(name)
     if inst is None:
         if name not in TARGET_NAMES:
@@ -173,31 +220,6 @@ def resolve_target(target) -> TargetDescription:
     raise ReproError(f"cannot resolve target from {target!r}")
 
 
-def machine_family_of(expr) -> str | None:
-    """Which target's batched lowering owns ``expr``, if any.
-
-    Checked most-specific-first: NEON instructions carry the ``neon.``
-    prefix, while any other machine expression (including the shared
-    load / splat / rename nodes inside a NEON tree) belongs to HVX's
-    lowering, whose builders are target neutral for those nodes.
-    """
-    for name in _FAMILY_ORDER:
-        family = get_target(name).eval_family_of(expr)
-        if family is not None:
-            return family
-    return None
-
-
-def machine_compile(expr, ev, family: str):
-    """Compile ``expr`` with the target owning ``family``."""
-    return get_target(family).eval_compile(expr, ev)
-
-
-def machine_families() -> tuple:
-    """All family tags produced by registered targets."""
-    return tuple(get_target(name).eval_family for name in _FAMILY_ORDER)
-
-
 def ensure_semantics() -> None:
     """Idempotently register every target's instruction semantics.
 
@@ -208,3 +230,8 @@ def ensure_semantics() -> None:
     """
     from .. import hvx  # noqa: F401 - registers the HVX families
     from ..neon import semantics  # noqa: F401 - registers neon.* families
+
+
+# Imported last: the placeholders the swizzle grammar matches on are
+# machine nodes, so their module imports this package's ``nodes``.
+from ..synthesis import sketch as S  # noqa: E402

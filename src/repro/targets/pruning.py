@@ -9,8 +9,8 @@ re-discovers that fact at compile time, every time.  The
 harvests the placeholder shapes the workload suite actually enumerates,
 verifies by scalar evaluation that each shape's realizations are
 pairwise equivalent, and writes per-target keep-lists as JSON data files
-(``data/pruned_<target>.json``) that the pipeline loads lazily through
-the target registry.  At compile time a pruned placeholder contributes
+(``data/pruned_<target>.json``) that the swizzle synthesizer loads
+lazily, once per target.  At compile time a pruned placeholder contributes
 only its cheapest realization, so the realization product collapses to
 the single combo full enumeration would have verified first — selected
 instructions and costs are byte-identical, the search just stops paying
@@ -35,6 +35,7 @@ import json
 import os
 
 from ..errors import EvaluationError
+from ..synthesis import sketch as S
 
 #: data-file format version; bump when the signature scheme changes
 DATA_VERSION = 1
@@ -111,8 +112,6 @@ def signature_of(placeholder) -> str | None:
     the grammars branch on stride, lane count, element type and the
     offset residue mod the (inner) window length, all captured here.
     """
-    from ..synthesis import sketch as S
-
     if isinstance(placeholder, S.AbstractWindow):
         if placeholder.lanes <= 0:
             return None
@@ -144,8 +143,6 @@ def signature_of(placeholder) -> str | None:
 def canonical_placeholder(placeholder):
     """The representative placeholder a signature is built from:
     buffers renamed ``b0``/``b1``, offsets reduced to their residues."""
-    from ..synthesis import sketch as S
-
     if isinstance(placeholder, S.AbstractWindow):
         return S.AbstractWindow(
             "b0", placeholder.offset % placeholder.lanes,

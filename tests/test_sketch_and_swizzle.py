@@ -23,6 +23,7 @@ from repro.synthesis.sketch import (
     placeholders_of,
 )
 from repro.synthesis.swizzle_synth import substitute_many, synthesize_swizzles
+from repro.targets import get_target
 from repro.types import U16, U8
 
 
@@ -41,7 +42,7 @@ class TestPlaceholders:
     def test_window_realizations_match(self, offset, stride):
         w = AbstractWindow("in", offset, 8, U8, stride)
         want = hvx_interp.evaluate(w, env()).values
-        realized = list(w.realizations())
+        realized = list(get_target("hvx").realizations(w))
         assert realized
         for impl in realized:
             assert is_concrete(impl)
@@ -52,13 +53,13 @@ class TestPlaceholders:
     def test_pair_window_realizations_match(self, offset):
         w = AbstractPairWindow("in", offset, 16, U8)
         want = hvx_interp.evaluate(w, env()).values
-        for impl in w.realizations():
+        for impl in get_target("hvx").realizations(w):
             assert hvx_interp.evaluate(impl, env()).values == want
 
     def test_rows_realizations_match(self):
         rows = AbstractRows("in", -1, "in", 9, 8, U8)
         want = hvx_interp.evaluate(rows, env()).values
-        for impl in rows.realizations():
+        for impl in get_target("hvx").realizations(rows):
             assert hvx_interp.evaluate(impl, env()).values == want
 
     def test_swizzle_modes(self):
@@ -68,7 +69,7 @@ class TestPlaceholders:
         assert hvx_interp.evaluate(ident, env()).values == \
             hvx_interp.evaluate(pair, env()).values
         inter = AbstractSwizzle(pair, SWIZZLE_INTERLEAVE)
-        (only,) = list(inter.realizations())
+        (only,) = list(get_target("hvx").realizations(inter))
         assert only.op == "vshuffvdd"
         assert hvx_interp.evaluate(inter, env()).values == \
             hvx_interp.evaluate(only, env()).values
