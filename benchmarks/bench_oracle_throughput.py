@@ -1,25 +1,27 @@
-"""Oracle throughput: scalar interpreters vs the batched NumPy engine.
+"""Oracle throughput: the batched NumPy engine vs the scalar interpreters.
 
-Measures steady-state ``_check_full`` throughput (queries/sec and
+Measures steady-state full-check throughput (queries/sec and
 valuation-environments/sec) on a fixed set of spec/candidate pairs — both
 equivalences, which scan the whole bank, and refutations, which the
-scalar loop stops at the first mismatching environment — with the
-batched engine on and off.  Results land in
-``benchmarks/results/oracle_throughput.json``.
+scalar loop stops at the first mismatching environment — for the
+oracle's ``_check_full``, which runs one plan over the whole bank, and
+for :class:`ScalarCheck`, the reference this script times it against
+(``denote`` per environment of the same bank).
+Results land in ``benchmarks/results/oracle_throughput.json``.
 
 ``--smoke`` instead compiles a couple of fast workloads end to end and
 asserts (via the oracle's ``batched_evals``/``fallback_evals`` counters)
-that the batched path handled more than 90% of full-bank evaluations;
+that more than 90% of full checks ran on plans with no fallback step;
 CI runs this to catch regressions that silently fall back to the scalar
 interpreters.  It then times steady-state ``_check_lane0`` over the same
-pairs with the batched engine on and off, in one process, and fails
-unless the verdicts agree and the batched check is at least 3x faster —
-a ratio of two runs on one machine, so runner speed cancels out.  The
-six pairs share one footprint, so they share one bank, and the batched
-checks after the first read their node values from the evaluator's
-memo of that bank: the ratio measures the memo as much as the plans
-(11-19x on a 2-core host, against 6-6.4x when every check recomputed
-its plan over a one-row bank).
+pairs against :class:`ScalarCheck`'s lane-0 check, in one process, and
+fails unless the verdicts agree and the oracle's check is at least 3x
+faster — a ratio of two runs on one machine, so runner speed cancels
+out.  The six pairs share one footprint, so they share one bank, and the
+batched checks after the first read their node values from the
+evaluator's memo of that bank: the ratio measures the memo as much as
+the plans (11-19x on a 2-core host, against 6-6.4x when every check
+recomputed its plan over a one-row bank).
 Next, it counts the nodes one cold ``gaussian5x5``/hvx compile
 evaluates against the nodes of the plans it denotes, wrapping each
 compiled node's ``fn`` itself, and fails unless at most a third are
@@ -41,11 +43,12 @@ import time
 from pathlib import Path
 
 import repro.workloads  # noqa: F401 - populate the registry
+from repro.errors import EvaluationError
 from repro.eval import BatchedEvaluator
 from repro.hvx import isa as H
 from repro.ir import expr as E
 from repro.pipeline import compile_pipeline
-from repro.synthesis.oracle import LAYOUT_INORDER, Oracle
+from repro.synthesis.oracle import LAYOUT_INORDER, Oracle, denote, result_bits
 from repro.synthesis.stats import SynthesisStats
 from repro.types import U8, U16
 from repro.workloads.base import get
@@ -80,23 +83,74 @@ def _pairs():
     ]
 
 
-def _throughput(batch_eval: bool, repeats: int) -> dict:
+class ScalarCheck:
+    """The scalar full and lane-0 checks, the timing reference:
+    ``denote`` per environment of the oracle's bank for the spec, with
+    the spec's lanes kept per environment."""
+
+    def __init__(self, oracle: Oracle):
+        self.oracle = oracle
+        self._spec_lanes = {}
+
+    def spec_lanes(self, spec, index: int, env) -> tuple:
+        key = (spec, index)
+        if key not in self._spec_lanes:
+            self._spec_lanes[key] = denote(spec, env)
+        return self._spec_lanes[key]
+
+    def full(self, spec, cand, layout: str) -> bool:
+        """One pass over the bank, refuted at the first mismatch."""
+        if result_bits(spec) != result_bits(cand):
+            return False
+        for index, env in enumerate(self.oracle.bank_for(spec)):
+            try:
+                got = denote(cand, env, layout)
+            except EvaluationError:
+                return False
+            if got != self.spec_lanes(spec, index, env):
+                return False
+        return True
+
+    def lane0(self, spec, cand, layout: str) -> bool:
+        """Lane 0 of environment 0."""
+        if result_bits(spec) != result_bits(cand):
+            return False
+        env = self.oracle.bank_for(spec)[0]
+        try:
+            got = denote(cand, env, layout)
+        except EvaluationError:
+            return False
+        return bool(got) and got[0] == self.spec_lanes(spec, 0, env)[0]
+
+
+def _checks(mode: str) -> tuple:
+    """``(oracle, full check, lane-0 check)`` of one fresh oracle, run
+    through its plans (``"batched"``) or through :class:`ScalarCheck`
+    (``"scalar"``)."""
+    oracle = Oracle()
+    if mode == "scalar":
+        scalar = ScalarCheck(oracle)
+        return oracle, scalar.full, scalar.lane0
+    return oracle, oracle._check_full, oracle._check_lane0
+
+
+def _throughput(mode: str, repeats: int) -> dict:
     """Steady-state full-check throughput with one persistent oracle."""
-    oracle = Oracle(batch_eval=batch_eval)
+    oracle, check, _lane0 = _checks(mode)
     pairs = _pairs()
     verdicts = {}
     # Warm-up: build banks and spec denotations, compile plans.
     for name, spec, cand in pairs:
-        verdicts[name] = oracle._check_full(spec, cand, LAYOUT_INORDER)
+        verdicts[name] = check(spec, cand, LAYOUT_INORDER)
     n_envs = len(oracle.bank_for(pairs[0][1]))
     start = time.perf_counter()
     for _ in range(repeats):
         for _name, spec, cand in pairs:
-            oracle._check_full(spec, cand, LAYOUT_INORDER)
+            check(spec, cand, LAYOUT_INORDER)
     elapsed = time.perf_counter() - start
     queries = repeats * len(pairs)
     return {
-        "batch_eval": batch_eval,
+        "mode": mode,
         "queries": queries,
         "envs_per_query": n_envs,
         "time_s": elapsed,
@@ -106,12 +160,12 @@ def _throughput(batch_eval: bool, repeats: int) -> dict:
     }
 
 
-def _lane0_timing(batch_eval: bool, repeats: int, trials: int = 5) -> dict:
-    """Steady-state ``_check_lane0`` time per check (best of ``trials``)."""
-    oracle = Oracle(batch_eval=batch_eval)
+def _lane0_timing(mode: str, repeats: int, trials: int = 5) -> dict:
+    """Steady-state lane-0 check time per check (best of ``trials``)."""
+    _oracle, _full, check = _checks(mode)
     pairs = _pairs()
     verdicts = {
-        name: oracle._check_lane0(spec, cand, LAYOUT_INORDER)
+        name: check(spec, cand, LAYOUT_INORDER)
         for name, spec, cand in pairs
     }
     best = float("inf")
@@ -119,16 +173,17 @@ def _lane0_timing(batch_eval: bool, repeats: int, trials: int = 5) -> dict:
         start = time.perf_counter()
         for _ in range(repeats):
             for _name, spec, cand in pairs:
-                oracle._check_lane0(spec, cand, LAYOUT_INORDER)
+                check(spec, cand, LAYOUT_INORDER)
         best = min(best, time.perf_counter() - start)
     return {"us_per_check": best / (repeats * len(pairs)) * 1e6,
             "verdicts": verdicts}
 
 
 def run_lane0_ratio(repeats: int = 100) -> bool:
-    """Same-run gate: batched lane-0 checks must agree and be faster."""
-    scalar = _lane0_timing(batch_eval=False, repeats=repeats)
-    batched = _lane0_timing(batch_eval=True, repeats=repeats)
+    """Same-run gate: batched lane-0 checks must agree with the scalar
+    ones and be faster."""
+    scalar = _lane0_timing("scalar", repeats=repeats)
+    batched = _lane0_timing("batched", repeats=repeats)
     ratio = scalar["us_per_check"] / batched["us_per_check"]
     print(f"lane-0 check: scalar {scalar['us_per_check']:.1f} us, "
           f"batched {batched['us_per_check']:.1f} us ({ratio:.1f}x)")
@@ -267,8 +322,8 @@ def run_query_key_ratio() -> bool:
 
 
 def run_throughput(repeats: int) -> dict:
-    scalar = _throughput(batch_eval=False, repeats=repeats)
-    batched = _throughput(batch_eval=True, repeats=repeats)
+    scalar = _throughput("scalar", repeats=repeats)
+    batched = _throughput("batched", repeats=repeats)
     assert scalar["verdicts"] == batched["verdicts"], (
         "batched and scalar oracles disagree: "
         f"{scalar['verdicts']} vs {batched['verdicts']}"
@@ -310,7 +365,7 @@ def run_smoke() -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="scalar vs batched oracle throughput")
+        description="batched oracle vs scalar check throughput")
     parser.add_argument("--repeats", type=int, default=200,
                         help="timed repetitions of the pair set")
     parser.add_argument("--smoke", action="store_true",

@@ -214,12 +214,12 @@ def _cmd_list(args) -> int:
 
 def _compile_one(name: str, backend: str, show_programs: bool,
                  width: int | None, height: int | None, asm: bool = False,
-                 cache_dir: str | None = None, batch_eval: bool = True,
-                 tracer=None, target: str = "hvx", rules=None):
+                 cache_dir: str | None = None, tracer=None,
+                 target: str = "hvx", rules=None):
     wl = get(name)
     compiled = compile_pipeline(wl.build(), backend=backend,
-                                cache_dir=cache_dir, batch_eval=batch_eval,
-                                tracer=tracer, target=target, rules=rules)
+                                cache_dir=cache_dir, tracer=tracer,
+                                target=target, rules=rules)
     cycles = measure(compiled, width or wl.width, height or wl.height)
     label = backend if target == "hvx" else f"{backend}/{target}"
     rule_note = (f", {compiled.rule_hits} via rules"
@@ -282,7 +282,6 @@ def _cmd_compile(args) -> int:
             totals[backend], compiled_by_backend[backend] = _compile_one(
                 args.workload, backend, args.show_programs, args.width,
                 args.height, asm=args.asm, cache_dir=cache_dir,
-                batch_eval=not args.no_batch_eval,
                 tracer=tracer, target=args.target,
                 rules=rules_lib if backend == "rake" else None,
             )
@@ -320,7 +319,6 @@ def _cmd_compile(args) -> int:
                 trace_tree=tree,
                 degraded=bool(getattr(compiled, "degraded", False)),
                 knobs={
-                    "batch_eval": not args.no_batch_eval,
                     "rules": rules_lib is not None and backend == "rake",
                     "cache": cache_dir is not None,
                 },
@@ -385,8 +383,7 @@ def _cmd_speedups(args) -> int:
         if args.only and wl.name not in args.only:
             continue
         _log.info("compiling", workload=wl.name)
-        rake = compile_pipeline(wl.build(), backend="rake",
-                                batch_eval=not args.no_batch_eval)
+        rake = compile_pipeline(wl.build(), backend="rake")
         base = compile_pipeline(wl.build(), backend="baseline")
         rows.append(SpeedupRow(
             name=wl.name,
@@ -413,10 +410,8 @@ def _cmd_trace(args) -> int:
             return _fail(f"--trace-out: {problem}")
     wl = get(args.workload)
     tracer = Tracer()
-    compiled = compile_pipeline(
-        wl.build(), backend=args.backend,
-        batch_eval=not args.no_batch_eval, tracer=tracer,
-    )
+    compiled = compile_pipeline(wl.build(), backend=args.backend,
+                                tracer=tracer)
     cycles = measure(compiled, args.width or wl.width,
                      args.height or wl.height)
     tree = tracer.tree()
@@ -576,7 +571,6 @@ def _cmd_submit(args) -> int:
         height=args.height,
         priority=args.priority,
         deadline_s=args.deadline,
-        batch_eval=not args.no_batch_eval,
         trace=bool(args.trace or args.trace_out),
         rules=bool(args.rules),
     ).validate()
@@ -770,11 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     size = shared()
     size.add_argument("--width", type=int, default=None)
     size.add_argument("--height", type=int, default=None)
-    batch = shared()
-    batch.add_argument("--no-batch-eval", action="store_true",
-                       help="disable the batched NumPy oracle and check "
-                            "every valuation through the scalar "
-                            "interpreters (identical verdicts, slower)")
     cache = shared()
     cache.add_argument("--cache", action="store_true",
                        help="persist oracle verdicts in the default cache "
@@ -828,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compile = sub.add_parser(
         "compile", help="compile one benchmark",
-        parents=[target, size, cache, batch, fault_plan, rules, rules_dir,
+        parents=[target, size, cache, fault_plan, rules, rules_dir,
                  telemetry])
     p_compile.add_argument("workload")
     p_compile.add_argument("--backend", choices=("rake", "baseline", "both"),
@@ -848,15 +837,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="filter by group tag (e.g. mpy, narrow, swizzle)")
 
     p_speed = sub.add_parser("speedups",
-                             help="the Figure 11 sweep (slow: full synthesis)",
-                             parents=[batch])
+                             help="the Figure 11 sweep (slow: full synthesis)")
     p_speed.add_argument("--only", nargs="*", default=None,
                          help="restrict to these workloads")
 
     p_trace = sub.add_parser(
         "trace",
         help="compile one benchmark with tracing on and export the spans",
-        parents=[size, batch])
+        parents=[size])
     p_trace.add_argument("workload")
     p_trace.add_argument("--backend", choices=("rake", "baseline"),
                          default="rake")
@@ -955,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_submit = sub.add_parser(
         "submit", help="submit one compile to a running server",
-        parents=[url, target, size, batch])
+        parents=[url, target, size])
     p_submit.add_argument("workload")
     p_submit.add_argument("--backend", choices=("rake", "baseline"),
                           default="rake")

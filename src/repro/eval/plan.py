@@ -21,14 +21,20 @@ Exactness rules:
   overflow wraparound is ever exercised;
 * nodes with element widths above 32 bits, and any op without a lowering,
   become *fallback* steps that re-enter the exact scalar interpreter per
-  environment.  A fallback step is still exact, just not batched.
+  environment.  A fallback step is still exact, just not batched.  A root
+  the lowerings cannot batch as a whole becomes one fallback step, so
+  every expression has a plan (:meth:`BatchedEvaluator.plan_for`).
+* a bank stores u64 buffers and scalars outside int64 as int64 bit
+  patterns.  Only loads that re-wrap to at most 32 bits and fallback steps
+  read them, and a u64 result's lanes are such bit patterns too, which
+  :meth:`BatchedEvaluator.denote_bank` reads back as uint64.
 
 ``EvaluationError`` behaviour matches the interpreters: all such errors
 (out-of-range loads, unbound names, layout misuse) depend only on the
 expression and the buffer *shapes*, which are identical across a bank's
 environments, so an error raised while executing a plan means every
-environment would have raised — exactly what the scalar oracle loop sees
-on its first environment.
+environment would have raised — exactly what the scalar interpreters
+raise on the bank's first environment.
 """
 
 from __future__ import annotations
@@ -133,8 +139,9 @@ class Plan:
     load in the expression.  Those loads pass buffer contents through
     wrapped to the *view's* element type, so the compile-time range claims
     the lowerings rely on are only sound when the bank's buffers carry the
-    same element types; :func:`plan_usable` enforces that before a plan is
-    run (a mismatch simply keeps the scalar path, which is always exact).
+    same element types; :meth:`BatchedEvaluator.plan_on` runs the root's
+    fallback step instead on a bank whose buffers do not (a fallback step
+    claims nothing: it reads the environments).
     """
 
     __slots__ = ("root", "is_hvx", "claims")
@@ -149,16 +156,6 @@ class Plan:
     def pure(self) -> bool:
         """No step of the plan re-enters a scalar interpreter."""
         return self.root.pure
-
-
-def plan_usable(plan: Plan, bank: BankData) -> bool:
-    """True when ``bank``'s buffer element types match the plan's claims."""
-
-    for name, elem in plan.claims:
-        entry = bank.buffers.get(name)
-        if entry is not None and entry[1] != elem:
-            return False
-    return True
 
 
 def _claim_parts(node) -> Tuple[frozenset, tuple]:
@@ -184,9 +181,11 @@ class BankData:
     ``buffers`` maps name to ``(data, elem, origin)`` where ``data`` is an
     int64 matrix of shape ``(envs, length)`` holding the buffer's
     *view-element-wrapped* contents (what ``BufferView.read`` returns for
-    in-range offsets).  ``scalars`` maps name to an int64 vector of raw
-    environment values (``ScalarVar`` wraps at its use site, with its own
-    dtype).  ``envs`` keeps the original environments for fallback steps.
+    in-range offsets; a u64 buffer's as int64 bit patterns).  ``scalars``
+    maps name to an int64 vector of raw environment values, as bit
+    patterns where they leave int64 (``ScalarVar`` wraps at its use site,
+    with its own dtype).  ``envs`` keeps the original environments for
+    fallback steps.
     """
 
     n_envs: int
@@ -233,13 +232,14 @@ class BatchedEvaluator:
 
     def __init__(self) -> None:
         self._nodes: Dict[object, CompiledNode] = {}
-        self._plans: Dict[object, Optional[Plan]] = {}
+        self._plans: Dict[object, Plan] = {}
+        #: expression -> its whole-root fallback plan
+        self._fallbacks: Dict[object, Plan] = {}
         self._claims: Dict[object, frozenset] = {}
         #: the bank ``_values`` were computed on, and node -> value matrix
         self._bank: Optional[BankData] = None
         self._values: Dict[CompiledNode, object] = {}
         self.tracer = NULL_TRACER
-        self.compile_errors = 0
 
     # -- compilation -------------------------------------------------------
 
@@ -250,47 +250,66 @@ class BatchedEvaluator:
             self._nodes[expr] = node
         return node
 
-    def plan_for(self, expr) -> Optional[Plan]:
-        """Compile ``expr`` to a plan; ``None`` when batching cannot apply.
+    def plan_for(self, expr) -> Plan:
+        """Compile ``expr`` to a plan (memoized); never ``None``.
 
-        ``None`` is returned for roots outside the three expression
-        families, roots whose read-back cannot be represented (unsigned
-        64-bit results), and — defensively — any compilation failure: the
-        batched engine is a pure accelerator, so a broken lowering (or an
-        injected ``eval.plan_compile`` fault) degrades that expression to
-        the scalar interpreters rather than failing the query.
+        The lowerings make every node they cannot batch a fallback step,
+        so a root wider than 32 bits (a u64 result among them) is one.
+        Any compilation failure — a broken lowering, or an injected
+        ``eval.plan_compile`` fault — makes the whole root one fallback
+        step (:meth:`fallback_plan`), so the plan compiler can fail no
+        query the scalar interpreters answer.  ``is_hvx`` marks every
+        machine expression, whatever its target, for ``denote_bank``'s
+        layout handling.
         """
 
-        if expr in self._plans:
-            return self._plans[expr]
-        with self.tracer.span("eval.plan_compile") as sp:
-            try:
-                faults.fire(faults.SITE_PLAN_COMPILE, tracer=self.tracer)
-                plan = self._build_plan(expr)
-            except Exception as exc:
-                plan = None
-                self.compile_errors += 1
+        plan = self._plans.get(expr)
+        if plan is None:
+            with self.tracer.span("eval.plan_compile") as sp:
+                try:
+                    faults.fire(faults.SITE_PLAN_COMPILE, tracer=self.tracer)
+                    plan = Plan(self.node_for(expr),
+                                is_hvx=isinstance(expr, HvxExpr),
+                                claims=self.claims_of(expr))
+                except Exception as exc:
+                    plan = self.fallback_plan(expr)
+                    if sp:
+                        sp.set(error=type(exc).__name__)
                 if sp:
-                    sp.set(error=type(exc).__name__)
-            if sp:
-                sp.set(batched=plan is not None,
-                       pure=plan.pure if plan is not None else False)
-        self._plans[expr] = plan
+                    sp.set(pure=plan.pure)
+            self._plans[expr] = plan
         return plan
 
-    def _build_plan(self, expr) -> Optional[Plan]:
-        # ``is_hvx`` historically meant "machine expression" (as opposed
-        # to IR/uber); every target's nodes qualify, so the layout
-        # handling in denote_bank is unchanged for HVX roots.
-        machine = isinstance(expr, HvxExpr)
-        if not machine and lower_ir.family_of(expr) is None:
-            return None
-        root = self.node_for(expr)
-        elem = root.info.elem
-        if elem is not None and elem.bits > 32 and not elem.signed:
-            # uint64 typed values cannot live in an int64 matrix.
-            return None
-        return Plan(root, is_hvx=machine, claims=self.claims_of(expr))
+    def fallback_plan(self, expr) -> Plan:
+        """``expr`` as one fallback step (memoized): its scalar
+        interpreter per environment, exact on any bank, with no claims."""
+
+        plan = self._fallbacks.get(expr)
+        if plan is None:
+            machine = isinstance(expr, HvxExpr)
+            family = "hvx" if machine else lower_ir.family_of(expr)
+            info_of = {"hvx": lower_hvx._info_hvx, "ir": lower_ir._info_ir,
+                       "uber": lower_ir._info_uber}.get(family)
+            if info_of is None:
+                raise EvaluationError(
+                    f"cannot denote {type(expr).__name__}")
+            root = make_fallback(expr, info_of(expr), family)
+            plan = self._fallbacks[expr] = Plan(root, is_hvx=machine,
+                                                claims=frozenset())
+        return plan
+
+    def plan_on(self, expr, bank: BankData) -> Plan:
+        """The plan to run ``expr`` on ``bank``: :meth:`plan_for`'s, or
+        the whole-root :meth:`fallback_plan` when ``bank``'s buffers do
+        not carry the element types the plan's raw loads claim (the
+        compile-time ranges would be unsound)."""
+
+        plan = self.plan_for(expr)
+        for name, elem in plan.claims:
+            entry = bank.buffers.get(name)
+            if entry is not None and entry[1] != elem:
+                return self.fallback_plan(expr)
+        return plan
 
     def _compile(self, expr) -> CompiledNode:
         family = lower_ir.family_of(expr)
@@ -397,7 +416,7 @@ def make_fallback(expr, info: ValueInfo, family: str) -> CompiledNode:
         from ..uber import interp as uber_interp
 
         def rows(env):
-            return uber_interp.evaluate(expr, env).values
+            return uber_interp.evaluate(expr, env)
 
     else:
         from ..ir import interp as ir_interp
@@ -405,11 +424,16 @@ def make_fallback(expr, info: ValueInfo, family: str) -> CompiledNode:
         def rows(env):
             return ir_interp.evaluate_vector(expr, env)
 
+    # u64 lanes are kept as int64 bit patterns (see BankData)
+    elem = info.elem
+    dtype = np.uint64 if elem is not None and elem.bits == 64 \
+        and not elem.signed else np.int64
+
     def fn(bank: BankData, args):
         cached = bank._cache.get(expr)
         if cached is None:
             data = [rows(env) for env in bank.envs]
-            cached = np.array(data, dtype=np.int64)
+            cached = np.array(data, dtype=dtype).view(np.int64)
             bank._cache[expr] = cached
         return cached
 

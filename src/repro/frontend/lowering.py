@@ -140,12 +140,11 @@ SCHEDULE_VBYTES = 128
 
 
 class _Lowerer:
-    def __init__(self, lanes: int, row_stride: int, plane_stride: int,
-                 vector_bytes: int = SCHEDULE_VBYTES):
-        self.lanes = lanes
+    def __init__(self, vector_bytes: int, row_stride: int,
+                 plane_stride: int):
+        self.vector_bytes = vector_bytes
         self.row_stride = row_stride
         self.plane_stride = plane_stride
-        self.vector_bytes = vector_bytes
 
     def _strides(self, dims: int) -> list[int]:
         return [1, self.row_stride, self.plane_stride][:dims]
@@ -157,7 +156,7 @@ class _Lowerer:
         if scheduled:
             lanes = max(1, scheduled * self.vector_bytes // SCHEDULE_VBYTES)
         else:
-            lanes = self.lanes
+            lanes = self.vector_bytes
         stage = Stage(func=func, lanes=lanes)
         if func.body is None:
             raise LoweringError(f"{func.name} has no definition")
@@ -319,21 +318,22 @@ def reachable_funcs(output: Func) -> list[Func]:
 
 def lower_pipeline(
     output: Func,
-    lanes: int = 128,
+    vector_bytes: int = SCHEDULE_VBYTES,
     row_stride: int = DEFAULT_ROW_STRIDE,
     plane_stride: int = DEFAULT_PLANE_STRIDE,
-    vector_bytes: int = SCHEDULE_VBYTES,
 ) -> LoweredPipeline:
     """Lower a scheduled pipeline to its vector-IR stages.
 
-    ``vector_bytes`` is the target's vector register width; per-func
+    ``vector_bytes`` is the target's vector register width.  Per-func
     ``vectorize(n)`` schedule directives (authored against 128-byte HVX
     vectors) are rescaled to it, so the same scheduled workload lowers to
-    full native vectors on any registered target.
+    full native vectors on any registered target, and an unscheduled
+    stage gets one lane per register byte.
     """
-    lowerer = _Lowerer(lanes, row_stride, plane_stride, vector_bytes)
+    lowerer = _Lowerer(vector_bytes, row_stride, plane_stride)
     stages = []
     for func in reachable_funcs(output):
         if func is output or func.schedule.compute_root:
             stages.append(lowerer.lower_stage(func))
-    return LoweredPipeline(stages=stages, lanes=lanes, row_stride=row_stride)
+    return LoweredPipeline(stages=stages, lanes=vector_bytes,
+                           row_stride=row_stride)

@@ -5,8 +5,8 @@ Importing this package registers the full instruction set.
 
 from . import semantics  # noqa: F401 - populates the registry
 from .assembly import AsmProgram, emit, to_assembly
-from .cost import Cost, cost_of, critical_path, display_latency, load_count
-from .interp import evaluate, evaluate_lanes
+from .cost import Cost, cost_of, display_latency, load_count
+from .interp import evaluate
 from .isa import (
     HvxExpr,
     HvxInstr,
@@ -15,7 +15,6 @@ from .isa import (
     HvxType,
     Instruction,
     all_instructions,
-    instructions_in_group,
     lookup,
     pair,
     pred,

@@ -129,22 +129,3 @@ def load_count(expr: HvxExpr) -> int:
     """Number of distinct vector loads (unaligned counted once here)."""
     return sum(1 for n in _unique_nodes(expr) if isinstance(n, HvxLoad))
 
-
-def critical_path(expr: HvxExpr) -> int:
-    """Latency-weighted depth of the expression DAG."""
-    memo: dict[HvxExpr, int] = {}
-
-    def walk(node: HvxExpr) -> int:
-        if node in memo:
-            return memo[node]
-        child_depth = max((walk(c) for c in node.children), default=0)
-        if isinstance(node, HvxInstr):
-            own = node.descriptor.latency
-        elif isinstance(node, HvxLoad):
-            own = 1 if node.aligned else 2
-        else:
-            own = 0
-        memo[node] = child_depth + own
-        return memo[node]
-
-    return walk(expr)

@@ -41,7 +41,3 @@ def evaluate(node: HvxExpr, env: ir_interp.Environment) -> HvxValue:
         return lookup(node.op).sem_fn(args, node.imms)
     raise EvaluationError(f"cannot evaluate HVX node {type(node).__name__}")
 
-
-def evaluate_lanes(node: HvxExpr, env: ir_interp.Environment) -> tuple:
-    """Evaluate and return the raw register-order lane tuple."""
-    return evaluate(node, env).values

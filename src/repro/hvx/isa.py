@@ -142,10 +142,6 @@ def all_instructions() -> dict[str, Instruction]:
     return dict(_REGISTRY)
 
 
-def instructions_in_group(group: str) -> list[Instruction]:
-    return [i for i in _REGISTRY.values() if group in i.groups]
-
-
 class HvxExpr:
     """Base class for HVX program expression nodes."""
 

@@ -12,8 +12,8 @@ paper's Rake likewise leaves trivial expressions to LLVM.
 Each setting reaches the oracle by one path.  The registered target fixes
 the vector width and the grammars (the paper's §6 retargeting), so
 ``compile_pipeline`` takes only the target and backend, the caller's own
-resources (stats, cache, cancel token, tracer, rule library) and three
-ablation switches; the final verification pass always runs.
+resources (stats, cache, cancel token, tracer, rule library) and one
+ablation switch, ``options``; the final verification pass always runs.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ def compile_pipeline(
     stats: SynthesisStats | None = None,
     cache: OracleCache | None = None,
     cache_dir: str | None = None,
-    batch_eval: bool = True,
     cancel: CancelToken | None = None,
     tracer=None,
     target: str = "hvx",
@@ -153,11 +152,9 @@ def compile_pipeline(
     against the full valuation bank (inside ``match``) *and* by the final
     verify pass below, so selections are sound with or without rules.
 
-    Two switches exist for ablations and differential tests; each
-    leaves the selections unchanged.  ``options`` sets the paper's
-    lowering design choices (EXPERIMENTS.md A3 measures lane-0 pruning
-    through it).  ``batch_eval=False`` forces every oracle check onto the
-    scalar interpreters.
+    ``options`` sets the paper's lowering design choices for ablations
+    (EXPERIMENTS.md A3 measures lane-0 pruning through it); it leaves the
+    selections unchanged.
 
     Every selected program, Rake's or the baseline's, is checked against
     the IR by the selector's oracle before it is returned.
@@ -171,7 +168,7 @@ def compile_pipeline(
     tgt = resolve_target(target)
     if tracer is None:
         tracer = NULL_TRACER
-    lowered = lower_pipeline(output, lanes=tgt.lanes, vector_bytes=tgt.vbytes)
+    lowered = lower_pipeline(output, vector_bytes=tgt.vbytes)
     baseline = tgt.baseline()
     if cache is None:
         cache = (OracleCache.with_disk(cache_dir) if cache_dir
@@ -180,7 +177,7 @@ def compile_pipeline(
     # queries share the memoization cache and show up under the ``verify``
     # stage of the statistics.
     oracle = Oracle(stats=stats or SynthesisStats(), cache=cache,
-                    batch_eval=batch_eval, cancel=cancel, tracer=tracer)
+                    cancel=cancel, tracer=tracer)
     rake = RakeSelector(options=options or LoweringOptions(), oracle=oracle,
                         target=tgt)
 

@@ -7,7 +7,7 @@ lowered and every stage expression is rendered through
 :func:`repro.synthesis.engine.canonical_spec` — the rename-insensitive
 structural rendering under the verdict cache and the rewrite-rule
 library — together with the knobs that
-can change the *result* (backend, lane count, batched-eval toggle).
+can change the *result* (backend, target, image size, rules).
 Parameters that only change scheduling (``priority``, ``deadline_s``)
 are deliberately excluded, so a patient submission and an urgent one
 still coalesce.
@@ -47,8 +47,7 @@ def _spec_hash(workload: str, target: str = "hvx") -> str:
     if cached is not None:
         return cached
     tgt = resolve_target(target)
-    lowered = lower_pipeline(get(workload).build(), lanes=tgt.lanes,
-                             vector_bytes=tgt.vbytes)
+    lowered = lower_pipeline(get(workload).build(), vector_bytes=tgt.vbytes)
     parts = []
     for stage in lowered.stages:
         for expr in stage.exprs:
@@ -67,7 +66,6 @@ def request_key(request: CompileRequest) -> str:
         request.target,
         str(request.width),
         str(request.height),
-        str(bool(request.batch_eval)),
         # A generalized rule hit may select a different (equally
         # verified) program, so rules-on and rules-off jobs never share
         # a leader.

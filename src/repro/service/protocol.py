@@ -123,7 +123,6 @@ class CompileRequest:
     height: int | None = None
     priority: int = 10
     deadline_s: float | None = None
-    batch_eval: bool = True
     trace: bool = False
     rules: bool = False
     idempotency_key: str | None = None
@@ -162,9 +161,6 @@ class CompileRequest:
             raise ProtocolError(
                 "compile request: deadline_s must be a positive number"
             )
-        if not isinstance(self.batch_eval, bool):
-            raise ProtocolError(
-                "compile request: batch_eval must be a boolean")
         if not isinstance(self.trace, bool):
             raise ProtocolError("compile request: trace must be a boolean")
         if not isinstance(self.rules, bool):
@@ -190,10 +186,11 @@ class CompileRequest:
         if not isinstance(data, dict):
             raise ProtocolError("compile request: body must be a JSON object")
         _require_version(data, "compile request")
-        # ``jobs`` from older v4 clients is dropped: it never changed a result.
+        # ``jobs`` and ``batch_eval`` from older v4 clients are dropped:
+        # neither ever changed a result.
         known = {f: data[f] for f in (
             "workload", "backend", "target", "width", "height", "priority",
-            "deadline_s", "batch_eval", "trace", "rules", "idempotency_key",
+            "deadline_s", "trace", "rules", "idempotency_key",
         ) if f in data}
         try:
             return cls(**known).validate()

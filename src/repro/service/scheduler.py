@@ -137,7 +137,6 @@ def default_compile_fn(request: CompileRequest, cancel: CancelToken,
         backend=request.backend,
         stats=stats,
         cache=cache,
-        batch_eval=request.batch_eval,
         cancel=cancel,
         tracer=tracer,
         target=request.target,
@@ -623,7 +622,6 @@ class JobScheduler:
                 node_id=self.node_id,
                 routed_by=job.routed_by,
                 knobs={
-                    "batch_eval": job.request.batch_eval,
                     "rules": bool(getattr(job.request, "rules", False)),
                 },
                 extra={"job_id": job.id},

@@ -10,8 +10,13 @@ CEGIS keeps the inputs that refuted earlier candidates because each
 solver call is expensive; testing every candidate against the whole bank
 makes that example set redundant, so the oracle keeps none.
 
-The oracle is generic over expression kinds: IR, uber and HVX expressions
-are all evaluated to logical lane tuples through :func:`denote`.
+The oracle is generic over expression kinds: IR, uber and machine
+expressions are all denoted over the whole bank at once by plans of
+:class:`repro.eval.BatchedEvaluator`, as (environments, lanes) matrices
+of logical-order lane bits.  :func:`denote` gives the same lanes for one
+environment through the scalar interpreters, which the plans' fallback
+steps run too; it is the reference the tests and the throughput
+benchmark compare against.
 
 Verdicts are memoized through :class:`repro.synthesis.engine.OracleCache`
 under a canonical structural key, so repeated queries — within one
@@ -126,11 +131,6 @@ class Oracle:
     stats: SynthesisStats = field(default_factory=SynthesisStats)
     extra_random_rounds: int = 4
     seed: int = 0
-    #: evaluate candidates against the whole bank in one vectorized pass
-    #: (falls back to the scalar interpreters when an expression cannot be
-    #: batched exactly); verdicts are identical either way, so this does
-    #: not participate in cache keys
-    batch_eval: bool = True
     cache: engine.OracleCache = field(default_factory=engine.OracleCache)
     #: cooperative cancellation checked at every query boundary — a raised
     #: cancellation happens *before* the differential pass starts, so the
@@ -145,17 +145,17 @@ class Oracle:
     _bank_cache: dict = _memo()
     #: spec -> its footprint's ``_bank_cache`` entry
     _spec_bank_cache: dict = _memo()
-    _spec_cache: dict = _memo()
     #: node -> rendering template (``engine._template``) for every spec and
     #: candidate this oracle keys
     _canon_cache: dict = _memo()
-    _batch_evaluator: object = field(default=None, init=False, repr=False,
-                                     compare=False)
+    #: the ``BatchedEvaluator`` every check runs on, built on first use
+    _ev: object = field(default=None, init=False, repr=False, compare=False)
+    #: spec -> its denotation over its bank (``_matrices``)
     _spec_matrix_cache: dict = _memo()
 
     def _bank(self, spec) -> tuple:
         """``(bank, stacked bank)`` of the spec's footprint, built once
-        per footprint; the bank is stacked only with ``batch_eval``."""
+        per footprint."""
         entry = self._spec_bank_cache.get(spec)
         if entry is None:
             footprint = valuation.footprint(spec)
@@ -165,73 +165,47 @@ class Oracle:
                     spec, n_random_extra=self.extra_random_rounds,
                     seed=self.seed
                 )
-                data = valuation.bank_arrays(bank) if self.batch_eval \
-                    else None
-                entry = self._bank_cache[footprint] = (bank, data)
+                entry = self._bank_cache[footprint] = (
+                    bank, valuation.bank_arrays(bank))
             self._spec_bank_cache[spec] = entry
         return entry
 
     def bank_for(self, spec) -> list:
         return self._bank(spec)[0]
 
-    def _spec_lanes(self, spec, env_index: int, env) -> tuple:
-        key = (spec, env_index)
-        if key not in self._spec_cache:
-            self._spec_cache[key] = denote(spec, env)
-        return self._spec_cache[key]
+    # -- whole-bank denotation ----------------------------------------------
 
-    # -- batched evaluation -------------------------------------------------
-
-    def _evaluator(self):
-        if self._batch_evaluator is None:
-            self._batch_evaluator = batch_plan.BatchedEvaluator()
+    def _evaluator(self) -> batch_plan.BatchedEvaluator:
+        if self._ev is None:
+            self._ev = batch_plan.BatchedEvaluator()
         # Keep the evaluator on the oracle's tracer (it may be swapped in
         # after construction, e.g. by a traced service job).
-        self._batch_evaluator.tracer = self.tracer
-        return self._batch_evaluator
+        self._ev.tracer = self.tracer
+        return self._ev
 
-    def _bank_data(self, spec):
-        """The bank stacked as int64 matrices, or ``None`` if not exact."""
-        return self._bank(spec)[1]
+    def _matrices(self, spec, candidate, layout: str) -> tuple:
+        """``(candidate's plan, spec matrix, candidate matrix)`` over the
+        spec's whole bank, each matrix (envs, lanes) of uint64 lane bit
+        patterns.
 
-    def _batched(self, spec, candidate):
-        """``(evaluator, plan, bank data)`` to check ``candidate`` over
-        the spec's whole bank, or ``None`` when the candidate (or bank)
-        cannot be batched exactly and the scalar interpreters must answer.
+        The spec's matrix is kept per spec, and its errors propagate.  The
+        candidate's matrix is ``None`` when evaluating it raised
+        ``EvaluationError``: such errors depend only on the expression's
+        structure and the buffer shapes, which are identical across the
+        bank, so every valuation would raise.
         """
-        bank_data = self._bank_data(spec)
-        if bank_data is None:
-            return None
         ev = self._evaluator()
-        plan = ev.plan_for(candidate)
-        if plan is None or not batch_plan.plan_usable(plan, bank_data):
-            return None
-        return ev, plan, bank_data
-
-    def _spec_matrix(self, spec, bank_data, ev):
-        """The spec's denotation over the whole bank, as a (envs, lanes)
-        uint64 matrix of lane bit patterns."""
-        matrix = self._spec_matrix_cache.get(spec)
-        if matrix is None:
-            plan = ev.plan_for(spec)
-            if plan is not None and batch_plan.plan_usable(plan, bank_data):
-                try:
-                    matrix = ev.denote_bank(plan, bank_data, LAYOUT_INORDER)
-                except EvaluationError:
-                    matrix = None
-            if matrix is None:
-                # Scalar denotation row by row; spec errors propagate, as
-                # they do on the scalar path.
-                bank = self.bank_for(spec)
-                rows = [
-                    self._spec_lanes(spec, i, env)
-                    for i, env in enumerate(bank)
-                ]
-                matrix = batch_plan.np.array(
-                    rows, dtype=batch_plan.np.uint64
-                )
-            self._spec_matrix_cache[spec] = matrix
-        return matrix
+        bank_data = self._bank(spec)[1]
+        want = self._spec_matrix_cache.get(spec)
+        if want is None:
+            want = self._spec_matrix_cache[spec] = ev.denote_bank(
+                ev.plan_on(spec, bank_data), bank_data, LAYOUT_INORDER)
+        plan = ev.plan_on(candidate, bank_data)
+        try:
+            got = ev.denote_bank(plan, bank_data, layout)
+        except EvaluationError:
+            got = None
+        return plan, want, got
 
     # -- cache keying -------------------------------------------------------
 
@@ -289,53 +263,18 @@ class Oracle:
             return verdict
 
     def _check_full(self, spec, candidate, layout: str) -> bool:
+        """One compare of the whole bank: refuted by any mismatching
+        valuation (a counterexample) or by an evaluation error (not
+        one)."""
         # Shape guard: denotations are bit patterns, so equality is only
         # meaningful at matching lane widths.  This is what stops a
         # predicate (one-bit lanes) from impersonating a 0/1-valued data
         # vector, and a u16 result from impersonating a small u8 one.
         if result_bits(spec) != result_bits(candidate):
             return False
-
-        if self.batch_eval:
-            verdict = self._check_full_batched(spec, candidate, layout)
-            if verdict is not None:
-                return verdict
-        self.stats.count("fallback_evals")
-
-        # Scalar reference: one pass over the bank, refuted at the first
-        # mismatching environment.
-        for index, env in enumerate(self.bank_for(spec)):
-            try:
-                got = denote(candidate, env, layout)
-            except EvaluationError:
-                return False
-            if got != self._spec_lanes(spec, index, env):
-                self.stats.count("counterexamples")
-                return False
-        return True
-
-    def _check_full_batched(self, spec, candidate, layout: str):
-        """Whole-bank check in one compiled pass (the batched fast path).
-
-        Returns the scalar loop's verdict, counting a refutation the same
-        way, or ``None`` when the candidate (or bank) cannot be batched
-        exactly and the caller must run the scalar loop instead.
-        """
-        batched = self._batched(spec, candidate)
-        if batched is None:
-            return None
-        ev, plan, bank_data = batched
-        if plan.pure:
-            self.stats.count("batched_evals")
-        else:
-            self.stats.count("fallback_evals")
-        want = self._spec_matrix(spec, bank_data, ev)
-        try:
-            got = ev.denote_bank(plan, bank_data, layout)
-        except EvaluationError:
-            # Evaluation errors depend only on the expression's structure
-            # and the buffer shapes, which are identical across the bank —
-            # so the scalar loop would refute on its very first valuation.
+        plan, want, got = self._matrices(spec, candidate, layout)
+        self.stats.count("batched_evals" if plan.pure else "fallback_evals")
+        if got is None:
             return False
         if got.shape == want.shape and (got == want).all():
             return True
@@ -345,9 +284,8 @@ class Oracle:
     def equivalent_lane0(self, spec, candidate, layout: str = LAYOUT_INORDER) -> bool:
         """The first-lane pruning check of Section 4.1.
 
-        Compares only the first lane in environment 0, on the candidate's
-        batched plan when it has one.  A failure proves the candidate
-        wrong; a pass just promotes it to the full check.
+        Compares only the first lane in environment 0.  A failure proves
+        the candidate wrong; a pass just promotes it to the full check.
         """
         if self.cancel is not None:
             self.cancel.check()
@@ -371,26 +309,12 @@ class Oracle:
         """Lane 0 of environment 0 (the bank's first row) against the
         spec's.
 
-        With ``batch_eval`` the candidate's plan runs over the spec's whole
-        bank, so the full check that follows a pass finds every node value
-        already computed; the check counts nothing, so lane-0 counters and
-        verdicts equal the scalar check's.  The scalar interpreters answer
-        on environment 0 alone when the candidate cannot be batched.
+        The candidate runs over the spec's whole bank, so the full check
+        that follows a pass finds every node value already computed; the
+        check counts nothing.
         """
         if result_bits(spec) != result_bits(candidate):
             return False
-        batched = self._batched(spec, candidate) if self.batch_eval else None
-        if batched is not None:
-            ev, plan, bank_data = batched
-            try:
-                got = ev.denote_bank(plan, bank_data, layout)
-            except EvaluationError:
-                return False
-            want = self._spec_matrix(spec, bank_data, ev)
-            return got.size > 0 and bool(got[0, 0] == want[0, 0])
-        env = self.bank_for(spec)[0]
-        try:
-            got = denote(candidate, env, layout)
-        except EvaluationError:
-            return False
-        return bool(got) and got[0] == self._spec_lanes(spec, 0, env)[0]
+        _plan, want, got = self._matrices(spec, candidate, layout)
+        return got is not None and got.size > 0 and bool(
+            got[0, 0] == want[0, 0])

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..eval.plan import BankData, INT64_MAX, INT64_MIN, wrap_array
+from ..eval.plan import BankData, wrap_array
 from ..ir import expr as ir_expr
 from ..ir import traversal
 from ..ir.interp import BufferView, Environment
@@ -43,6 +43,9 @@ from ..uber import instructions as U
 
 #: extra elements materialized on each side of the live range
 PAD_ELEMENTS = 512
+
+#: a scalar's 64-bit two's-complement pattern (``bank_arrays``)
+_U64_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -268,43 +271,29 @@ def environment_zero(spec, seed: int = 0) -> Environment:
     return make_environment(buffers, scalars, BASE_STYLES[0], seed)
 
 
-def bank_arrays(bank: list[Environment]):
-    """Stack a valuation bank into a :class:`repro.eval.BankData`.
+def bank_arrays(bank: list[Environment]) -> BankData:
+    """Stack a bank from :func:`environment_bank` into a
+    :class:`repro.eval.BankData`.
 
-    Each buffer's views are stacked into one ``(envs, length)`` int64
-    matrix.  Returns ``None`` when the bank cannot be stacked exactly
-    (views not cut by :func:`make_environment`, mismatched shapes across
-    environments, or values that do not fit int64, e.g. u64 buffers) —
-    callers then keep the scalar path, which is always exact.
+    Each buffer's views are stacked into one read-only ``(envs, length)``
+    int64 matrix, and each scalar's values into one int64 vector.  u64
+    buffers and scalars outside int64 are stored as int64 bit patterns,
+    which only re-wrapping loads and fallback steps read (a plan node
+    wider than 32 bits is a fallback step).
     """
-    if not bank:
-        return None
     first = bank[0]
     buffers: dict = {}
-    try:
-        for name, view0 in first.buffers.items():
-            views = [env.buffers[name] for env in bank]
-            elem, origin = view0.elem, view0.origin
-            if elem.bits == 64 and not elem.signed:
-                return None  # u64 contents may not fit int64
-            if any(
-                v.array is None or v.elem != elem or v.origin != origin
-                or len(v.array) != len(view0.array)
-                for v in views
-            ):
-                return None
-            data = np.stack([v.array for v in views])
-            data.flags.writeable = False
-            buffers[name] = (data, elem, origin)
-        scalars: dict = {}
-        for name in first.scalars:
-            vals = [env.scalars[name] for env in bank]
-            if any(not (INT64_MIN <= v <= INT64_MAX) for v in vals):
-                return None
-            scalars[name] = np.array(vals, dtype=np.int64)
-            scalars[name].flags.writeable = False
-    except KeyError:
-        return None
+    for name, view0 in first.buffers.items():
+        data = np.stack([env.buffers[name].array for env in bank])
+        data = data.view(np.int64)
+        data.flags.writeable = False
+        buffers[name] = (data, view0.elem, view0.origin)
+    scalars: dict = {}
+    for name in first.scalars:
+        vals = np.array([env.scalars[name] & _U64_MASK for env in bank],
+                        dtype=np.uint64).view(np.int64)
+        vals.flags.writeable = False
+        scalars[name] = vals
     return BankData(
         n_envs=len(bank), envs=list(bank), buffers=buffers, scalars=scalars
     )

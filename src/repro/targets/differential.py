@@ -173,7 +173,7 @@ def compare_workload(
 
     Extra keyword arguments are forwarded to
     :func:`repro.pipeline.compile_pipeline` for both compilations
-    (``backend``, ``batch_eval``, caches, ...).
+    (``backend``, ``options``, caches, ...).
     """
     from .. import workloads
     from ..pipeline import compile_pipeline

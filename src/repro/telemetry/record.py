@@ -14,7 +14,7 @@ producer already has:
 * per-span-kind inclusive durations when the compile was traced
   (:meth:`repro.trace.Tracer.tree`);
 * the configuration knobs that change the performance story
-  (rules/batch-eval on-off);
+  (rules and verdict cache on-off);
 * identity: workload, target, backend, the producing source, the git
   revision and the schema version — which is what makes two corpora
   from different checkouts machine-diffable.
@@ -122,7 +122,7 @@ def build_record(
     ``"bench:table1"`` …).  ``stats`` accepts a live
     :class:`~repro.synthesis.stats.SynthesisStats` or its ``as_dict``
     payload.  ``knobs`` records the performance-relevant configuration
-    (``rules``/``batch_eval``/``cache``); ``extra``
+    (``rules``/``cache``); ``extra``
     carries producer-specific context (a benchmark's cold/warm phase)
     without a schema change.  ``node_id``/``routed_by`` identify the
     cluster worker that ran the compile and the router that dispatched

@@ -1,12 +1,12 @@
 """Differential tests for the batched NumPy denotation engine.
 
-The contract under test: for every expression the plan compiler accepts,
-``denote_bank`` over the whole valuation bank is *bit-identical* to the
-scalar ``denote`` per environment — including which ``EvaluationError``
-cases refute (raise) rather than crash — and an oracle with the batched
-path enabled produces the same verdicts, the same refutation counts, the
-same selected programs and the same verdict-cache keys as the scalar
-oracle.
+The contract under test: for every expression, ``denote_bank`` over the
+whole valuation bank is *bit-identical* to the scalar ``denote`` per
+environment — including which ``EvaluationError`` cases refute (raise)
+rather than crash — and the oracle, which checks every query with one
+plan over the whole bank, gives the verdicts and refutation counts of the
+scalar check: ``denote`` on each environment of the bank in turn
+(:func:`scalar_full`, :func:`scalar_lane0`).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.workloads  # noqa: F401 - populate the registry
+from repro import faults
 from repro.errors import EvaluationError
 from repro.eval import BatchedEvaluator
-from repro.eval import plan as batch_plan
 from repro.hvx import isa as H
 from repro.ir import expr as E
 from repro.synthesis import valuation
@@ -26,24 +26,51 @@ from repro.synthesis.oracle import (
     LAYOUT_INORDER,
     Oracle,
     denote,
+    result_bits,
 )
-from repro.types import I8, I16, I32, U8, U16, U32
+from repro.types import I8, I16, I32, I64, U8, U16, U32, U64
 from repro.uber import instructions as U
 
 LANES = 32
 
 
-def assert_bank_identical(bank_spec, expr, layout=LAYOUT_INORDER,
-                          require_plan=True):
-    """Batched evaluation of ``expr`` must match scalar denote env by env."""
+def scalar_full(oracle, spec, cand, layout=LAYOUT_INORDER) -> str:
+    """The scalar full check: ``denote`` on each environment of
+    ``oracle.bank_for(spec)`` in turn.  ``"equal"``, or what refuted the
+    candidate first: ``"counterexample"`` (a mismatching valuation),
+    ``"error"`` (an ``EvaluationError``) or ``"width"`` (lane widths)."""
+    if result_bits(spec) != result_bits(cand):
+        return "width"
+    for env in oracle.bank_for(spec):
+        try:
+            got = denote(cand, env, layout)
+        except EvaluationError:
+            return "error"
+        if got != denote(spec, env):
+            return "counterexample"
+    return "equal"
+
+
+def scalar_lane0(oracle, spec, cand, layout=LAYOUT_INORDER) -> bool:
+    """The scalar lane-0 check: lane 0 of the bank's first environment."""
+    if result_bits(spec) != result_bits(cand):
+        return False
+    env = oracle.bank_for(spec)[0]
+    try:
+        got = denote(cand, env, layout)
+    except EvaluationError:
+        return False
+    return bool(got) and got[0] == denote(spec, env)[0]
+
+
+def assert_bank_identical(bank_spec, expr, layout=LAYOUT_INORDER):
+    """Batched evaluation of ``expr`` must match scalar denote env by env,
+    on the plan the lowerings compiled (not a whole-root fallback)."""
     bank = valuation.environment_bank(bank_spec, seed=0)
     bank_data = valuation.bank_arrays(bank)
-    assert bank_data is not None
     ev = BatchedEvaluator()
-    plan = ev.plan_for(expr)
-    if plan is None or not batch_plan.plan_usable(plan, bank_data):
-        assert not require_plan, f"no batched plan for {expr!r}"
-        return
+    plan = ev.plan_on(expr, bank_data)
+    assert plan.root is ev.node_for(expr), f"no compiled plan for {expr!r}"
     scalar_rows = []
     scalar_error = False
     for env in bank:
@@ -263,39 +290,137 @@ def test_hvx_deinterleaved_layout_matches_scalar(expr):
 
 
 def test_out_of_range_load_refutes_not_crashes():
-    """A candidate reading past the halo is refuted on both paths."""
+    """A candidate reading past the halo is refuted, as the scalar check
+    refutes it."""
     far = H.HvxInstr("vadd", (
         H.HvxLoad("A", 1 << 14, HVX_LANES, U8),
         H.HvxLoad("B", 0, HVX_LANES, U8),
     ))
     spec = E.Add(E.Load("A", 0, HVX_LANES, U8), E.Load("B", 0, HVX_LANES, U8))
-    for batch in (True, False):
-        oracle = Oracle(batch_eval=batch)
-        assert oracle.equivalent(spec, far) is False
+    oracle = Oracle()
+    assert oracle.equivalent(spec, far) is False
+    assert scalar_full(oracle, spec, far) == "error"
 
 
 def test_unbound_scalar_refutes_not_crashes():
     spec = E.Add(E.Load("A", 0, LANES, U8), E.Load("B", 0, LANES, U8))
     cand = E.Add(E.Load("A", 0, LANES, U8),
                  E.Broadcast(E.ScalarVar("missing", U8), LANES))
-    for batch in (True, False):
-        assert Oracle(batch_eval=batch).equivalent(spec, cand) is False
+    oracle = Oracle()
+    assert oracle.equivalent(spec, cand) is False
+    assert scalar_full(oracle, spec, cand) == "error"
 
 
 def test_elem_mismatched_bank_keeps_scalar_path():
     """A load claiming a different element type than the bank's buffer must
-    not run batched (its compile-time ranges would be unsound)."""
+    not run on its compiled plan (its compile-time ranges would be
+    unsound): the whole root runs as one fallback step, the scalar
+    interpreter per environment."""
     spec = E.Add(E.Load("A", 0, LANES, U16), E.Load("B", 0, LANES, U16))
     cand = E.Cast(U16, E.Load("A", 0, LANES, I8))
     bank = valuation.environment_bank(spec, seed=0)
     bank_data = valuation.bank_arrays(bank)
     ev = BatchedEvaluator()
-    plan = ev.plan_for(cand)
-    assert plan is not None
-    assert not batch_plan.plan_usable(plan, bank_data)
-    # The oracle's verdict is still correct, via the scalar fallback.
-    for batch in (True, False):
-        assert Oracle(batch_eval=batch).equivalent(spec, cand) is False
+    plan = ev.plan_on(cand, bank_data)
+    assert plan is not ev.plan_for(cand)
+    assert plan.root.is_fallback and not plan.root.children
+    assert not plan.claims
+    oracle = Oracle()
+    assert oracle.equivalent(spec, cand) is False
+    assert scalar_full(oracle, spec, cand) == "counterexample"
+
+
+# ---------------------------------------------------------------------------
+# Roots the lowerings cannot batch as a whole: each runs as one fallback
+# step of a plan over the whole bank
+# ---------------------------------------------------------------------------
+
+A32, B32 = E.Load("A", 0, LANES, U32), E.Load("B", 0, LANES, U32)
+W64 = E.Load("W", 0, LANES, U64)
+K64 = E.Broadcast(E.ScalarVar("k", U64), LANES)
+A16, B16 = E.Load("A", 0, LANES, U16), E.Load("B", 0, LANES, U16)
+A8, B8 = E.Load("A", 0, LANES, U8), E.Load("B", 0, LANES, U8)
+
+#: name -> (spec, candidates), each candidate checked lane-0 and full
+FALLBACK_CASES = {
+    # a u64 result: products of u32 lanes pass 2**63
+    "u64_root": (E.Mul(E.Cast(U64, A32), E.Cast(U64, B32)), (
+        E.Mul(E.Cast(U64, B32), E.Cast(U64, A32)),
+        E.Add(E.Cast(U64, A32), E.Cast(U64, B32)),
+    )),
+    # a u64 buffer and a u64 scalar, which passes 2**63 in some valuations
+    "u64_footprint": (E.Add(W64, K64), (E.Add(K64, W64), E.Sub(W64, K64))),
+    # raw loads claiming i8 where the bank's buffers hold u16
+    "claims_mismatch": (E.Add(A16, B16), (
+        E.Add(E.Cast(U16, E.Load("A", 0, LANES, I8)),
+              E.Cast(U16, E.Load("B", 0, LANES, I8))),
+        E.Cast(U16, E.Load("A", 0, LANES, I8)),
+    )),
+    # every plan compile fails (an injected eval.plan_compile fault)
+    "plan_compile_fault": (E.Add(A8, B8), (E.Add(B8, A8), E.Sub(A8, B8))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+def test_fallback_steps_answer_as_the_scalar_check(case, monkeypatch):
+    """Lane-0 and full verdicts equal the scalar check's, ``denote_bank``
+    answers each on a plan whose root is one fallback step, and each full
+    check counts one ``fallback_evals``."""
+    spec, cands = FALLBACK_CASES[case]
+    denoted = []
+    real_denote_bank = BatchedEvaluator.denote_bank
+
+    def spy(self, plan, bank, layout=LAYOUT_INORDER):
+        denoted.append(plan)
+        return real_denote_bank(self, plan, bank, layout)
+
+    monkeypatch.setattr(BatchedEvaluator, "denote_bank", spy)
+    fault_plan = faults.FaultPlan(rules=[faults.FaultRule(
+        site=faults.SITE_PLAN_COMPILE, kind="error", every=1)])
+    if case == "plan_compile_fault":
+        faults.activate(fault_plan)
+    try:
+        oracle = Oracle()
+        reference = Oracle()
+        if case.startswith("u64"):
+            # the bank reaches lane values int64 cannot hold
+            bank = oracle.bank_for(spec)
+            assert any(v >= 1 << 63 for env in bank
+                       for v in denote(spec, env))
+        if case == "u64_footprint":
+            assert any(env.scalars["k"] >= 1 << 63 for env in bank)
+        verdicts = set()
+        for cand in cands:
+            lane0 = oracle.equivalent_lane0(spec, cand)
+            assert lane0 is scalar_lane0(reference, spec, cand), cand
+            before = oracle.stats.total("fallback_evals")
+            denoted.clear()
+            full = oracle.equivalent(spec, cand)
+            want = scalar_full(reference, spec, cand)
+            assert full is (want == "equal"), (cand, want)
+            verdicts.add(full)
+            assert oracle.stats.total("fallback_evals") == before + 1
+            assert oracle.stats.total("batched_evals") == 0
+            (plan,) = denoted
+            assert plan.root.is_fallback and not plan.root.children
+    finally:
+        faults.deactivate()
+    assert verdicts == {True, False}
+    if case == "plan_compile_fault":
+        assert fault_plan.by_site()[faults.SITE_PLAN_COMPILE] >= 2
+
+
+def test_wide_uber_nodes_fall_back_exactly():
+    """An uber node wider than 32 bits is a fallback step, which reads the
+    lanes of the uber interpreter's tuple."""
+    spec = E.Cast(I64, A32)
+    oracle = Oracle()
+    for offset in (0, 1):
+        cand = U.Widen(U.LoadData("A", offset, LANES, U32), I64)
+        want = scalar_full(oracle, spec, cand)
+        assert oracle.equivalent(spec, cand) is (want == "equal"), want
+    assert oracle.stats.total("fallback_evals") == 2
+    assert oracle.stats.total("counterexamples") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +429,8 @@ def test_elem_mismatched_bank_keeps_scalar_path():
 
 
 def test_counterexample_indices_identical():
-    """The batched bank scan refutes and counts exactly as the scalar loop:
-    a valuation mismatch counts, an evaluation error does not."""
+    """The whole-bank check refutes and counts exactly as the scalar
+    check: a valuation mismatch counts, an evaluation error does not."""
     la, lb = E.Load("A", 0, LANES, U8), E.Load("B", 0, LANES, U8)
     spec = E.Add(la, lb)
     cands = [
@@ -315,12 +440,13 @@ def test_counterexample_indices_identical():
         E.Max(la, lb),
         E.Add(E.Add(la, lb), E.Broadcast(E.ScalarVar("s", U8), LANES)),
     ]
-    runs = {}
-    for batch in (True, False):
-        oracle = Oracle(batch_eval=batch)
-        runs[batch] = ([oracle.equivalent(spec, c) for c in cands],
-                       oracle.stats.total("counterexamples"))
-    assert runs[True] == runs[False] == ([True] + [False] * 4, 3)
+    oracle = Oracle()
+    verdicts = [oracle.equivalent(spec, c) for c in cands]
+    scalar = [scalar_full(oracle, spec, c) for c in cands]
+    assert verdicts == [want == "equal" for want in scalar] \
+        == [True] + [False] * 4
+    assert oracle.stats.total("counterexamples") \
+        == scalar.count("counterexample") == 3
 
 
 def test_lane0_reads_row_zero_of_the_full_bank():
@@ -338,45 +464,6 @@ def test_lane0_reads_row_zero_of_the_full_bank():
     assert bank[0] == valuation.environment_zero(spec, seed=oracle.seed)
 
 
-def test_compile_identical_with_and_without_batching():
-    from repro.hvx import program_listing
-    from repro.pipeline import compile_pipeline
-    from repro.synthesis.stats import SynthesisStats
-    from repro.workloads.base import get
-
-    for name in ("mul", "add"):
-        wl = get(name)
-        runs = {}
-        for batch in (True, False):
-            stats = SynthesisStats()
-            compiled = compile_pipeline(wl.build(), backend="rake",
-                                        stats=stats, batch_eval=batch)
-            listing = "\n".join(
-                program_listing(ce.program)
-                for cs in compiled.stages for ce in cs.exprs
-            )
-            runs[batch] = (listing, stats.total("counterexamples"),
-                           stats.total("queries"))
-        assert runs[True] == runs[False]
-
-
-def test_verdict_cache_warm_loads_across_batching_modes(tmp_path):
-    """A disk store populated by the scalar oracle must fully warm-load the
-    batched oracle: verdict keys do not depend on the evaluation engine."""
-    from repro.pipeline import compile_pipeline
-    from repro.synthesis.stats import SynthesisStats
-    from repro.workloads.base import get
-
-    wl = get("mul")
-    compile_pipeline(wl.build(), backend="rake", batch_eval=False,
-                     cache_dir=str(tmp_path))
-    warm = SynthesisStats()
-    compile_pipeline(wl.build(), backend="rake", batch_eval=True,
-                     stats=warm, cache_dir=str(tmp_path))
-    assert warm.total("cache_misses") == 0
-    assert warm.total("cache_hits") > 0
-
-
 # ---------------------------------------------------------------------------
 # Lane-0 pruning on the batched plans (scalar check as the reference)
 # ---------------------------------------------------------------------------
@@ -384,9 +471,9 @@ def test_verdict_cache_warm_loads_across_batching_modes(tmp_path):
 
 def assert_lane0_identical(spec, cand, layout=LAYOUT_INORDER):
     """The batched lane-0 verdict must equal the scalar one."""
-    want = Oracle(batch_eval=False).equivalent_lane0(spec, cand, layout)
-    assert Oracle(batch_eval=True).equivalent_lane0(spec, cand, layout) \
-        is want
+    oracle = Oracle()
+    want = scalar_lane0(oracle, spec, cand, layout)
+    assert oracle.equivalent_lane0(spec, cand, layout) is want
     return want
 
 
@@ -468,13 +555,12 @@ def test_lane0_counts_no_evaluations():
     """Lane-0 misses leave the full-check evaluation counters alone."""
     ha, hb = H.HvxLoad("A", 0, HVX_LANES, U8), H.HvxLoad("B", 0, HVX_LANES, U8)
     spec = E.Add(E.Load("A", 0, HVX_LANES, U8), E.Load("B", 0, HVX_LANES, U8))
-    for batch in (True, False):
-        oracle = Oracle(batch_eval=batch)
-        for op in ("vadd", "vsub", "vmax"):
-            oracle.equivalent_lane0(spec, H.HvxInstr(op, (ha, hb)))
-        assert oracle.stats.total("cache_misses") == 3
-        assert oracle.stats.total("batched_evals") == 0
-        assert oracle.stats.total("fallback_evals") == 0
+    oracle = Oracle()
+    for op in ("vadd", "vsub", "vmax"):
+        oracle.equivalent_lane0(spec, H.HvxInstr(op, (ha, hb)))
+    assert oracle.stats.total("cache_misses") == 3
+    assert oracle.stats.total("batched_evals") == 0
+    assert oracle.stats.total("fallback_evals") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +653,10 @@ def query_streams(draw):
 
 
 def scalar_verdict(spec, cand, layout, mode):
-    oracle = Oracle(batch_eval=False)
+    oracle = Oracle()
     if mode == "lane0":
-        return oracle.equivalent_lane0(spec, cand, layout)
-    return oracle.equivalent(spec, cand, layout)
+        return scalar_lane0(oracle, spec, cand, layout)
+    return scalar_full(oracle, spec, cand, layout) == "equal"
 
 
 @settings(max_examples=60, deadline=None,
@@ -578,7 +664,7 @@ def scalar_verdict(spec, cand, layout, mode):
 @given(query_streams())
 def test_hot_memo_verdicts_match_a_fresh_scalar_oracle(stream):
     """One oracle, its memo hot from every earlier query, answers each
-    lane-0 and full query as a fresh scalar oracle does."""
+    lane-0 and full query as the scalar check does on a fresh bank."""
     spec, queries = stream
     oracle = Oracle()
     for cand, mode, layout, other in queries:
@@ -592,15 +678,19 @@ def test_hot_memo_verdicts_match_a_fresh_scalar_oracle(stream):
                 (kind, target, cand, layout)
 
 
+def bank_data(oracle, spec):
+    """The stacked bank the oracle checks ``spec`` on."""
+    return oracle._bank(spec)[1]
+
+
 def test_equal_footprints_share_one_bank():
     """Specs reading the same buffers and scalars share one bank; a
     different offset, element type or scalar set gets its own."""
     la, lb = E.Load("A", 0, LANES, U8), E.Load("B", 0, LANES, U8)
     oracle = Oracle()
-    data = oracle._bank_data(E.Add(la, lb))
-    assert data is not None
+    data = bank_data(oracle, E.Add(la, lb))
     for same in (E.Sub(la, lb), E.Max(lb, la), E.Absd(la, lb)):
-        assert oracle._bank_data(same) is data
+        assert bank_data(oracle, same) is data
         assert oracle.bank_for(same) is oracle.bank_for(E.Add(la, lb))
     s = E.Broadcast(E.ScalarVar("s", U8), LANES)
     others = (
@@ -608,8 +698,8 @@ def test_equal_footprints_share_one_bank():
         E.Add(E.Load("A", 0, LANES, I8), E.Load("B", 0, LANES, I8)),
         E.Add(E.Add(la, lb), s),
     )
-    banks = [oracle._bank_data(spec) for spec in others]
-    assert all(bank is not None and bank is not data for bank in banks)
+    banks = [bank_data(oracle, spec) for spec in others]
+    assert all(bank is not data for bank in banks)
     assert len({id(bank) for bank in banks}) == len(others)
     # A shared bank is the one each spec would get on its own.
     assert oracle.bank_for(E.Sub(la, lb)) == valuation.environment_bank(
@@ -627,13 +717,13 @@ def test_memoized_values_and_bank_matrices_are_read_only():
         H.HvxSplat(E.ScalarVar("s", U8), U8, HVX_LANES)))
     oracle = Oracle()
     assert oracle.equivalent(spec, cand) is True
-    values = oracle._batch_evaluator._values
+    values = oracle._evaluator()._values
     assert values
     for value in values.values():
         assert not value.flags.writeable
         with pytest.raises(ValueError):
             value[0, 0] = 0
-    data = oracle._bank_data(spec)
+    data = bank_data(oracle, spec)
     matrices = [m for m, _elem, _origin in data.buffers.values()]
     matrices += list(data.scalars.values())
     assert len(matrices) == 3
@@ -658,7 +748,7 @@ def test_lane0_then_full_check_evaluates_each_node_once():
     assert sorted(calls.values()) == [1] * len(nodes)
     # Another bank drops the kept values; coming back recomputes them.
     other = E.Max(E.Load("A", 1, HVX_LANES, U8), E.Load("B", 0, HVX_LANES, U8))
-    assert oracle._bank_data(other) is not oracle._bank_data(spec)
+    assert bank_data(oracle, other) is not bank_data(oracle, spec)
     oracle.equivalent_lane0(other, cand)
     assert set(ev._values) == set(plan_nodes(ev.plan_for(other).root,
                                              ev.plan_for(cand).root))

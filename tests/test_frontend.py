@@ -90,12 +90,12 @@ class TestAffine:
 
 class TestLowering:
     def test_inline_produces_single_stage(self):
-        low = lower_pipeline(make_blur(), lanes=128)
+        low = lower_pipeline(make_blur(), vector_bytes=128)
         assert len(low.stages) == 1
         assert low.stages[0].lanes == 128
 
     def test_loads_have_relative_offsets(self):
-        low = lower_pipeline(make_blur(), lanes=128)
+        low = lower_pipeline(make_blur(), vector_bytes=128)
         (stage,) = low.stages
         offsets = sorted(ld.offset for ld in loads_of(stage.exprs[0]))
         assert offsets == [-1, 0, 1]
@@ -105,7 +105,7 @@ class TestLowering:
         inp = ImageParam("input", U8, 2)
         out = Func("vert", U8)
         out[x, y] = fmax(inp(x, y - 1), inp(x, y + 1))
-        low = lower_pipeline(out, lanes=128)
+        low = lower_pipeline(out, vector_bytes=128)
         offsets = sorted(ld.offset for ld in loads_of(low.stages[0].exprs[0]))
         assert offsets == [-DEFAULT_ROW_STRIDE, DEFAULT_ROW_STRIDE]
 
@@ -114,7 +114,7 @@ class TestLowering:
         inp = ImageParam("input", U8, 2)
         out = Func("pool", U8)
         out[x, y] = fmax(inp(2 * x, y), inp(2 * x + 1, y))
-        low = lower_pipeline(out, lanes=128)
+        low = lower_pipeline(out, vector_bytes=128)
         loads = loads_of(low.stages[0].exprs[0])
         assert {ld.stride for ld in loads} == {2}
         assert sorted(ld.offset for ld in loads) == [0, 1]

@@ -59,9 +59,6 @@ class TestCost:
         assert cost.display_latency(vtmpy_expr()) == 3
         assert cost.load_count(vtmpy_expr()) == 2
 
-    def test_critical_path(self):
-        assert cost.critical_path(vtmpy_expr()) >= 3
-
 
 class TestPrinter:
     def test_to_string(self):

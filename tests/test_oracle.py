@@ -190,7 +190,7 @@ class TestOracle:
         # parameter, and no part of the oracle's repr or equality.
         params = inspect.signature(Oracle).parameters
         assert not [name for name in params if name.startswith("_")]
-        assert len(params) == 7
+        assert len(params) == 6
         used = Oracle()
         used.equivalent(B.widen(u8v()) * 2, B.widen(u8v()) * 2)
         assert used._canon_cache and used._bank_cache

@@ -64,8 +64,7 @@ def _mul_spec(buf="a", k=2):
 def workload_specs(name, target="hvx"):
     """Every non-trivial vector expression the pipeline would synthesize."""
     tgt = resolve_target(target)
-    lowered = lower_pipeline(get(name).build(), lanes=tgt.lanes,
-                             vector_bytes=tgt.vbytes)
+    lowered = lower_pipeline(get(name).build(), vector_bytes=tgt.vbytes)
     return [e for stage in lowered.stages for e in stage.exprs
             if not _is_trivial(e)]
 

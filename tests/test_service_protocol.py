@@ -27,7 +27,7 @@ class TestCompileRequest:
     def test_roundtrip(self):
         req = CompileRequest(workload="sobel", backend="rake", width=128,
                              height=32, priority=3, deadline_s=10.0,
-                             batch_eval=False)
+                             rules=True)
         data = req.to_dict()
         assert data["v"] == PROTOCOL_VERSION
         assert CompileRequest.from_dict(data) == req
@@ -37,7 +37,7 @@ class TestCompileRequest:
         assert req.backend == "rake"
         assert req.width is None and req.height is None
         assert req.priority == 10 and req.deadline_s is None
-        assert req.batch_eval is True
+        assert req.trace is False and req.rules is False
 
     def test_unknown_fields_tolerated(self):
         req = CompileRequest.from_dict(
@@ -50,6 +50,18 @@ class TestCompileRequest:
         assert req == CompileRequest(workload="mul")
         assert "jobs" not in req.to_dict()
 
+    def test_batch_eval_from_older_clients_is_ignored(self):
+        # Every oracle check runs one plan over the whole bank, so the
+        # switch selects nothing: the body is accepted and keys (and so
+        # coalesces and shards) like the same body without it.
+        from repro.service.coalesce import request_key
+
+        body = {"workload": "mul", "v": PROTOCOL_VERSION}
+        req = CompileRequest.from_dict({**body, "batch_eval": False})
+        assert req == CompileRequest.from_dict(body)
+        assert "batch_eval" not in req.to_dict()
+        assert request_key(req) == request_key(CompileRequest.from_dict(body))
+
     def test_version_mismatch_rejected(self):
         with pytest.raises(ProtocolError, match="version"):
             CompileRequest.from_dict({"workload": "mul", "v": 99})
@@ -61,11 +73,11 @@ class TestCompileRequest:
         {"height": 0},
         {"priority": "high"},
         {"deadline_s": -2},
-        {"batch_eval": "false"},
+        {"trace": "false"},
         {"width": True},
         {"height": False},
         {"priority": True},
-        {"batch_eval": 1},
+        {"rules": 1},
         {"deadline_s": True},
         {"deadline_s": False},
     ])

@@ -68,7 +68,7 @@ class TestRequestKey:
         assert request_key(base) != \
             request_key(CompileRequest(workload="mul", width=64))
         assert request_key(base) != \
-            request_key(CompileRequest(workload="mul", batch_eval=False))
+            request_key(CompileRequest(workload="mul", rules=True))
 
     def test_different_workloads_differ(self):
         assert request_key(CompileRequest(workload="mul")) != \

@@ -113,8 +113,7 @@ def test_same_typed_buffers_hold_different_random_data(elem):
     assert len(random_envs) == 7
     for env in random_envs:
         assert env.buffer("a").read(0, 16) != env.buffer("b").read(0, 16)
-    for batch_eval in (True, False):
-        assert Oracle(batch_eval=batch_eval).equivalent(a, b) is False
+    assert Oracle().equivalent(a, b) is False
 
 
 @pytest.mark.parametrize(
