@@ -1,12 +1,16 @@
 """Oracle throughput: the batched NumPy engine vs the scalar interpreters.
 
-Measures steady-state full-check throughput (queries/sec and
+Measures full-check throughput (queries/sec and
 valuation-environments/sec) on a fixed set of spec/candidate pairs — both
 equivalences, which scan the whole bank, and refutations, which the
 scalar loop stops at the first mismatching environment — for the
 oracle's ``_check_full``, which runs one plan over the whole bank, and
 for :class:`ScalarCheck`, the reference this script times it against
-(``denote`` per environment of the same bank).
+(``denote`` per environment of the same bank).  Banks, plans and each
+spec's denotation are built before timing, as a compile keeps them; the
+evaluator's kept node values are dropped before every timed batched
+check, so each one evaluates every node of its candidate's plan, as the
+first check of a candidate in a compile does.
 Results land in ``benchmarks/results/oracle_throughput.json``.
 
 ``--smoke`` instead compiles a couple of fast workloads end to end and
@@ -29,12 +33,19 @@ evaluated: node values are kept per bank, so a full check after a
 lane-0 check and sibling candidates sharing subtrees reuse them (about
 17%; 100% when every denotation ran its whole plan).  The counts do not
 depend on the machine.
-Last, it records every ``Oracle.query_key`` call of one
+Then it records every ``Oracle.query_key`` call of one
 ``gaussian5x5``/hvx and one ``conv3x3a16``/neon compile (619 keys) and
 replays them twice: through one oracle whose rendering memo is shared by
 every key, as in a compile, and with that memo emptied before each key.
 It fails unless both passes give the compile's keys and the shared pass
 is at least 4x faster (a same-run ratio again).
+Last, it collects every bank ``valuation.environment_bank`` returns in one
+cold ``gaussian7x7``/hvx compile and fails unless their buffer matrices
+hold at most a quarter of the bytes of the two-copy int64 layout (one
+int64 window per environment plus their int64 stack, 2 x envs x span x 8
+bytes per buffer: 31.35 MiB for these 97 banks), or if any bank built
+its environments, which only fallback steps and ``Oracle.bank_for`` ask
+for and this compile does not (counts again, not times).
 """
 
 import argparse
@@ -48,6 +59,7 @@ from repro.eval import BatchedEvaluator
 from repro.hvx import isa as H
 from repro.ir import expr as E
 from repro.pipeline import compile_pipeline
+from repro.synthesis import valuation
 from repro.synthesis.oracle import LAYOUT_INORDER, Oracle, denote, result_bits
 from repro.synthesis.stats import SynthesisStats
 from repro.types import U8, U16
@@ -65,6 +77,10 @@ MIN_SHARED_MEMO_SPEEDUP = 4.0
 #: largest share of its denoted plans' nodes it may evaluate
 NODE_COUNT_PAIR = ("gaussian5x5", "hvx")
 MAX_EVALUATED_FRACTION = 1 / 3
+#: the cold compile whose banks the smoke weighs, and the largest share of
+#: the two-copy int64 layout their buffer matrices may hold
+BANK_BYTES_PAIR = ("gaussian7x7", "hvx")
+MAX_BANK_BYTES_FRACTION = 1 / 4
 
 
 def _pairs():
@@ -134,9 +150,24 @@ def _checks(mode: str) -> tuple:
     return oracle, oracle._check_full, oracle._check_lane0
 
 
+def _unmemoized(oracle: Oracle, check):
+    """``check`` with the evaluator's kept node values dropped first, so
+    it evaluates every node of the candidate's plan."""
+    ev = oracle._evaluator()
+
+    def run(spec, cand, layout):
+        ev._values.clear()
+        return check(spec, cand, layout)
+
+    return run
+
+
 def _throughput(mode: str, repeats: int) -> dict:
-    """Steady-state full-check throughput with one persistent oracle."""
+    """Full-check throughput with one persistent oracle, each batched
+    check evaluating its whole plan."""
     oracle, check, _lane0 = _checks(mode)
+    if mode == "batched":
+        check = _unmemoized(oracle, check)
     pairs = _pairs()
     verdicts = {}
     # Warm-up: build banks and spec denotations, compile plans.
@@ -321,6 +352,49 @@ def run_query_key_ratio() -> bool:
     return True
 
 
+def _collect_banks(name: str, target: str) -> list:
+    """Every bank ``valuation.environment_bank`` returns in one cold
+    compile."""
+    banks = []
+    real = valuation.environment_bank
+
+    def collecting(*args, **kwargs):
+        bank = real(*args, **kwargs)
+        banks.append(bank)
+        return bank
+
+    valuation.environment_bank = collecting
+    try:
+        compile_pipeline(get(name).build(), backend="rake", target=target)
+    finally:
+        valuation.environment_bank = real
+    return banks
+
+
+def run_bank_bytes() -> bool:
+    """Count gate: a cold compile's banks hold each buffer once, at its
+    element's width, and build no environments."""
+    banks = _collect_banks(*BANK_BYTES_PAIR)
+    matrices = [data for bank in banks
+                for data, _elem, _origin in bank.buffers.values()]
+    held = sum(data.nbytes for data in matrices)
+    two_copy = sum(2 * data.size * 8 for data in matrices)
+    built = sum(bank._envs is not None for bank in banks)
+    mib = 1 << 20
+    print(f"bank bytes: {'/'.join(BANK_BYTES_PAIR)} {len(banks)} banks hold "
+          f"{held / mib:.2f} MiB, {held / two_copy:.1%} of the two-copy "
+          f"int64 layout's {two_copy / mib:.2f} MiB; {built} built their "
+          f"environments")
+    if not matrices or held > MAX_BANK_BYTES_FRACTION * two_copy:
+        print(f"FAIL: bank matrices above {MAX_BANK_BYTES_FRACTION:.0%} of "
+              f"the two-copy int64 layout", file=sys.stderr)
+        return False
+    if built:
+        print("FAIL: a bank built its environments", file=sys.stderr)
+        return False
+    return True
+
+
 def run_throughput(repeats: int) -> dict:
     scalar = _throughput("scalar", repeats=repeats)
     batched = _throughput("batched", repeats=repeats)
@@ -357,7 +431,7 @@ def run_smoke() -> int:
               f"{MIN_BATCHED_FRACTION:.0%}", file=sys.stderr)
         return 1
     if not (run_lane0_ratio() and run_node_evaluation_count()
-            and run_query_key_ratio()):
+            and run_query_key_ratio() and run_bank_bytes()):
         return 1
     print("smoke OK")
     return 0
@@ -373,9 +447,12 @@ def main(argv=None) -> int:
                              "full checks ran batched, then that batched "
                              "lane-0 checks are >=3x the scalar ones, that "
                              "a cold gaussian5x5/hvx compile evaluates at "
-                             "most a third of its denoted plan nodes, and "
+                             "most a third of its denoted plan nodes, "
                              "that shared-memo query keys are >=4x "
-                             "fresh-memo ones")
+                             "fresh-memo ones, and that a cold "
+                             "gaussian7x7/hvx compile's banks hold at most "
+                             "a quarter of the two-copy int64 layout and "
+                             "build no environments")
     parser.add_argument("--json", default=str(RESULTS), metavar="PATH",
                         help="where to write the JSON report")
     args = parser.parse_args(argv)

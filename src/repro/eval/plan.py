@@ -24,9 +24,11 @@ Exactness rules:
   environment.  A fallback step is still exact, just not batched.  A root
   the lowerings cannot batch as a whole becomes one fallback step, so
   every expression has a plan (:meth:`BatchedEvaluator.plan_for`).
-* a bank stores u64 buffers and scalars outside int64 as int64 bit
-  patterns.  Only loads that re-wrap to at most 32 bits and fallback steps
-  read them, and a u64 result's lanes are such bit patterns too, which
+* a bank stores each buffer in its element's own dtype, which
+  :func:`read_buffer` widens to int64, so every node computes in int64.
+  u64 buffers and scalars outside int64 are stored as int64 bit patterns.
+  Only loads that re-wrap to at most 32 bits and fallback steps read them,
+  and a u64 result's lanes are such bit patterns too, which
   :meth:`BatchedEvaluator.denote_bank` reads back as uint64.
 
 ``EvaluationError`` behaviour matches the interpreters: all such errors
@@ -40,7 +42,7 @@ raise on the bank's first environment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -178,26 +180,38 @@ def _claim_parts(node) -> Tuple[frozenset, tuple]:
 class BankData:
     """A valuation bank materialized as arrays.
 
-    ``buffers`` maps name to ``(data, elem, origin)`` where ``data`` is an
-    int64 matrix of shape ``(envs, length)`` holding the buffer's
+    ``buffers`` maps name to ``(data, elem, origin)`` where ``data`` is a
+    read-only matrix of shape ``(envs, length)`` holding the buffer's
     *view-element-wrapped* contents (what ``BufferView.read`` returns for
-    in-range offsets; a u64 buffer's as int64 bit patterns).  ``scalars``
-    maps name to an int64 vector of raw environment values, as bit
-    patterns where they leave int64 (``ScalarVar`` wraps at its use site,
-    with its own dtype).  ``envs`` keeps the original environments for
-    fallback steps.
+    in-range offsets) in ``elem``'s own dtype: a u8 buffer's as uint8, an
+    i16 buffer's as int16, and 64-bit buffers' as int64 (a u64 buffer's as
+    bit patterns).  :func:`read_buffer`, its only reader, widens what it
+    reads to int64.  ``scalars`` maps name to an int64 vector of raw
+    environment values, as bit patterns where they leave int64
+    (``ScalarVar`` wraps at its use site, with its own dtype).  ``envs``
+    are the bank's environments, for fallback steps; ``make_envs`` builds
+    them the first time they are read.
     """
 
     n_envs: int
-    envs: Sequence[object]
     buffers: Dict[str, Tuple[object, ScalarType, int]]
     scalars: Dict[str, object]
+    make_envs: Callable[[], list] = field(repr=False)
+    _envs: Optional[list] = field(default=None, repr=False)
     _cache: Dict[object, object] = field(default_factory=dict, repr=False)
+
+    @property
+    def envs(self) -> list:
+        """The bank's environments, built on first use."""
+        if self._envs is None:
+            self._envs = self.make_envs()
+        return self._envs
 
 
 def read_buffer(bank: BankData, name: str, offset: int, lanes: int,
                 stride: int):
-    """Batched ``BufferView.read``: bounds check, then one strided slice."""
+    """Batched ``BufferView.read``: bounds check, then one strided slice,
+    widened to int64."""
 
     entry = bank.buffers.get(name)
     if entry is None:
@@ -210,7 +224,7 @@ def read_buffer(bank: BankData, name: str, offset: int, lanes: int,
             f"read out of range on {name!r}: offsets "
             f"[{offset}, {offset + (lanes - 1) * stride}]"
         )
-    return data[:, start:stop:stride]
+    return data[:, start:stop:stride].astype(np.int64, copy=False)
 
 
 class BatchedEvaluator:

@@ -185,7 +185,7 @@ def compile_pipeline(
                                 stats=rake.stats, target=tgt.name)
     try:
         with tracer.span("pipeline.compile", backend=backend,
-                         lanes=tgt.lanes) as root:
+                         lanes=tgt.vbytes) as root:
             for stage in lowered.stages:
                 cstage = CompiledStage(stage=stage)
                 extents = [1] + list(stage.func.update_extents)

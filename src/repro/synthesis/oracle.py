@@ -140,8 +140,8 @@ class Oracle:
     #: every span a shared null context manager, so instrumentation costs
     #: one attribute load + one call when tracing is disabled
     tracer: object = NULL_TRACER  # Tracer | NullTracer
-    #: footprint (``valuation.footprint``) -> ``(bank, stacked bank)``:
-    #: specs with equal footprints share both
+    #: footprint (``valuation.footprint``) -> its bank
+    #: (``valuation.environment_bank``): specs with equal footprints share it
     _bank_cache: dict = _memo()
     #: spec -> its footprint's ``_bank_cache`` entry
     _spec_bank_cache: dict = _memo()
@@ -153,25 +153,24 @@ class Oracle:
     #: spec -> its denotation over its bank (``_matrices``)
     _spec_matrix_cache: dict = _memo()
 
-    def _bank(self, spec) -> tuple:
-        """``(bank, stacked bank)`` of the spec's footprint, built once
-        per footprint."""
-        entry = self._spec_bank_cache.get(spec)
-        if entry is None:
+    def _bank(self, spec) -> batch_plan.BankData:
+        """The bank of the spec's footprint, built once per footprint."""
+        bank = self._spec_bank_cache.get(spec)
+        if bank is None:
             footprint = valuation.footprint(spec)
-            entry = self._bank_cache.get(footprint)
-            if entry is None:
+            bank = self._bank_cache.get(footprint)
+            if bank is None:
                 bank = valuation.environment_bank(
                     spec, n_random_extra=self.extra_random_rounds,
                     seed=self.seed
                 )
-                entry = self._bank_cache[footprint] = (
-                    bank, valuation.bank_arrays(bank))
-            self._spec_bank_cache[spec] = entry
-        return entry
+                self._bank_cache[footprint] = bank
+            self._spec_bank_cache[spec] = bank
+        return bank
 
     def bank_for(self, spec) -> list:
-        return self._bank(spec)[0]
+        """The environments of the spec's bank, built on first use."""
+        return self._bank(spec).envs
 
     # -- whole-bank denotation ----------------------------------------------
 
@@ -195,7 +194,7 @@ class Oracle:
         bank, so every valuation would raise.
         """
         ev = self._evaluator()
-        bank_data = self._bank(spec)[1]
+        bank_data = self._bank(spec)
         want = self._spec_matrix_cache.get(spec)
         if want is None:
             want = self._spec_matrix_cache[spec] = ev.denote_bank(

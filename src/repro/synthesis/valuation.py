@@ -23,6 +23,11 @@ blocks of :data:`BLOCK` offsets, kept in one bounded, thread-safe,
 process-wide cache, and every buffer is a read-only window cut from them:
 overlapping footprints share values, and a buffer's values do not depend
 on the footprint it is cut for or on the other buffers of the spec.
+
+:func:`environment_bank` cuts each buffer's windows straight into the rows
+of one matrix in the element's own dtype (:class:`repro.eval.BankData`);
+the bank's :class:`Environment` objects are built only when a fallback
+step or ``Oracle.bank_for`` first reads them.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from ..uber import instructions as U
 #: extra elements materialized on each side of the live range
 PAD_ELEMENTS = 512
 
-#: a scalar's 64-bit two's-complement pattern (``bank_arrays``)
+#: a scalar's 64-bit two's-complement pattern (``environment_bank``)
 _U64_MASK = (1 << 64) - 1
 
 
@@ -187,18 +192,52 @@ def _block(name: str, elem: ScalarType, style: str, seed: int, k: int):
     return data
 
 
-def _window(spec: BufferSpec, style: str, seed: int):
-    """The buffer's values over its padded footprint, cut from blocks."""
+def _span(spec: BufferSpec) -> int:
+    """Elements of the buffer's padded footprint."""
+    return spec.hi - spec.lo + 2 * PAD_ELEMENTS
+
+
+def _fill(out, spec: BufferSpec, style: str, seed: int) -> None:
+    """Write the buffer's values over its padded footprint into ``out``,
+    block by block, cast to ``out``'s dtype."""
     name = spec.name
     if style in STRUCTURED_STYLES:
         name, seed = "", 0
-    lo, hi = spec.lo - PAD_ELEMENTS, spec.hi + PAD_ELEMENTS
-    k0, k1 = lo // BLOCK, (hi - 1) // BLOCK
-    parts = [_block(name, spec.elem, style, seed, k)
-             for k in range(k0, k1 + 1)]
-    data = np.concatenate(parts)[lo - k0 * BLOCK:hi - k0 * BLOCK].copy()
+    lo = spec.lo - PAD_ELEMENTS
+    hi = lo + len(out)
+    for k in range(lo // BLOCK, (hi - 1) // BLOCK + 1):
+        a, b = max(lo, k * BLOCK), min(hi, (k + 1) * BLOCK)
+        block = _block(name, spec.elem, style, seed, k)
+        out[a - lo:b - lo] = block[a - k * BLOCK:b - k * BLOCK]
+
+
+def _window(spec: BufferSpec, style: str, seed: int):
+    """The buffer's values over its padded footprint, cut from blocks, as
+    int64 (uint64 for u64)."""
+    elem = spec.elem
+    data = np.empty(_span(spec), dtype=np.uint64 if elem.bits == 64
+                    and not elem.signed else np.int64)
+    _fill(data, spec, style, seed)
     data.flags.writeable = False
     return data
+
+
+def _bank_dtype(elem: ScalarType):
+    """The dtype a bank matrix holds ``elem``'s values in: its own width
+    (a boolean's as uint8), and int64 for 64-bit types, a u64's values as
+    their bit patterns."""
+    if elem.bits == 64:
+        return np.dtype(np.int64)
+    kind = "i" if elem.signed else "u"
+    return np.dtype(f"{kind}{max(elem.bits // 8, 1)}")
+
+
+def _scalar(name: str, dtype: ScalarType, style: str, seed: int) -> int:
+    """One scalar's value in environment ``(style, seed)``."""
+    value = _constant(style, dtype)
+    if value is None:
+        value = dtype.wrap(_digest(name, dtype.name, style, seed))
+    return value
 
 
 def make_environment(
@@ -221,12 +260,8 @@ def make_environment(
         )
         for spec in buffers
     }
-    scalar_vals = {}
-    for name, dtype in scalars:
-        value = _constant(style, dtype)
-        if value is None:
-            value = dtype.wrap(_digest(name, dtype.name, style, seed))
-        scalar_vals[name] = value
+    scalar_vals = {name: _scalar(name, dtype, style, seed)
+                   for name, dtype in scalars}
     return Environment(buffers=views, scalars=scalar_vals)
 
 
@@ -243,19 +278,50 @@ def footprint(spec) -> tuple:
     return tuple(buffers), tuple(scalar_names_of(spec))
 
 
-def environment_bank(spec, n_random_extra: int = 2, seed: int = 0) -> list[Environment]:
+def bank_rounds(n_random_extra: int, seed: int) -> list:
+    """``(style, seed)`` of each environment of a bank, in bank order."""
+    rounds = [(style, seed + i) for i, style in enumerate(BASE_STYLES)]
+    rounds += [("random", seed + 100 + i) for i in range(n_random_extra)]
+    return rounds
+
+
+def environment_bank(spec, n_random_extra: int = 2, seed: int = 0) -> BankData:
     """The standard valuation bank for a specification expression.
 
-    Works for both IR and uber expressions.
+    Works for both IR and uber expressions.  Each buffer's windows, one
+    per environment, are cut from the block cache straight into the rows
+    of one read-only ``(envs, span)`` matrix in the element's own dtype
+    (:func:`_bank_dtype`); each scalar's values make one int64 vector, as
+    bit patterns where they leave int64.  Row ``i`` holds what
+    :func:`make_environment` binds for the ``i``-th ``(style, seed)`` of
+    :func:`bank_rounds`, and the bank's environments are those
+    ``make_environment`` calls, made the first time ``BankData.envs`` is
+    read.
     """
     buffers, scalars = footprint(spec)
-    envs = [
-        make_environment(buffers, scalars, style, seed + i)
-        for i, style in enumerate(BASE_STYLES)
-    ]
-    for i in range(n_random_extra):
-        envs.append(make_environment(buffers, scalars, "random", seed + 100 + i))
-    return envs
+    rounds = bank_rounds(n_random_extra, seed)
+    matrices = {}
+    for buf in buffers:
+        data = np.empty((len(rounds), _span(buf)),
+                        dtype=_bank_dtype(buf.elem))
+        for row, (style, s) in zip(data, rounds):
+            _fill(row, buf, style, s)
+        data.flags.writeable = False
+        matrices[buf.name] = (data, buf.elem, PAD_ELEMENTS - buf.lo)
+    vectors = {}
+    for name, dtype in scalars:
+        vals = np.array([_scalar(name, dtype, style, s) & _U64_MASK
+                         for style, s in rounds], dtype=np.uint64)
+        vals = vals.view(np.int64)
+        vals.flags.writeable = False
+        vectors[name] = vals
+
+    def make_envs() -> list:
+        return [make_environment(buffers, scalars, style, s)
+                for style, s in rounds]
+
+    return BankData(n_envs=len(rounds), buffers=matrices, scalars=vectors,
+                    make_envs=make_envs)
 
 
 # Kept only because perfbench/spans.py wraps it; nothing in src/ calls it.
@@ -264,36 +330,8 @@ def environment_zero(spec, seed: int = 0) -> Environment:
 
     Every value is a pure function of its buffer, style, seed and offset
     (see :func:`make_environment`), so this equals
-    ``environment_bank(spec, seed=seed)[0]`` without paying for the other
-    environments.
+    ``environment_bank(spec, seed=seed).envs[0]`` without paying for the
+    bank.
     """
     buffers, scalars = footprint(spec)
     return make_environment(buffers, scalars, BASE_STYLES[0], seed)
-
-
-def bank_arrays(bank: list[Environment]) -> BankData:
-    """Stack a bank from :func:`environment_bank` into a
-    :class:`repro.eval.BankData`.
-
-    Each buffer's views are stacked into one read-only ``(envs, length)``
-    int64 matrix, and each scalar's values into one int64 vector.  u64
-    buffers and scalars outside int64 are stored as int64 bit patterns,
-    which only re-wrapping loads and fallback steps read (a plan node
-    wider than 32 bits is a fallback step).
-    """
-    first = bank[0]
-    buffers: dict = {}
-    for name, view0 in first.buffers.items():
-        data = np.stack([env.buffers[name].array for env in bank])
-        data = data.view(np.int64)
-        data.flags.writeable = False
-        buffers[name] = (data, view0.elem, view0.origin)
-    scalars: dict = {}
-    for name in first.scalars:
-        vals = np.array([env.scalars[name] & _U64_MASK for env in bank],
-                        dtype=np.uint64).view(np.int64)
-        vals.flags.writeable = False
-        scalars[name] = vals
-    return BankData(
-        n_envs=len(bank), envs=list(bank), buffers=buffers, scalars=scalars
-    )

@@ -4,7 +4,8 @@ The synthesis pipeline (lift → sketch → swizzle → verify) is target
 agnostic; what varies between backends is one
 :class:`TargetDescription` value:
 
-* the vector register width (``vbytes``) and native u8 lane count,
+* the vector register width (``vbytes``), which is also its native u8
+  lane count,
 * the swizzle-free sketch grammar (``sketch_grammar``),
 * the simulator machine model (``machine``),
 * the four permute op names and the unaligned-load economics that
@@ -64,11 +65,6 @@ class TargetDescription:
     #: load-unit occupancy of one unaligned load in the cost model (the
     #: simulator's own figure is ``machine.unaligned_load_cost``)
     unaligned_load_weight: int
-
-    @property
-    def lanes(self) -> int:
-        """Native u8 lane count (one byte lane per register byte)."""
-        return self.vbytes
 
     def sketches(self, e, child):
         """Swizzle-free sketch candidates for one uber-instruction, at

@@ -45,16 +45,8 @@ def _shared_bank(src_a, src_b, n_random_extra: int, seed: int):
         valuation.buffer_specs_of(src_a), valuation.buffer_specs_of(src_b)
     )
     scalars = valuation.scalar_names_of(src_a)
-    envs = [
-        valuation.make_environment(buffers, scalars, style, seed + i)
-        for i, style in enumerate(valuation.BASE_STYLES)
-    ]
-    for i in range(n_random_extra):
-        envs.append(
-            valuation.make_environment(buffers, scalars, "random",
-                                       seed + 100 + i)
-        )
-    return envs
+    return [valuation.make_environment(buffers, scalars, style, s)
+            for style, s in valuation.bank_rounds(n_random_extra, seed)]
 
 
 @dataclass(frozen=True)

@@ -66,14 +66,13 @@ def scalar_lane0(oracle, spec, cand, layout=LAYOUT_INORDER) -> bool:
 def assert_bank_identical(bank_spec, expr, layout=LAYOUT_INORDER):
     """Batched evaluation of ``expr`` must match scalar denote env by env,
     on the plan the lowerings compiled (not a whole-root fallback)."""
-    bank = valuation.environment_bank(bank_spec, seed=0)
-    bank_data = valuation.bank_arrays(bank)
+    bank_data = valuation.environment_bank(bank_spec, seed=0)
     ev = BatchedEvaluator()
     plan = ev.plan_on(expr, bank_data)
     assert plan.root is ev.node_for(expr), f"no compiled plan for {expr!r}"
     scalar_rows = []
     scalar_error = False
-    for env in bank:
+    for env in bank_data.envs:
         try:
             scalar_rows.append(denote(expr, env, layout))
         except EvaluationError:
@@ -86,7 +85,7 @@ def assert_bank_identical(bank_spec, expr, layout=LAYOUT_INORDER):
             ev.denote_bank(plan, bank_data, layout)
         return
     got = ev.denote_bank(plan, bank_data, layout)
-    assert got.shape == (len(bank), len(scalar_rows[0]))
+    assert got.shape == (bank_data.n_envs, len(scalar_rows[0]))
     for i, row in enumerate(scalar_rows):
         assert tuple(int(v) for v in got[i]) == row, f"env {i} differs"
 
@@ -318,8 +317,7 @@ def test_elem_mismatched_bank_keeps_scalar_path():
     interpreter per environment."""
     spec = E.Add(E.Load("A", 0, LANES, U16), E.Load("B", 0, LANES, U16))
     cand = E.Cast(U16, E.Load("A", 0, LANES, I8))
-    bank = valuation.environment_bank(spec, seed=0)
-    bank_data = valuation.bank_arrays(bank)
+    bank_data = valuation.environment_bank(spec, seed=0)
     ev = BatchedEvaluator()
     plan = ev.plan_on(cand, bank_data)
     assert plan is not ev.plan_for(cand)
@@ -410,6 +408,65 @@ def test_fallback_steps_answer_as_the_scalar_check(case, monkeypatch):
         assert fault_plan.by_site()[faults.SITE_PLAN_COMPILE] >= 2
 
 
+@pytest.mark.parametrize(
+    "case", ["u64_root", "claims_mismatch", "plan_compile_fault"])
+def test_fallback_steps_on_a_compact_bank_match_the_scalar_reference(case):
+    """The bank stores each buffer at its element's own width (u32 as
+    uint32, u16 as uint16, u8 as uint8), and a one-step fallback plan on
+    it, which reads the bank's environments, denotes each candidate as
+    ``denote`` does on each environment in turn."""
+    spec, cands = FALLBACK_CASES[case]
+    bank = valuation.environment_bank(spec, n_random_extra=4)
+    for data, elem, _origin in bank.buffers.values():
+        assert (data.dtype.kind, data.dtype.itemsize * 8) == ("u", elem.bits)
+    assert bank._envs is None
+    ev = BatchedEvaluator()
+    if case == "plan_compile_fault":
+        faults.activate(faults.FaultPlan(rules=[faults.FaultRule(
+            site=faults.SITE_PLAN_COMPILE, kind="error", every=1)]))
+    try:
+        plans = [ev.plan_on(cand, bank) for cand in cands]
+    finally:
+        faults.deactivate()
+    for cand, plan in zip(cands, plans):
+        assert plan.root.is_fallback and not plan.root.children
+        got = ev.denote_bank(plan, bank)
+        assert [tuple(int(v) for v in row) for row in got] == \
+            [denote(cand, env) for env in bank.envs]
+    assert bank._envs is not None
+
+
+def test_environments_are_built_on_demand(monkeypatch):
+    """Batched checks read only the bank's matrices.  The environments
+    are built once, the first time ``bank_for`` or a fallback step reads
+    them."""
+    built = []
+    real = valuation.make_environment
+
+    def counting(*args):
+        built.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(valuation, "make_environment", counting)
+    la, lb = E.Load("A", 0, LANES, U8), E.Load("B", 0, LANES, U8)
+    spec = E.Add(la, lb)
+    oracle = Oracle()
+    assert oracle.equivalent_lane0(spec, E.Add(lb, la)) is True
+    assert oracle.equivalent(spec, E.Add(lb, la)) is True
+    assert oracle.equivalent(spec, E.Sub(la, lb)) is False
+    (bank,) = oracle._bank_cache.values()
+    assert bank._envs is None and built == []
+    envs = oracle.bank_for(spec)
+    assert oracle.bank_for(spec) is envs is bank.envs
+    assert len(built) == len(envs) == bank.n_envs
+    built.clear()
+    wide_spec, (wide_cand, _) = FALLBACK_CASES["u64_root"]
+    assert oracle.equivalent(wide_spec, wide_cand) is True
+    assert oracle.stats.total("fallback_evals") == 1
+    assert oracle._bank(wide_spec)._envs is not None
+    assert len(built) == oracle._bank(wide_spec).n_envs
+
+
 def test_wide_uber_nodes_fall_back_exactly():
     """An uber node wider than 32 bits is a fallback step, which reads the
     lanes of the uber interpreter's tuple."""
@@ -457,9 +514,10 @@ def test_lane0_reads_row_zero_of_the_full_bank():
     oracle = Oracle()
     assert oracle.equivalent_lane0(spec, E.Add(lb, la)) is True
     assert oracle.equivalent_lane0(spec, E.Sub(la, lb)) is False
-    ((bank, _data),) = oracle._bank_cache.values()
-    assert oracle.bank_for(spec) is bank
-    assert len(bank) == len(valuation.BASE_STYLES) \
+    (data,) = oracle._bank_cache.values()
+    bank = oracle.bank_for(spec)
+    assert bank is data.envs
+    assert len(bank) == data.n_envs == len(valuation.BASE_STYLES) \
         + oracle.extra_random_rounds
     assert bank[0] == valuation.environment_zero(spec, seed=oracle.seed)
 
@@ -680,7 +738,7 @@ def test_hot_memo_verdicts_match_a_fresh_scalar_oracle(stream):
 
 def bank_data(oracle, spec):
     """The stacked bank the oracle checks ``spec`` on."""
-    return oracle._bank(spec)[1]
+    return oracle._bank(spec)
 
 
 def test_equal_footprints_share_one_bank():
@@ -704,7 +762,7 @@ def test_equal_footprints_share_one_bank():
     # A shared bank is the one each spec would get on its own.
     assert oracle.bank_for(E.Sub(la, lb)) == valuation.environment_bank(
         E.Sub(la, lb), n_random_extra=oracle.extra_random_rounds,
-        seed=oracle.seed)
+        seed=oracle.seed).envs
 
 
 def test_memoized_values_and_bank_matrices_are_read_only():

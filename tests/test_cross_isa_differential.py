@@ -139,5 +139,5 @@ class TestLanePrefixProperty:
             return B.cast(U8, (a + b + c) * 85 >> 8)
 
         wide, narrow = blur(128), blur(16)
-        for env in environment_bank(wide, n_random_extra=1):
+        for env in environment_bank(wide, n_random_extra=1).envs:
             assert denote(wide, env)[:16] == denote(narrow, env)

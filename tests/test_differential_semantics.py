@@ -73,7 +73,7 @@ def _run_sweep(seed: int, count: int, min_success: int,
     rng = random.Random(seed)
     # One oracle: verdicts memoize across specs.
     selector = RakeSelector(target=target)
-    lanes = selector.target.lanes  # u8 lanes at native width
+    lanes = selector.target.vbytes  # u8 lanes at native width
     succeeded = 0
     for _ in range(count):
         spec = random_spec(rng, lanes)
@@ -112,7 +112,7 @@ class TestGenerator:
         rng = random.Random(5)
         for _ in range(50):
             spec = random_spec(rng)
-            env = environment_bank(spec, n_random_extra=0)[0]
+            env = environment_bank(spec, n_random_extra=0).envs[0]
             lanes = denote(spec, env)
             assert len(lanes) == LANES
 

@@ -40,7 +40,7 @@ class TestValuation:
         assert scalar_names_of(e) == [("k", U8)]
 
     def test_bank_covers_boundary_styles(self):
-        bank = environment_bank(u8v())
+        bank = environment_bank(u8v()).envs
         assert len(bank) >= 6
         values = [denote(u8v(), env) for env in bank]
         # the ramp style gives distinct lane values
@@ -56,8 +56,8 @@ class TestValuation:
         assert env.buffer("in").read(256, 8)
 
     def test_deterministic(self):
-        b1 = environment_bank(u8v(), seed=3)
-        b2 = environment_bank(u8v(), seed=3)
+        b1 = environment_bank(u8v(), seed=3).envs
+        b2 = environment_bank(u8v(), seed=3).envs
         assert [e.buffers["in"].data for e in b1] == \
             [e.buffers["in"].data for e in b2]
 
@@ -68,14 +68,14 @@ class TestDenote:
 
         e_ir = u8v()
         e_uber = LoadData("in", 0, 8, U8)
-        env = environment_bank(e_ir)[0]
+        env = environment_bank(e_ir).envs[0]
         assert denote(e_ir, env) == denote(e_uber, env)
 
     def test_bit_pattern_masking(self):
         # i16 -1 and u16 65535 denote identically
         a = B.broadcast(-1, 4, I16)
         b = B.broadcast(65535, 4, U16)
-        env = environment_bank(a)[0]
+        env = environment_bank(a).envs[0]
         assert denote(a, env) == denote(b, env)
 
     def test_hvx_layout_interleave(self):
@@ -83,7 +83,7 @@ class TestDenote:
         pair = H.HvxInstr("vcombine", (H.HvxLoad("in", 0, 4, U8),
                                        H.HvxLoad("in", 4, 4, U8)))
         dealt = H.HvxInstr("vdealvdd", (pair,))
-        env = environment_bank(u8v())[0]
+        env = environment_bank(u8v()).envs[0]
         want = denote(load, env)
         assert denote(dealt, env, LAYOUT_DEINTERLEAVED) == want
         assert denote(dealt, env, LAYOUT_INORDER) != want
@@ -223,7 +223,7 @@ class TestPredicateWidths:
         assert oracle.equivalent(spec, _vcmp_gt_127())
 
     def test_predicate_denotes_one_bit_lanes(self):
-        env = environment_bank(u8v())[0]
+        env = environment_bank(u8v()).envs[0]
         lanes = denote(_vcmp_gt_127(), env)
         assert set(lanes) <= {0, 1}
         assert all(isinstance(v, int) for v in lanes)

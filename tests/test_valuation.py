@@ -6,6 +6,7 @@ style, the seed and the offset: it does not change with the process's
 same-typed buffers never share one random stream.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -13,9 +14,14 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.errors import EvaluationError
+from repro.eval.plan import read_buffer
 from repro.ir import builder as B
+from repro.ir import expr as E
 from repro.synthesis.oracle import Oracle
 from repro.synthesis import valuation
 from repro.synthesis.valuation import (
@@ -26,7 +32,7 @@ from repro.synthesis.valuation import (
     environment_bank,
     make_environment,
 )
-from repro.types import I16, I64, U16, U32, U64, U8, ScalarType
+from repro.types import I8, I16, I32, I64, U16, U32, U64, U8, ScalarType
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -39,11 +45,12 @@ from repro.synthesis.valuation import environment_bank
 from repro.types import U8, U16
 spec = (B.widen(B.load("in", -2, 16, U8)) + B.load("w", 5, 16, U16)
         + B.broadcast(E.ScalarVar("k", U16), 16))
+bank = environment_bank(spec, n_random_extra=4, seed=7)
 print(json.dumps([
-    [[name, view.origin, view.data]
-     for name, view in sorted(env.buffers.items())]
-    + [sorted(env.scalars.items())]
-    for env in environment_bank(spec, n_random_extra=4, seed=7)
+    [[name, origin, data[i].tolist()]
+     for name, (data, _elem, origin) in sorted(bank.buffers.items())]
+    + [sorted((name, int(vals[i])) for name, vals in bank.scalars.items())]
+    for i in range(bank.n_envs)
 ]))
 """
 
@@ -108,7 +115,7 @@ def test_same_typed_buffers_hold_different_random_data(elem):
     a, b = B.load("a", 0, 16, elem), B.load("b", 0, 16, elem)
     bank = environment_bank(a + b, n_random_extra=4)
     styles = BASE_STYLES + ("random",) * 4
-    random_envs = [env for env, style in zip(bank, styles)
+    random_envs = [env for env, style in zip(bank.envs, styles)
                    if style not in STRUCTURED_STYLES]
     assert len(random_envs) == 7
     for env in random_envs:
@@ -151,8 +158,9 @@ def test_block_cache_is_shared_safely_across_threads():
              for elem in (U8, U16)]
 
     def rows():
-        return [[(n, v.data) for env in environment_bank(spec)
-                 for n, v in sorted(env.buffers.items())] for spec in specs]
+        return [[(n, data.tolist()) for n, (data, _elem, _origin)
+                 in sorted(environment_bank(spec).buffers.items())]
+                for spec in specs]
 
     want = rows()
     valuation._block.cache_clear()
@@ -179,3 +187,95 @@ def test_block_cache_is_shared_safely_across_threads():
     assert errors == []
     assert [got[i] for i in range(8)] == [want] * 8
     assert valuation._block.cache_info().currsize <= valuation.MAX_BLOCKS
+
+
+#: the dtype a bank matrix stores each element type in
+BANK_DTYPES = {U8: np.uint8, I8: np.int8, U16: np.uint16, I16: np.int16,
+               U32: np.uint32, I32: np.int32, U64: np.int64, I64: np.int64}
+MASK64 = (1 << 64) - 1
+
+
+def expected_rounds(n_random_extra, seed):
+    """``(style, seed)`` of each environment of a bank, in bank order."""
+    return ([(style, seed + i) for i, style in enumerate(BASE_STYLES)]
+            + [("random", seed + 100 + i) for i in range(n_random_extra)])
+
+
+@st.composite
+def footprint_specs(draw):
+    """An IR spec reading one to three buffers of any element type, each
+    through one to three loads at random offsets and strides (so a
+    footprint may span several blocks, below zero), and up to two free
+    scalars."""
+    lanes = draw(st.integers(2, 40))
+    elems = st.sampled_from(list(BANK_DTYPES))
+    terms = []
+    for name in draw(st.lists(st.sampled_from("ABCD"), min_size=1,
+                              max_size=3, unique=True)):
+        elem = draw(elems)
+        for offset in draw(st.lists(st.integers(-3000, 3000), min_size=1,
+                                    max_size=3)):
+            load = E.Load(name, offset, lanes, elem, draw(st.integers(1, 3)))
+            terms.append(E.Cast(I64, load))
+    for name in draw(st.lists(st.sampled_from("kst"), max_size=2,
+                              unique=True)):
+        scalar = E.Cast(I64, E.ScalarVar(name, draw(elems)))
+        terms.append(E.Broadcast(scalar, lanes))
+    return functools.reduce(E.Add, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(footprint_specs(), st.integers(0, 3), st.integers(0, 1000),
+       st.data())
+def test_bank_rows_are_the_environments_windows(spec, extra, seed, data):
+    """Each buffer is one matrix in its element's own dtype whose rows,
+    widened, are ``make_environment``'s windows for the row's style and
+    seed; scalars are int64 bit patterns of its values; the environments,
+    built on first use, are ``make_environment``'s; and ``read_buffer``
+    reads what ``BufferView.read`` reads, raising where it raises."""
+    bank = environment_bank(spec, n_random_extra=extra, seed=seed)
+    rounds = expected_rounds(extra, seed)
+    buffers, scalars = valuation.footprint(spec)
+    assert bank.n_envs == len(rounds)
+    assert bank._envs is None
+    want_envs = [make_environment(buffers, scalars, style, s)
+                 for style, s in rounds]
+    for buf in buffers:
+        matrix, elem, origin = bank.buffers[buf.name]
+        assert (elem, origin) == (buf.elem, PAD_ELEMENTS - buf.lo)
+        assert matrix.dtype == BANK_DTYPES[elem]
+        assert not matrix.flags.writeable
+        assert matrix.shape == (len(rounds), buf.hi - buf.lo
+                                + 2 * PAD_ELEMENTS)
+        for row, env in zip(matrix, want_envs):
+            window = env.buffer(buf.name).array
+            assert np.array_equal(row.astype(np.int64),
+                                  window.view(np.int64))
+        if elem == U64:
+            assert matrix.view(np.uint64).max() >= 1 << 63
+    for name, dtype in scalars:
+        assert bank.scalars[name].dtype == np.int64
+        assert [int(v) & MASK64 for v in bank.scalars[name]] == \
+            [env.scalars[name] & MASK64 for env in want_envs]
+    assert bank.envs == want_envs
+    assert bank.envs is bank.envs
+    for buf in buffers:
+        lo, hi = buf.lo - PAD_ELEMENTS, buf.hi + PAD_ELEMENTS
+        for _ in range(4):
+            lanes = data.draw(st.integers(1, 40))
+            stride = data.draw(st.integers(1, 3))
+            offset = data.draw(st.one_of(
+                st.integers(lo - 3, lo + 3),
+                st.integers(hi - (lanes - 1) * stride - 3, hi),
+                st.integers(lo, hi)))
+            try:
+                want = [env.buffer(buf.name).read(offset, lanes, stride)
+                        for env in bank.envs]
+            except EvaluationError:
+                with pytest.raises(EvaluationError):
+                    read_buffer(bank, buf.name, offset, lanes, stride)
+                continue
+            got = read_buffer(bank, buf.name, offset, lanes, stride)
+            assert got.dtype == np.int64
+            assert [[int(v) & MASK64 for v in row] for row in got] == \
+                [[v & MASK64 for v in row] for row in want]
