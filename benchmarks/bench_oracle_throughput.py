@@ -29,12 +29,14 @@ recomputed its plan over a one-row bank).
 Next, it counts the nodes one cold ``gaussian5x5``/hvx compile
 evaluates against the nodes of the plans it denotes, wrapping each
 compiled node's ``fn`` itself, and fails unless at most a third are
-evaluated: node values are kept per bank, so a full check after a
-lane-0 check and sibling candidates sharing subtrees reuse them (about
-17%; 100% when every denotation ran its whole plan).  The counts do not
-depend on the machine.
+evaluated: node values are kept per bank and carried to a bank that
+covers it, so a full check after a lane-0 check, sibling candidates
+sharing subtrees and a lifted parent spec's candidates reuse them (about
+29%, since the cost bound rejects before their checks the sketches whose
+checks mostly read kept values; 100% when every denotation ran its whole
+plan).  The counts do not depend on the machine.
 Then it records every ``Oracle.query_key`` call of one
-``gaussian5x5``/hvx and one ``conv3x3a16``/neon compile (619 keys) and
+``gaussian5x5``/hvx and one ``conv3x3a16``/neon compile (475 keys) and
 replays them twice: through one oracle whose rendering memo is shared by
 every key, as in a compile, and with that memo emptied before each key.
 It fails unless both passes give the compile's keys and the shared pass

@@ -8,7 +8,9 @@ around (post-wrap, so every stored value lies in the node's element
 range).  Evaluating a plan against a :class:`BankData` therefore denotes
 the expression over every environment of the valuation bank at once.
 The evaluator keeps every node value it computed on the bank it last
-ran, so a node shared by several plans runs once per bank.
+ran, so a node shared by several plans runs once per bank, and carries
+them to the next bank when that bank covers the last one
+(:meth:`BankData.covers`).
 
 Exactness rules:
 
@@ -188,12 +190,13 @@ class BankData:
     bit patterns).  :func:`read_buffer`, its only reader, widens what it
     reads to int64.  ``scalars`` maps name to an int64 vector of raw
     environment values, as bit patterns where they leave int64
-    (``ScalarVar`` wraps at its use site, with its own dtype).  ``envs``
-    are the bank's environments, for fallback steps; ``make_envs`` builds
-    them the first time they are read.
+    (``ScalarVar`` wraps at its use site, with its own dtype).  ``rounds``
+    is the ``(style, seed)`` of each row, in row order.  ``envs`` are the
+    bank's environments, for fallback steps; ``make_envs`` builds them the
+    first time they are read.
     """
 
-    n_envs: int
+    rounds: Tuple[Tuple[str, int], ...]
     buffers: Dict[str, Tuple[object, ScalarType, int]]
     scalars: Dict[str, object]
     make_envs: Callable[[], list] = field(repr=False)
@@ -201,11 +204,43 @@ class BankData:
     _cache: Dict[object, object] = field(default_factory=dict, repr=False)
 
     @property
+    def n_envs(self) -> int:
+        return len(self.rounds)
+
+    @property
     def envs(self) -> list:
         """The bank's environments, built on first use."""
         if self._envs is None:
             self._envs = self.make_envs()
         return self._envs
+
+    def covers(self, other: "BankData") -> bool:
+        """Every node value computed on ``other`` is the value computed
+        on this bank.
+
+        Holds when the rows are the same ``(style, seed)`` rounds, every
+        buffer of ``other`` is bound here with the same element type over
+        a span containing ``other``'s, and every scalar of ``other`` is
+        bound here to an equal vector.  A buffer's value at an offset
+        depends only on its name, type, style, seed and offset, and a
+        read in range on ``other`` is in range here, so a node computes
+        the same matrix on both.
+        """
+        if self.rounds != other.rounds:
+            return False
+        for name, (data, elem, origin) in other.buffers.items():
+            entry = self.buffers.get(name)
+            if entry is None:
+                return False
+            mine, my_elem, my_origin = entry
+            if (my_elem != elem or my_origin < origin
+                    or mine.shape[1] - my_origin < data.shape[1] - origin):
+                return False
+        for name, values in other.scalars.items():
+            mine = self.scalars.get(name)
+            if mine is None or not np.array_equal(mine, values):
+                return False
+        return True
 
 
 def read_buffer(bank: BankData, name: str, offset: int, lanes: int,
@@ -238,10 +273,12 @@ class BatchedEvaluator:
     its root's operands.
 
     :meth:`denote_bank` keeps the read-only value of every node it
-    evaluated on the last bank it ran on, and drops them all when a
-    different bank comes: a full check that follows a lane-0 check of the
-    same candidate, and sibling candidates sharing subtrees, reuse those
-    values instead of recomputing them.
+    evaluated on the last bank it ran on: a full check that follows a
+    lane-0 check of the same candidate, and sibling candidates sharing
+    subtrees, reuse those values instead of recomputing them.  A bank that
+    covers the last one (:meth:`BankData.covers`) keeps them too, so
+    lifting's parent specs, whose footprints cover their children's, reuse
+    their children's node values; any other bank drops them all.
     """
 
     def __init__(self) -> None:
@@ -250,7 +287,8 @@ class BatchedEvaluator:
         #: expression -> its whole-root fallback plan
         self._fallbacks: Dict[object, Plan] = {}
         self._claims: Dict[object, frozenset] = {}
-        #: the bank ``_values`` were computed on, and node -> value matrix
+        #: the last bank denoted on, and node -> value matrix on it
+        #: (computed on it or on banks it covers)
         self._bank: Optional[BankData] = None
         self._values: Dict[CompiledNode, object] = {}
         self.tracer = NULL_TRACER
@@ -375,11 +413,14 @@ class BatchedEvaluator:
         The result holds masked lane values exactly as ``Oracle.denote``
         produces them per environment (including the layout transform and
         the 1-bit masking of predicate results for HVX roots).  Node
-        values already computed on ``bank`` are reused, not recomputed.
+        values already computed on ``bank``, or on a bank it covers, are
+        reused, not recomputed.
         """
 
         if bank is not self._bank:
-            self._bank, self._values = bank, {}
+            if self._bank is None or not bank.covers(self._bank):
+                self._values = {}
+            self._bank = bank
         values = self._values
         # Children first, skipping every node whose value is kept.
         stack = [plan.root]

@@ -6,7 +6,9 @@ grammar, validates each sketch (lane-0 pruning first, Section 4.1), then
 asks the swizzle synthesizer to concretize data movement under the cost
 upper bound β.  Each successful implementation tightens β and — when
 backtracking is enabled — the search continues until no better sketch
-remains.
+remains.  Once β is finite, each sketch is ranked before it is validated:
+one whose concretizations all cost at least β is rejected without an
+oracle query, since the swizzle synthesizer could not return it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from ..uber import instructions as U
 from .grammar import Sketch
 from .oracle import LAYOUT_DEINTERLEAVED, LAYOUT_INORDER, Oracle
 from .sketch import AbstractSwizzle, SWIZZLE_DEINTERLEAVE, SWIZZLE_INTERLEAVE
-from .swizzle_synth import synthesize_swizzles
+from .swizzle_synth import rank_sketch, synthesize_swizzles
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,16 @@ class Lowerer:
                 if adapted is None:
                     continue
                 with tracer.span("sketch", index=examined) as ssp:
+                    ranking = None
+                    if best is not None:
+                        with self.oracle.stats.stage("swizzling"):
+                            ranking = rank_sketch(adapted, self.target,
+                                                  self.oracle.stats)
+                            if ranking.exceeds(beta):
+                                self.oracle.stats.count("budget_pruned")
+                                if ssp:
+                                    ssp.set(pruned="budget")
+                                continue
                     with self.oracle.stats.stage("sketching"):
                         if self.options.lane0_pruning and (
                             not self.oracle.equivalent_lane0(e, adapted, layout)
@@ -111,7 +123,7 @@ class Lowerer:
                     with self.oracle.stats.stage("swizzling"):
                         result = synthesize_swizzles(
                             e, adapted, layout, self.oracle, beta,
-                            target=self.target,
+                            target=self.target, ranking=ranking,
                         )
                     if result is None:
                         if ssp:

@@ -147,13 +147,20 @@ class AbstractSwizzle(N.HvxExpr):
         return N.deinterleave(value)
 
 
+_PLACEHOLDER_KINDS = (AbstractWindow, AbstractPairWindow, AbstractRows,
+                      AbstractSwizzle)
+
+
 def placeholders_of(expr: N.HvxExpr) -> list[N.HvxExpr]:
-    """All abstract placeholders in a sketch, outermost first."""
-    kinds = (AbstractWindow, AbstractPairWindow, AbstractRows, AbstractSwizzle)
+    """All abstract placeholders in a sketch, outermost first (the
+    pre-order of ``iter(expr)``, walked without its generator)."""
     out = []
-    for node in expr:
-        if isinstance(node, kinds):
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _PLACEHOLDER_KINDS):
             out.append(node)
+        stack.extend(reversed(node.children))
     return out
 
 

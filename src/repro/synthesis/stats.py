@@ -57,6 +57,8 @@ COUNTERS = (
     Counter("pruned_grammar_hits", metric="repro_pruned_grammar_hits_total",
             help="placeholder enumerations served by a precomputed pruned "
                  "grammar"),
+    # Sketches Algorithm 2 rejected by the cost bound before any query.
+    Counter("budget_pruned"),
     Counter("rule_hits", per_stage=False, metric="repro_rule_hits_total",
             help="specs answered by the rewrite-rule pattern-match fast "
                  "path"),

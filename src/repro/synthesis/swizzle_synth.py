@@ -8,10 +8,18 @@ cheapest-first per placeholder under that target's cost model, and
 combined under the backtracking cost bound β from Algorithm 2; each
 complete candidate is re-verified end to end (the paper's point that Rake
 verifies all its transformations).
+
+The search has two parts.  :func:`rank_sketch` substitutes and costs a
+sketch's first :data:`MAX_COMBOS` combos without asking the oracle, so
+Algorithm 2 can reject a sketch that cannot beat β before verifying it
+(:meth:`Ranking.exceeds`); :func:`synthesize_swizzles` verifies the
+ranking's under-β prefix, cheapest first.
 """
 
 from __future__ import annotations
 
+import operator
+from dataclasses import dataclass
 from itertools import islice, product
 
 from ..targets import TargetDescription, nodes as N, pruning, resolve_target
@@ -41,10 +49,12 @@ def substitute_many(expr: N.HvxExpr, mapping: dict,
     children = expr.children
     if not children:
         return expr
-    new_children = tuple(
+    new_children = tuple([
         substitute_many(c, mapping, _classes) for c in children
-    )
-    if new_children == children:
+    ])
+    # Identity, not ``==``: an unchanged child comes back as itself, and
+    # comparing a changed one would walk both trees.
+    if all(map(operator.is_, new_children, children)):
         return expr
     return expr.with_children(new_children)
 
@@ -90,47 +100,45 @@ def _ranked_realizations(placeholder, target: TargetDescription):
     return cached
 
 
-def synthesize_swizzles(
-    spec,
-    sketch_expr: N.HvxExpr,
-    layout: str,
-    oracle: Oracle,
-    budget,
-    target: TargetDescription | None = None,
-) -> tuple[N.HvxExpr, object] | None:
-    """Concretize all placeholders in ``sketch_expr`` under ``budget``.
+@dataclass(frozen=True)
+class Ranking:
+    """A sketch's concretizations, ranked without asking the oracle.
 
-    Returns the cheapest verified concrete implementation, or ``None`` when
-    no realization fits the budget (the query Algorithm 2 treats as *unsat*,
-    which triggers backtracking to the next sketch).
-
-    ``target`` selects the swizzle grammar and cost model (default: HVX).
+    ``combos`` holds the first :data:`MAX_COMBOS` realization combos in
+    product order, each as ``(expr, cost)``: the sketch with the combo
+    substituted, and its cost, or ``None`` when ``expr`` still holds
+    placeholders (a swizzle wrapping a window) that only the nested search
+    resolves.  ``pruned`` counts the placeholders a precomputed pruned
+    grammar trimmed.  A sketch without placeholders is its own one combo.
     """
-    target = resolve_target(target)
+
+    placeholders: tuple
+    pruned: int
+    combos: tuple
+
+    def exceeds(self, budget) -> bool:
+        """No concretization can cost less than ``budget``: every combo is
+        concrete and costs at least ``budget``, or there are none.  For
+        such a ranking :func:`synthesize_swizzles` returns ``None`` without
+        asking the oracle anything."""
+        return all(cost is not None and cost.key >= budget.key
+                   for _expr, cost in self.combos)
+
+
+def rank_sketch(sketch_expr: N.HvxExpr, target: TargetDescription,
+                stats) -> Ranking:
+    """Rank ``sketch_expr``'s concretizations (no oracle query).
+
+    Each distinct placeholder's ranked realizations feed the prune-grammar
+    recorder and count one ``pruned_grammar_hits`` in ``stats`` when a
+    pruned grammar trimmed them.
+    """
     placeholders = []
     for ph in placeholders_of(sketch_expr):
         if ph not in placeholders:
             placeholders.append(ph)
     if not placeholders:
-        impl_cost = target.cost_of(sketch_expr)
-        if impl_cost.key < budget.key and oracle.equivalent(
-            spec, sketch_expr, layout
-        ):
-            return sketch_expr, impl_cost
-        return None
-
-    with oracle.tracer.span("swizzle") as sp:
-        if sp:
-            sp.set(placeholders=placeholder_summary(sketch_expr))
-        result = _synthesize(spec, sketch_expr, layout, oracle, budget,
-                             placeholders, sp, target)
-        if sp:
-            sp.set(found=result is not None)
-        return result
-
-
-def _synthesize(spec, sketch_expr, layout, oracle, budget, placeholders,
-                sp, target):
+        return Ranking((), 0, ((sketch_expr, target.cost_of(sketch_expr)),))
     option_lists = []
     pruned_hits = 0
     for ph in placeholders:
@@ -139,19 +147,13 @@ def _synthesize(spec, sketch_expr, layout, oracle, budget, placeholders,
         options, pruned = _ranked_realizations(ph, target)
         if pruned:
             pruned_hits += 1
-            oracle.stats.count("pruned_grammar_hits")
+            stats.count("pruned_grammar_hits")
         option_lists.append(options)
-    if sp and pruned_hits:
-        sp.set(pruned_placeholders=pruned_hits)
+    combos = []
     # islice, not [:MAX_COMBOS]: slicing a list(...) would materialize the
     # full cartesian product (easily millions of tuples for multi-window
     # sketches) only to drop all but the first 64.
-    combos = list(islice(product(*option_lists), MAX_COMBOS))
-
-    scored = []
-    for combo in combos:
-        if oracle.cancel is not None:
-            oracle.cancel.check()
+    for combo in islice(product(*option_lists), MAX_COMBOS):
         mapping = dict(zip(placeholders, combo))
         # A swizzle's realization embeds its (placeholder) value; resolving
         # the mapping against itself first — realizations are small trees —
@@ -165,27 +167,78 @@ def _synthesize(spec, sketch_expr, layout, oracle, budget, placeholders,
                 break
             mapping = resolved
         expr = substitute_many(sketch_expr, mapping)
-        if not is_concrete(expr):
-            # Nested placeholders (a swizzle wrapping a window): resolve
-            # the remaining ones recursively with the same budget.
+        combos.append((expr, target.cost_of(expr) if is_concrete(expr)
+                       else None))
+    return Ranking(tuple(placeholders), pruned_hits, tuple(combos))
+
+
+def synthesize_swizzles(
+    spec,
+    sketch_expr: N.HvxExpr,
+    layout: str,
+    oracle: Oracle,
+    budget,
+    target: TargetDescription | None = None,
+    ranking: Ranking | None = None,
+) -> tuple[N.HvxExpr, object] | None:
+    """Concretize all placeholders in ``sketch_expr`` under ``budget``.
+
+    Returns the cheapest verified concrete implementation, or ``None`` when
+    no realization fits the budget (the query Algorithm 2 treats as *unsat*,
+    which triggers backtracking to the next sketch).
+
+    ``target`` selects the swizzle grammar and cost model (default: HVX).
+    ``ranking`` is the sketch's :func:`rank_sketch`, when the caller has
+    already ranked it.
+    """
+    target = resolve_target(target)
+    if ranking is None:
+        ranking = rank_sketch(sketch_expr, target, oracle.stats)
+    if not ranking.placeholders:
+        ((expr, impl_cost),) = ranking.combos
+        if impl_cost.key < budget.key and oracle.equivalent(
+            spec, expr, layout
+        ):
+            return expr, impl_cost
+        return None
+
+    with oracle.tracer.span("swizzle") as sp:
+        if sp:
+            sp.set(placeholders=placeholder_summary(sketch_expr))
+        result = _verify(spec, ranking, layout, oracle, budget, sp, target)
+        if sp:
+            sp.set(found=result is not None)
+        return result
+
+
+def _verify(spec, ranking, layout, oracle, budget, sp, target):
+    """Verify the under-budget prefix of ``ranking``, cheapest first."""
+    if sp and ranking.pruned:
+        sp.set(pruned_placeholders=ranking.pruned)
+    scored = []
+    for expr, impl_cost in ranking.combos:
+        if oracle.cancel is not None:
+            oracle.cancel.check()
+        if impl_cost is None:
+            # Nested placeholders: resolve the remaining ones recursively
+            # with the same budget.
             nested = synthesize_swizzles(spec, expr, layout, oracle, budget,
                                          target=target)
             if nested is not None:
-                scored.append((nested[1].key, nested[0], nested[1]))
+                scored.append(nested)
             continue
-        impl_cost = target.cost_of(expr)
-        scored.append((impl_cost.key, expr, impl_cost))
+        scored.append((expr, impl_cost))
 
-    scored.sort(key=lambda item: item[0])
+    scored.sort(key=lambda item: item[1].key)
     if sp:
-        sp.set(combos=len(combos), scored=len(scored))
+        sp.set(combos=len(ranking.combos), scored=len(scored))
 
     # The under-budget prefix of the cost-ranked candidates; reaching an
     # over-budget entry is Algorithm 2's "cannot be implemented within
     # budget" outcome (every later combo is at least as expensive).
     eligible = []
     over_budget = False
-    for _key, expr, impl_cost in scored:
+    for expr, impl_cost in scored:
         if impl_cost.key >= budget.key:
             over_budget = True
             break

@@ -320,7 +320,7 @@ def environment_bank(spec, n_random_extra: int = 2, seed: int = 0) -> BankData:
         return [make_environment(buffers, scalars, style, s)
                 for style, s in rounds]
 
-    return BankData(n_envs=len(rounds), buffers=matrices, scalars=vectors,
+    return BankData(rounds=tuple(rounds), buffers=matrices, scalars=vectors,
                     make_envs=make_envs)
 
 

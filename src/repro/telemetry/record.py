@@ -47,30 +47,42 @@ COUNTER_FIELDS = tuple(c.name for c in COUNTERS)
 
 _git_rev_cache: str | None = None
 
+#: the checkout :func:`git_rev` describes: the one holding this package
+_PACKAGE_DIR = Path(__file__).resolve().parent
+
+
+def _git(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=_PACKAGE_DIR,
+                          capture_output=True, text=True, timeout=5.0)
+
 
 def git_rev() -> str:
     """The repository's short revision, cached per process.
 
-    ``$REPRO_GIT_REV`` wins; otherwise ``git rev-parse --short HEAD``
-    run from the package directory.  Any failure — no git binary, an
-    installed wheel outside a checkout — degrades to ``"unknown"``:
-    telemetry identity is best-effort like everything else here.
+    ``$REPRO_GIT_REV`` wins; otherwise ``git rev-parse --short HEAD`` run
+    from the package directory, with ``-dirty`` appended when a tracked
+    file differs from ``HEAD`` (``git diff --quiet HEAD``), so a result
+    regenerated before its change is committed does not name the parent
+    commit as its producer.  Any failure — no git binary, an installed
+    wheel outside a checkout — degrades to ``"unknown"``: telemetry
+    identity is best-effort like everything else here.
     """
     global _git_rev_cache
     env = os.environ.get(GIT_REV_ENV)
     if env:
         return env
     if _git_rev_cache is None:
+        rev = "unknown"
         try:
-            out = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                cwd=Path(__file__).resolve().parent,
-                capture_output=True, text=True, timeout=5.0,
-            )
-            rev = out.stdout.strip()
-            _git_rev_cache = rev if out.returncode == 0 and rev else "unknown"
+            head = _git("rev-parse", "--short", "HEAD")
+            sha = head.stdout.strip()
+            if head.returncode == 0 and sha:
+                diff = _git("diff", "--quiet", "HEAD", "--")
+                if diff.returncode in (0, 1):
+                    rev = sha if diff.returncode == 0 else f"{sha}-dirty"
         except (OSError, subprocess.SubprocessError):
-            _git_rev_cache = "unknown"
+            pass
+        _git_rev_cache = rev
     return _git_rev_cache
 
 

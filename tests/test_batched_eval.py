@@ -11,6 +11,7 @@ scalar check: ``denote`` on each environment of the bank in turn
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -812,3 +813,155 @@ def test_lane0_then_full_check_evaluates_each_node_once():
                                              ev.plan_for(cand).root))
     oracle.equivalent_lane0(spec, sibling)
     assert calls[id(ev.plan_for(sibling).root)] == 2
+
+
+# -- node values carried to a covering bank ----------------------------------
+
+CARRY_LANES = 8
+
+
+def footprint_spec(spans, scalars=()):
+    """An IR spec whose bank binds each ``(name, elem, lo, hi)`` buffer
+    over ``[lo, hi)`` and each ``(name, dtype)`` scalar."""
+    terms = [E.Cast(I32, E.Load(name, offset, CARRY_LANES, elem))
+             for name, elem, lo, hi in spans
+             for offset in (lo, hi - CARRY_LANES)]
+    terms += [E.Cast(I32, E.Broadcast(E.ScalarVar(name, dtype), CARRY_LANES))
+              for name, dtype in scalars]
+    spec = terms[0]
+    for term in terms[1:]:
+        spec = E.Add(spec, term)
+    return spec
+
+
+@st.composite
+def carry_candidates(draw, elems):
+    """A sum of loads of ``A``/``B`` at offsets that some banks hold and
+    others do not, plus maybe the scalar ``s``."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(elems)))
+        offset = draw(st.integers(-700, 700))
+        terms.append(E.Cast(I32, E.Load(name, offset, CARRY_LANES,
+                                        elems[name])))
+    if draw(st.booleans()):
+        terms.append(E.Cast(I32, E.Broadcast(E.ScalarVar("s", U8),
+                                             CARRY_LANES)))
+    cand = terms[0]
+    for term in terms[1:]:
+        cand = E.Add(cand, term)
+    return cand
+
+
+def denoted(ev, expr, bank):
+    """``expr``'s matrix on ``bank``, or ``None`` when it raised."""
+    try:
+        return ev.denote_bank(ev.plan_on(expr, bank), bank)
+    except EvaluationError:
+        return None
+
+
+def assert_same_outcome(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_node_values_carry_to_a_covering_bank(data):
+    """Denoting on a bank and then on a bank covering it gives what a
+    fresh evaluator gives on the covering bank, and every value kept from
+    the first bank is carried, not recomputed."""
+    elem_a = data.draw(st.sampled_from([U8, I8, U16]))
+    lo = data.draw(st.integers(-64, 64))
+    spans = [("A", elem_a, lo, lo + data.draw(st.integers(CARRY_LANES, 64)))]
+    if data.draw(st.booleans()):
+        spans.append(("B", U8, 0, 16))
+    scalars = [("s", U8)] if data.draw(st.booleans()) else []
+    grow = st.integers(0, 600)
+    wider = [(name, elem, lo - data.draw(grow), hi + data.draw(grow))
+             for name, elem, lo, hi in spans]
+    if data.draw(st.booleans()):
+        wider.append(("C", U16, 0, 8))
+    more = scalars + ([("t", U16)] if data.draw(st.booleans()) else [])
+    old = valuation.environment_bank(footprint_spec(spans, scalars))
+    new = valuation.environment_bank(footprint_spec(wider, more))
+    assert new.covers(old)
+    cands = data.draw(st.lists(carry_candidates({"A": elem_a, "B": U8}),
+                               min_size=1, max_size=4))
+    ev = BatchedEvaluator()
+    for cand in cands:
+        denoted(ev, cand, old)
+    kept = dict(ev._values)
+    fresh = BatchedEvaluator()
+    for cand in cands:
+        assert_same_outcome(denoted(ev, cand, new), denoted(fresh, cand, new))
+    assert all(ev._values[node] is value for node, value in kept.items())
+
+
+#: ways a bank can fail to cover ``A`` u8 ``[0, 32)``, ``B`` u8 ``[0, 16)``
+#: and scalar ``s`` u8 on the default rounds (with no scalar where the
+#: rounds differ, since a scalar's values would differ too)
+NOT_COVERING = ("narrower span", "missing buffer", "element type", "seed",
+                "round count", "scalar dtype")
+
+
+@pytest.mark.parametrize("kind", NOT_COVERING)
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 24), st.booleans(),
+       st.lists(carry_candidates({"A": U8, "B": U8}), min_size=1,
+                max_size=3))
+def test_a_bank_that_does_not_cover_starts_empty(kind, shrink, low_side,
+                                                 cands):
+    spans = [("A", U8, 0, 32), ("B", U8, 0, 16)]
+    scalars = [] if kind in ("seed", "round count") else [("s", U8)]
+    old = valuation.environment_bank(footprint_spec(spans, scalars))
+    # Reads every old binding in range, so the old bank keeps values.
+    probe = footprint_spec(spans, scalars)
+    bank_args = {}
+    if kind == "narrower span":
+        lo, hi = (shrink, 32 + 600) if low_side else (-600, 32 - shrink)
+        spans = [("A", U8, lo, hi), spans[1]]
+    elif kind == "missing buffer":
+        spans = spans[:1]
+    elif kind == "element type":
+        spans = [("A", I8, 0, 32), spans[1]]
+    elif kind == "seed":
+        bank_args["seed"] = 1
+    elif kind == "round count":
+        bank_args["n_random_extra"] = 3
+    else:
+        scalars = [("s", U16)]
+    new = valuation.environment_bank(footprint_spec(spans, scalars),
+                                     **bank_args)
+    assert not new.covers(old)
+    ev = BatchedEvaluator()
+    for cand in (probe, *cands):
+        denoted(ev, cand, old)
+    kept = dict(ev._values)
+    assert kept
+    fresh = BatchedEvaluator()
+    for cand in (*cands, probe):
+        assert_same_outcome(denoted(ev, cand, new), denoted(fresh, cand, new))
+    assert not any(ev._values.get(node) is value
+                   for node, value in kept.items())
+
+
+def test_a_node_that_raised_is_evaluated_on_the_covering_bank():
+    old = valuation.environment_bank(footprint_spec([("A", U8, 0, 8)]))
+    new = valuation.environment_bank(footprint_spec([("A", U8, -8, 700)]))
+    assert new.covers(old)
+    inside = E.Load("A", 0, CARRY_LANES, U8)
+    outside = E.Load("A", 600, CARRY_LANES, U8)  # past the old padding
+    cand = E.Add(E.Cast(I32, inside), E.Cast(I32, outside))
+    ev = BatchedEvaluator()
+    calls = count_evaluations(plan_nodes(ev.plan_for(cand).root))
+    assert denoted(ev, cand, old) is None
+    assert_same_outcome(denoted(ev, cand, new),
+                        denoted(BatchedEvaluator(), cand, new))
+    assert calls[id(ev.node_for(inside))] == 1  # carried
+    assert calls[id(ev.node_for(outside))] == 2  # raised, then evaluated
+    assert calls[id(ev.plan_for(cand).root)] == 1

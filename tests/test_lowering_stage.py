@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.errors import SynthesisError
+from repro.errors import SynthesisError, UnsupportedExpressionError
 from repro.hvx import cost as hvx_cost
 from repro.hvx import isa as H
 from repro.ir import builder as B
-from repro.synthesis import grammar
+from repro.synthesis import grammar, lowering, swizzle_synth
 from repro.synthesis.lifting import Lifter
 from repro.synthesis.lowering import Lowerer, LoweringOptions
 from repro.synthesis.oracle import LAYOUT_DEINTERLEAVED, LAYOUT_INORDER, Oracle
@@ -174,3 +174,216 @@ def test_lowerer_annotations_resolve():
     assert hints["_adapt_layout"]["sketch"] is grammar.Sketch
     assert hints["_child"]["return"] == H.HvxExpr | None
     typing.get_type_hints(Lowerer)
+
+
+# -- Algorithm 2's cost bound, checked before the sketch queries --------------
+
+#: pairs on which the bound is checked against the loop it shortens
+BOUND_PAIRS = [("gaussian5x5", "hvx"), ("conv3x3a16", "neon"),
+               ("sobel", "hvx")]
+
+
+def _reference_lower(self, e, layout):
+    """Algorithm 2 with the cost bound last, as it ran before the bound
+    moved ahead of the checks: each sketch gets its lane-0 check, its full
+    check, then ``synthesize_swizzles``, which ranks it itself."""
+    key = (e, layout)
+    if key in self._memo:
+        return self._memo[key]
+    if layout == LAYOUT_DEINTERLEAVED and not self.options.layout_search:
+        self._memo[key] = None
+        return None
+    self._memo[key] = None
+    best, beta, examined = None, self.target.infinite_cost, 0
+    try:
+        sketch_iter = self.target.sketches(e, self._child)
+    except UnsupportedExpressionError:
+        return None
+    stats = self.oracle.stats
+    for sketch in sketch_iter:
+        if examined >= self.options.max_sketches:
+            break
+        examined += 1
+        adapted = self._adapt_layout(sketch, layout)
+        if adapted is None:
+            continue
+        with stats.stage("sketching"):
+            if self.options.lane0_pruning and (
+                    not self.oracle.equivalent_lane0(e, adapted, layout)):
+                continue
+            if not self.oracle.equivalent(e, adapted, layout):
+                continue
+        with stats.stage("swizzling"):
+            result = swizzle_synth.synthesize_swizzles(
+                e, adapted, layout, self.oracle, beta, target=self.target)
+        if result is None:
+            continue
+        best, beta = result
+        if not self.options.backtracking:
+            break
+    self._memo[key] = best
+    return best
+
+
+def _selection(kernel, target, reference=False, options=None):
+    """``(rows, stats, sketches pulled)`` of one cold compile: each row is
+    a selected program's listing and cost key."""
+    from repro.hvx import program_listing
+    from repro.pipeline import compile_pipeline
+    from repro.targets import TargetDescription, get_target
+    from repro.workloads.base import get
+
+    pulled = [0]
+    real_sketches = TargetDescription.sketches
+
+    def counted(self, e, child):
+        sketches = real_sketches(self, e, child)
+
+        def pull():
+            for sketch in sketches:
+                pulled[0] += 1
+                yield sketch
+        return pull()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TargetDescription, "sketches", counted)
+        if reference:
+            mp.setattr(Lowerer, "_lower", _reference_lower)
+        compiled = compile_pipeline(get(kernel).build(), backend="rake",
+                                    target=target, options=options)
+    assert not compiled.degraded
+    cost_of = get_target(target).cost_of
+    rows = [(cs.name, ce.selector, program_listing(ce.program),
+             cost_of(ce.program).key)
+            for cs in compiled.stages for ce in cs.exprs
+            if ce.selector != "trivial"]
+    return rows, compiled.stats, pulled[0]
+
+
+@pytest.mark.parametrize("kernel,target", BOUND_PAIRS)
+def test_bound_selects_what_the_checks_first_loop_selects(kernel, target):
+    rows, stats, pulled = _selection(kernel, target)
+    ref_rows, ref_stats, ref_pulled = _selection(kernel, target,
+                                                 reference=True)
+    assert rows == ref_rows
+    assert pulled == ref_pulled
+    # The bound asks no query the reference does not, and saves some.
+    assert stats.stages["lifting"].queries == \
+        ref_stats.stages["lifting"].queries
+    assert stats.total("queries") < ref_stats.total("queries")
+    assert stats.total("budget_pruned") > 0
+    assert ref_stats.total("budget_pruned") == 0
+
+
+@pytest.mark.parametrize("options", [
+    LoweringOptions(backtracking=False),
+    LoweringOptions(max_sketches=2),
+    LoweringOptions(max_sketches=5),
+    LoweringOptions(lane0_pruning=False),
+])
+def test_bound_keeps_each_lowering_option(options):
+    """``backtracking=False`` never has a finite β to bound by, and a
+    rejected sketch still counts toward ``max_sketches``."""
+    rows, stats, pulled = _selection("gaussian5x5", "hvx", options=options)
+    ref_rows, ref_stats, ref_pulled = _selection(
+        "gaussian5x5", "hvx", reference=True, options=options)
+    assert rows == ref_rows
+    assert pulled == ref_pulled
+    if not options.backtracking:
+        assert stats.total("budget_pruned") == 0
+        assert stats.total("queries") == ref_stats.total("queries")
+
+
+def _ranked_sketches(kernel, target):
+    """Every sketch the bound ranked in one cold compile, as
+    ``(spec, sketch, layout, beta, rejected)``, and every
+    ``(spec, candidate, layout)`` a lane-0 or full check was asked."""
+    from repro.pipeline import compile_pipeline
+    from repro.workloads.base import get
+
+    lowering_stack, ranked, asked = [], [], set()
+    real_lower = Lowerer._lower
+    real_rank = lowering.rank_sketch
+    real_exceeds = swizzle_synth.Ranking.exceeds
+
+    def lower(self, e, layout):
+        lowering_stack.append((e, layout))
+        try:
+            return real_lower(self, e, layout)
+        finally:
+            lowering_stack.pop()
+
+    def rank(sketch, tgt, stats):
+        ranking = real_rank(sketch, tgt, stats)
+        ranked.append([*lowering_stack[-1], sketch, ranking])
+        return ranking
+
+    def exceeds(self, budget):
+        rejected = real_exceeds(self, budget)
+        if ranked and ranked[-1][3] is self and len(ranked[-1]) == 4:
+            ranked[-1] += [budget, rejected]
+        return rejected
+
+    def spy(name):
+        real = getattr(Oracle, name)
+
+        def asking(self, spec, candidate, layout=LAYOUT_INORDER):
+            asked.add((spec, candidate, layout))
+            return real(self, spec, candidate, layout)
+        return asking
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Lowerer, "_lower", lower)
+        mp.setattr(lowering, "rank_sketch", rank)
+        mp.setattr(swizzle_synth.Ranking, "exceeds", exceeds)
+        mp.setattr(Oracle, "equivalent", spy("equivalent"))
+        mp.setattr(Oracle, "equivalent_lane0", spy("equivalent_lane0"))
+        compile_pipeline(get(kernel).build(), backend="rake", target=target)
+    return [(e, sketch, layout, beta, rejected)
+            for e, layout, sketch, _ranking, beta, rejected in ranked], asked
+
+
+class _CountingOracle(Oracle):
+    """An oracle that counts the checks it is asked."""
+
+    asked = 0
+
+    def equivalent(self, spec, candidate, layout=LAYOUT_INORDER):
+        self.asked += 1
+        return super().equivalent(spec, candidate, layout)
+
+    def equivalent_lane0(self, spec, candidate, layout=LAYOUT_INORDER):
+        self.asked += 1
+        return super().equivalent_lane0(spec, candidate, layout)
+
+
+@pytest.mark.parametrize("kernel,target", BOUND_PAIRS)
+def test_bound_rejects_exactly_what_swizzling_cannot_use(kernel, target):
+    """A rejected sketch is asked nothing, and ``synthesize_swizzles`` at
+    the same β would return ``None`` asking nothing and running no nested
+    search; a sketch the bound lets through would make it do either."""
+    from repro.targets import get_target
+
+    ranked, asked = _ranked_sketches(kernel, target)
+    assert sum(rejected for *_rest, rejected in ranked) > 0
+    tgt = get_target(target)
+    oracle = _CountingOracle()
+    nested = [0]
+    real_synthesize = swizzle_synth.synthesize_swizzles
+
+    def counting(*args, **kwargs):
+        nested[0] += 1
+        return real_synthesize(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(swizzle_synth, "synthesize_swizzles", counting)
+        for spec, sketch, layout, beta, rejected in ranked:
+            oracle.asked, nested[0] = 0, 0
+            result = real_synthesize(spec, sketch, layout, oracle, beta,
+                                     target=tgt)
+            if rejected:
+                assert result is None
+                assert oracle.asked == 0 and nested[0] == 0
+                assert (spec, sketch, layout) not in asked
+            else:
+                assert oracle.asked + nested[0] > 0

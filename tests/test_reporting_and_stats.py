@@ -179,7 +179,7 @@ class TestSynthesisStats:
             assert set(metrics) == {
                 "queries", "time_s", "cache_hits", "cache_misses",
                 "counterexamples", "batched_evals", "fallback_evals",
-                "fingerprint_hits", "pruned_grammar_hits",
+                "fingerprint_hits", "pruned_grammar_hits", "budget_pruned",
             }
 
     def test_engine_summary_render(self):

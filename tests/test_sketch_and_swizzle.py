@@ -22,7 +22,14 @@ from repro.synthesis.sketch import (
     is_concrete,
     placeholders_of,
 )
-from repro.synthesis.swizzle_synth import substitute_many, synthesize_swizzles
+from repro.synthesis import swizzle_synth
+from repro.synthesis.swizzle_synth import (
+    Ranking,
+    rank_sketch,
+    set_placeholder_recorder,
+    substitute_many,
+    synthesize_swizzles,
+)
 from repro.targets import get_target
 from repro.types import U16, U8
 
@@ -127,3 +134,79 @@ class TestSwizzleSynthesis:
                                          INFINITE_COST)
         assert isinstance(impl, H.HvxLoad)
         assert impl.aligned
+
+
+class TestRanking:
+    """``rank_sketch`` costs a sketch's combos without asking the oracle,
+    and ``Ranking.exceeds`` is the cost bound Algorithm 2 checks first."""
+
+    @staticmethod
+    def _rank(sketch, target="hvx"):
+        from repro.synthesis.stats import SynthesisStats
+
+        stats = SynthesisStats()
+        with stats.stage("swizzling"):
+            return rank_sketch(sketch, get_target(target), stats), stats
+
+    def test_ranks_without_a_query_and_feeds_the_recorder(self):
+        seen = []
+        set_placeholder_recorder(lambda ph, target: seen.append(ph))
+        try:
+            w = AbstractWindow("in", -3, 8, U8)
+            ranking, stats = self._rank(H.HvxInstr("vadd", (w, w)))
+        finally:
+            set_placeholder_recorder(None)
+        assert seen == [w] and ranking.placeholders == (w,)
+        assert stats.total("queries") == 0
+        assert ranking.combos and all(
+            is_concrete(expr) and cost == cost_of(expr)
+            for expr, cost in ranking.combos)
+
+    def test_a_sketch_without_placeholders_is_its_own_combo(self):
+        load = H.HvxLoad("in", 0, 8, U8)
+        ranking, _stats = self._rank(load)
+        assert ranking.placeholders == ()
+        assert ranking.combos == ((load, cost_of(load)),)
+
+    def test_bound_rejects_at_or_over_the_cheapest_combo(self):
+        ranking, _stats = self._rank(AbstractWindow("in", 0, 8, U8))
+        cheapest = min(cost for _expr, cost in ranking.combos)
+        assert ranking.exceeds(cheapest)  # a combo equal to β cannot win
+        assert not ranking.exceeds(INFINITE_COST)
+        assert Ranking((), 0, ()).exceeds(INFINITE_COST)  # nothing to try
+
+    def test_bound_rejects_what_synthesize_swizzles_answers_unasked(
+            self, oracle):
+        from repro.ir import builder as B
+
+        spec = B.load("in", 0, 8, U8)
+        sketch = AbstractWindow("in", 0, 8, U8)
+        ranking, _stats = self._rank(sketch)
+        cheapest = min(cost for _expr, cost in ranking.combos)
+        assert synthesize_swizzles(spec, sketch, LAYOUT_INORDER, oracle,
+                                   cheapest, ranking=ranking) is None
+        assert oracle.stats.total("cache_misses") == 0
+        assert synthesize_swizzles(spec, sketch, LAYOUT_INORDER, oracle,
+                                   INFINITE_COST, ranking=ranking)
+
+    def test_a_combo_needing_the_nested_search_is_never_bounded(
+            self, oracle, monkeypatch):
+        """A realization that still holds a placeholder is costed only by
+        the nested search, so no budget rejects its sketch."""
+        from repro.ir import builder as B
+
+        outer = AbstractWindow("in", 0, 8, U8)
+        inner = AbstractWindow("in", 1, 8, U8)
+        real = swizzle_synth._ranked_realizations
+        monkeypatch.setattr(
+            swizzle_synth, "_ranked_realizations",
+            lambda ph, target: ([inner], False) if ph == outer
+            else real(ph, target))
+        ranking, _stats = self._rank(outer)
+        assert ranking.combos == ((inner, None),)
+        tiny = Cost(per_resource=(), total=0, loads=0, splats=0)
+        assert not ranking.exceeds(tiny)
+        impl, _cost = synthesize_swizzles(
+            B.load("in", 1, 8, U8), outer, LAYOUT_INORDER, oracle,
+            INFINITE_COST, ranking=ranking)
+        assert is_concrete(impl)

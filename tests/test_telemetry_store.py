@@ -10,6 +10,10 @@ aggregation layer the ``repro perf`` commands sit on.
 
 import json
 import os
+import shutil
+import subprocess
+
+import pytest
 
 from repro.fsutil import decode_record, encode_record
 from repro.telemetry import (
@@ -27,6 +31,7 @@ from repro.telemetry import (
     summarize_groups,
     write_result_json,
 )
+from repro.telemetry import record
 from repro.telemetry.record import SCHEMA_VERSION
 from repro.synthesis.stats import SynthesisStats
 
@@ -186,3 +191,50 @@ class TestResultEnvelope:
         assert loaded["bench"] == "bench_y" and loaded["ok"] is True
         assert not [p for p in os.listdir(out.parent)
                     if p != out.name]  # no tmp litter
+
+
+class TestGitRev:
+    """``git_rev`` names the checkout's commit, marked ``-dirty`` when a
+    tracked file differs from it."""
+
+    @staticmethod
+    def _repo(tmp_path):
+        def git(*args):
+            return subprocess.run(
+                ["git", *args], cwd=tmp_path, check=True,
+                capture_output=True, text=True).stdout.strip()
+
+        git("init", "-q")
+        git("config", "user.email", "rev@example.com")
+        git("config", "user.name", "rev")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "first")
+        return git("rev-parse", "--short", "HEAD")
+
+    @staticmethod
+    def _rev(monkeypatch, directory):
+        monkeypatch.delenv(record.GIT_REV_ENV, raising=False)
+        monkeypatch.setattr(record, "_PACKAGE_DIR", directory)
+        monkeypatch.setattr(record, "_git_rev_cache", None)
+        return record.git_rev()
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_clean_and_dirty_checkouts(self, tmp_path, monkeypatch):
+        sha = self._repo(tmp_path)
+        # An untracked file leaves the checkout clean.
+        (tmp_path / "untracked.txt").write_text("new\n")
+        assert self._rev(monkeypatch, tmp_path) == sha
+        (tmp_path / "tracked.txt").write_text("two\n")
+        assert self._rev(monkeypatch, tmp_path) == f"{sha}-dirty"
+        # The result envelope stamps the same revision.
+        assert result_envelope("bench_z", {})["rev"] == f"{sha}-dirty"
+
+    def test_environment_wins_and_failure_reads_unknown(self, tmp_path,
+                                                        monkeypatch):
+        # No checkout (git may not search above tmp_path), and no directory.
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        assert self._rev(monkeypatch, tmp_path) == "unknown"
+        assert self._rev(monkeypatch, tmp_path / "absent") == "unknown"
+        monkeypatch.setenv(record.GIT_REV_ENV, "9764468-dirty")
+        assert record.git_rev() == "9764468-dirty"
