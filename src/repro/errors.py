@@ -31,6 +31,17 @@ class UnsupportedExpressionError(SynthesisError):
     """The optimizer does not handle this expression shape."""
 
 
+class RealizationError(ReproError):
+    """A target's swizzle grammar broke its contract: a realization
+    embeds a placeholder that its sketch does not hold, so a
+    concretization still holds one.
+
+    Not a :class:`SynthesisError`: the search did not fail to find an
+    implementation, the grammar is wrong, so the pipeline degrades the
+    expression to the verified baseline and logs it.
+    """
+
+
 class PatternError(ReproError):
     """A baseline rewrite pattern was malformed or misapplied."""
 

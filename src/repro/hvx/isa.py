@@ -15,6 +15,9 @@ HVX *programs* are expression trees over three node kinds:
 * :class:`HvxSplat` — broadcast of a scalar IR expression into all lanes,
 * :class:`HvxInstr` — an instruction application with child expressions and
   integer immediates.
+
+An instruction checks its type and computes whether it is ``concrete``
+(free of abstract placeholders) once, at construction, from its args'.
 """
 
 from __future__ import annotations
@@ -143,9 +146,17 @@ def all_instructions() -> dict[str, Instruction]:
 
 
 class HvxExpr:
-    """Base class for HVX program expression nodes."""
+    """Base class for HVX program expression nodes.
+
+    ``concrete`` holds when no abstract placeholder
+    (:mod:`repro.synthesis.sketch`) sits at or below the node: loads and
+    splats are concrete, placeholders are not, and an instruction is
+    concrete when all its args are.
+    """
 
     __slots__ = ()
+
+    concrete = True
 
     @property
     def type(self) -> HvxType:  # pragma: no cover - abstract
@@ -237,6 +248,8 @@ class HvxInstr(HvxExpr):
         object.__setattr__(self, "_type", instr.type_fn(
             tuple(a.type for a in self.args), tuple(self.imms)
         ))
+        object.__setattr__(self, "concrete",
+                           all(a.concrete for a in self.args))
 
     @property
     def type(self) -> HvxType:

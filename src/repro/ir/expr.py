@@ -3,6 +3,9 @@
 This is the target-independent IR that the frontend lowers algorithms into
 and that both instruction selectors consume (Figure 3 of the paper shows an
 example).  Expressions are immutable trees; every node knows its type.
+A node computes its type from its children's on the first read and keeps
+it (:class:`~repro.types.kept_property`), so building a node that checks
+its operands' types costs O(1) however deep they are.
 
 Scalar expressions (``Const``, ``ScalarVar`` and arithmetic over them) type
 as :class:`~repro.types.ScalarType`; vector expressions type as
@@ -27,6 +30,7 @@ from ..types import (
     ScalarType,
     VectorType,
     cache_expr_hash,
+    kept_property,
     require_same_type,
 )
 
@@ -181,7 +185,7 @@ class Load(Expr):
         if self.stride < 1:
             raise TypeMismatchError(f"load stride must be >= 1: {self.stride}")
 
-    @property
+    @kept_property
     def type(self) -> Type:
         if self.lanes == 1:
             return self.elem
@@ -205,7 +209,7 @@ class Broadcast(Expr):
         if isinstance(self.value.type, VectorType):
             raise TypeMismatchError("broadcast operand must be scalar")
 
-    @property
+    @kept_property
     def type(self) -> VectorType:
         return VectorType(self.value.type, self.lanes)
 
@@ -232,7 +236,7 @@ class _Binary(Expr):
     def __post_init__(self) -> None:
         require_same_type(self.a.type, self.b.type, type(self).__name__)
 
-    @property
+    @kept_property
     def type(self) -> Type:
         return self.a.type
 
@@ -304,7 +308,7 @@ class Absd(Expr):
     def __post_init__(self) -> None:
         require_same_type(self.a.type, self.b.type, "Absd")
 
-    @property
+    @kept_property
     def type(self) -> Type:
         t = self.a.type
         unsigned = ScalarType(elem_of(t).bits, False)
@@ -333,7 +337,7 @@ class Cast(Expr):
     target: ScalarType
     value: Expr
 
-    @property
+    @kept_property
     def type(self) -> Type:
         t = self.value.type
         if isinstance(t, VectorType):
@@ -357,7 +361,7 @@ class SaturatingCast(Expr):
     target: ScalarType
     value: Expr
 
-    @property
+    @kept_property
     def type(self) -> Type:
         t = self.value.type
         if isinstance(t, VectorType):
@@ -386,7 +390,7 @@ class _Compare(Expr):
     def __post_init__(self) -> None:
         require_same_type(self.a.type, self.b.type, type(self).__name__)
 
-    @property
+    @kept_property
     def type(self) -> Type:
         t = self.a.type
         if isinstance(t, VectorType):
@@ -442,7 +446,7 @@ class Select(Expr):
         if lanes_of(self.cond.type) != lanes_of(self.t.type):
             raise TypeMismatchError("Select condition lane count mismatch")
 
-    @property
+    @kept_property
     def type(self) -> Type:
         return self.t.type
 

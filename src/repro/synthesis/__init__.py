@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from ..ir import expr as ir_expr
 from ..targets import nodes as N, resolve_target
 from .engine import OracleCache
-from .lifting import Lifter, LiftStep, lift
+from .lifting import Lifter, LiftStep, lift, render_steps
 from .lowering import Lowerer, LoweringOptions
 from .oracle import LAYOUT_DEINTERLEAVED, LAYOUT_INORDER, Oracle, denote
 from .stats import SynthesisStats
@@ -32,7 +32,13 @@ class SelectionResult:
     source: ir_expr.Expr
     lifted: object  # UberExpr
     program: N.HvxExpr
-    trace: list  # LiftSteps, for Figure 9-style reporting
+    #: the lifter's ``(rule, IR node, lifted node)`` steps
+    steps: list = field(repr=False)
+
+    @property
+    def trace(self) -> list:
+        """LiftSteps for Figure 9-style reporting, rendered when read."""
+        return render_steps(self.steps)
 
 
 @dataclass
@@ -87,7 +93,7 @@ class RakeSelector:
             self.stats.expressions += 1
             return SelectionResult(
                 source=expr, lifted=lifted, program=program,
-                trace=lifter.trace,
+                steps=lifter.steps,
             )
         raise SynthesisError("max_lift_retries allows no attempt")
 

@@ -39,14 +39,30 @@ class LiftStep:
     result: str  # Uber IR rendering
 
 
+def render_steps(steps) -> list[LiftStep]:
+    """The :class:`LiftStep` of each ``(rule, IR node, lifted node)``."""
+    return [LiftStep(rule, ir_printer.to_string(source),
+                     uber_printer.to_string(result))
+            for rule, source, result in steps]
+
+
 @dataclass
 class Lifter:
-    """Runs Algorithm 1 over one IR expression."""
+    """Runs Algorithm 1 over one IR expression.
+
+    Each successful step is recorded as ``(rule, IR node, lifted node)``
+    and rendered only when :attr:`trace` is read.
+    """
 
     oracle: Oracle
     max_narrow_descendants: int = 24
     _cache: dict = field(default_factory=dict)
-    trace: list = field(default_factory=list)
+    steps: list = field(default_factory=list, repr=False)
+
+    @property
+    def trace(self) -> list[LiftStep]:
+        """The Figure 9 trace of every step so far, rendered now."""
+        return render_steps(self.steps)
 
     # -- public API --------------------------------------------------------
 
@@ -67,7 +83,7 @@ class Lifter:
                        banned=len(banned))
             lifted = self._lift(expr, banned)
             if sp:
-                sp.set(steps=len(self.trace), lifted=lifted is not None)
+                sp.set(steps=len(self.steps), lifted=lifted is not None)
         if lifted is None:
             raise UnsupportedExpressionError(
                 f"cannot lift: {ir_printer.to_string(expr)}"
@@ -107,11 +123,7 @@ class Lifter:
                     sp.set(rule=rule_used)
                 if rule_used == "leaf":
                     rule_used = "extend"
-                self.trace.append(LiftStep(
-                    rule=rule_used,
-                    source=ir_printer.to_string(e),
-                    result=uber_printer.to_string(lifted),
-                ))
+                self.steps.append((rule_used, e, lifted))
         self._cache[e] = lifted
         return lifted
 

@@ -143,6 +143,9 @@ class Oracle:
     #: footprint (``valuation.footprint``) -> its bank
     #: (``valuation.environment_bank``): specs with equal footprints share it
     _bank_cache: dict = _memo()
+    #: node -> its footprint, for every spec this oracle banked and every
+    #: node under one, so a new spec's footprint merges its children's
+    _footprint_cache: dict = _memo()
     #: spec -> its footprint's ``_bank_cache`` entry
     _spec_bank_cache: dict = _memo()
     #: node -> rendering template (``engine._template``) for every spec and
@@ -157,12 +160,13 @@ class Oracle:
         """The bank of the spec's footprint, built once per footprint."""
         bank = self._spec_bank_cache.get(spec)
         if bank is None:
-            footprint = valuation.footprint(spec)
+            memo = self._footprint_cache
+            footprint = valuation.footprint(spec, memo)
             bank = self._bank_cache.get(footprint)
             if bank is None:
                 bank = valuation.environment_bank(
                     spec, n_random_extra=self.extra_random_rounds,
-                    seed=self.seed
+                    seed=self.seed, memo=memo
                 )
                 self._bank_cache[footprint] = bank
             self._spec_bank_cache[spec] = bank

@@ -25,8 +25,8 @@ drawn from the active target's swizzle grammar
 placeholders themselves are target neutral.
 
 Placeholders subclass the shared machine-expression base
-(:class:`repro.targets.nodes.HvxExpr`) and plug into the machine
-interpreter through the ``evaluate_sketch`` hook.
+(:class:`repro.targets.nodes.HvxExpr`), are never ``concrete``, and plug
+into the machine interpreter through the ``evaluate_sketch`` hook.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ SWIZZLE_DEINTERLEAVE = "deinterleave"
 class AbstractWindow(N.HvxExpr):
     """``??load``: lane ``i`` holds ``buffer[offset + i * stride]``."""
 
+    concrete = False
+
     buffer: str
     offset: int
     lanes: int
@@ -68,6 +70,8 @@ class AbstractWindow(N.HvxExpr):
 class AbstractPairWindow(N.HvxExpr):
     """``??load [vec-pair? #t]``: a contiguous window of ``lanes`` elements
     returned as a pair (lanes = 2 x vector lanes)."""
+
+    concrete = False
 
     buffer: str
     offset: int
@@ -92,6 +96,8 @@ class AbstractRows(N.HvxExpr):
     stencil, ``hi`` another.
     """
 
+    concrete = False
+
     buffer0: str
     offset0: int
     buffer1: str
@@ -114,6 +120,8 @@ class AbstractRows(N.HvxExpr):
 @dataclass(frozen=True)
 class AbstractSwizzle(N.HvxExpr):
     """``??swizzle``: a deferred re-layout of a computed pair."""
+
+    concrete = False
 
     value: N.HvxExpr
     mode: str  # one of the SWIZZLE_* constants
@@ -153,11 +161,14 @@ _PLACEHOLDER_KINDS = (AbstractWindow, AbstractPairWindow, AbstractRows,
 
 def placeholders_of(expr: N.HvxExpr) -> list[N.HvxExpr]:
     """All abstract placeholders in a sketch, outermost first (the
-    pre-order of ``iter(expr)``, walked without its generator)."""
+    pre-order of ``iter(expr)``, with repeats), walked without its
+    generator and without entering a concrete subtree."""
     out = []
     stack = [expr]
     while stack:
         node = stack.pop()
+        if node.concrete:
+            continue
         if isinstance(node, _PLACEHOLDER_KINDS):
             out.append(node)
         stack.extend(reversed(node.children))
@@ -166,7 +177,7 @@ def placeholders_of(expr: N.HvxExpr) -> list[N.HvxExpr]:
 
 def is_concrete(expr: N.HvxExpr) -> bool:
     """True when the expression contains no abstract placeholders."""
-    return not placeholders_of(expr)
+    return expr.concrete
 
 
 def placeholder_summary(expr: N.HvxExpr) -> dict[str, int]:

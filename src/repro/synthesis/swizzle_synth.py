@@ -13,7 +13,9 @@ The search has two parts.  :func:`rank_sketch` substitutes and costs a
 sketch's first :data:`MAX_COMBOS` combos without asking the oracle, so
 Algorithm 2 can reject a sketch that cannot beat β before verifying it
 (:meth:`Ranking.exceeds`); :func:`synthesize_swizzles` verifies the
-ranking's under-β prefix, cheapest first.
+ranking's under-β prefix, cheapest first.  Every combo is concrete once
+substituted, so there is no nested search: a realization embeds only
+placeholders its sketch already holds (see ``docs/targets.md``).
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import operator
 from dataclasses import dataclass
 from itertools import islice, product
 
+from ..errors import RealizationError
 from ..targets import TargetDescription, nodes as N, pruning, resolve_target
 from .oracle import Oracle
-from .sketch import is_concrete, placeholder_summary, placeholders_of
+from .sketch import placeholder_summary, placeholders_of
 
 #: cap on realization combinations tried per sketch
 MAX_COMBOS = 64
@@ -34,12 +37,16 @@ def substitute_many(expr: N.HvxExpr, mapping: dict,
                     _classes: tuple = None) -> N.HvxExpr:
     """Replace every occurrence of any ``mapping`` key in one tree walk.
 
-    Replacements are not re-scanned within the same walk; callers iterate
-    to a fixpoint when a replacement may itself contain a mapped
-    placeholder (a swizzle realization wrapping its window).  Only nodes
-    whose class appears among the keys are looked up, so concrete subtrees
-    are skipped without hashing them.
+    The keys are placeholders.  The walk returns a concrete subtree as it
+    is without entering it (no placeholder sits in it), so it visits only
+    the placeholders and their ancestors, and among those looks up only
+    the nodes whose class appears among the keys.  Replacements are not
+    re-scanned within the same walk; callers iterate to a fixpoint when a
+    replacement may itself contain a mapped placeholder (a swizzle
+    realization wrapping its value).
     """
+    if expr.concrete:
+        return expr
     if _classes is None:
         _classes = tuple({type(k) for k in mapping})
     if isinstance(expr, _classes):
@@ -106,10 +113,9 @@ class Ranking:
 
     ``combos`` holds the first :data:`MAX_COMBOS` realization combos in
     product order, each as ``(expr, cost)``: the sketch with the combo
-    substituted, and its cost, or ``None`` when ``expr`` still holds
-    placeholders (a swizzle wrapping a window) that only the nested search
-    resolves.  ``pruned`` counts the placeholders a precomputed pruned
-    grammar trimmed.  A sketch without placeholders is its own one combo.
+    substituted, which is concrete, and its cost.  ``pruned`` counts the
+    placeholders a precomputed pruned grammar trimmed.  A sketch without
+    placeholders is its own one combo.
     """
 
     placeholders: tuple
@@ -117,12 +123,11 @@ class Ranking:
     combos: tuple
 
     def exceeds(self, budget) -> bool:
-        """No concretization can cost less than ``budget``: every combo is
-        concrete and costs at least ``budget``, or there are none.  For
-        such a ranking :func:`synthesize_swizzles` returns ``None`` without
-        asking the oracle anything."""
-        return all(cost is not None and cost.key >= budget.key
-                   for _expr, cost in self.combos)
+        """No concretization can cost less than ``budget``: every combo
+        costs at least ``budget``, or there are none.  For such a ranking
+        :func:`synthesize_swizzles` returns ``None`` without asking the
+        oracle anything."""
+        return all(cost.key >= budget.key for _expr, cost in self.combos)
 
 
 def rank_sketch(sketch_expr: N.HvxExpr, target: TargetDescription,
@@ -132,6 +137,11 @@ def rank_sketch(sketch_expr: N.HvxExpr, target: TargetDescription,
     Each distinct placeholder's ranked realizations feed the prune-grammar
     recorder and count one ``pruned_grammar_hits`` in ``stats`` when a
     pruned grammar trimmed them.
+
+    A realization may embed only placeholders the sketch holds (a
+    swizzle's realization embeds its value), so every substituted combo
+    is concrete; one that is not means the target's swizzle grammar broke
+    that contract, and raises :class:`~repro.errors.RealizationError`.
     """
     placeholders = []
     for ph in placeholders_of(sketch_expr):
@@ -155,20 +165,25 @@ def rank_sketch(sketch_expr: N.HvxExpr, target: TargetDescription,
     # sketches) only to drop all but the first 64.
     for combo in islice(product(*option_lists), MAX_COMBOS):
         mapping = dict(zip(placeholders, combo))
-        # A swizzle's realization embeds its (placeholder) value; resolving
-        # the mapping against itself first — realizations are small trees —
-        # lets a single walk over the sketch substitute everything.
-        for _ in range(len(placeholders)):
-            resolved = {
-                ph: substitute_many(impl, mapping)
-                for ph, impl in mapping.items()
-            }
-            if resolved == mapping:
-                break
-            mapping = resolved
+        if not all(impl.concrete for impl in combo):
+            # A swizzle's realization embeds its value's placeholders;
+            # resolving the mapping against itself first — realizations
+            # are small trees — lets a single walk over the sketch
+            # substitute everything.
+            for _ in range(len(placeholders)):
+                resolved = {
+                    ph: substitute_many(impl, mapping)
+                    for ph, impl in mapping.items()
+                }
+                if resolved == mapping:
+                    break
+                mapping = resolved
         expr = substitute_many(sketch_expr, mapping)
-        combos.append((expr, target.cost_of(expr) if is_concrete(expr)
-                       else None))
+        if not expr.concrete:
+            raise RealizationError(
+                f"a {target.name} realization left placeholders "
+                f"{placeholder_summary(expr)} in a concretization")
+        combos.append((expr, target.cost_of(expr)))
     return Ranking(tuple(placeholders), pruned_hits, tuple(combos))
 
 
@@ -205,33 +220,19 @@ def synthesize_swizzles(
     with oracle.tracer.span("swizzle") as sp:
         if sp:
             sp.set(placeholders=placeholder_summary(sketch_expr))
-        result = _verify(spec, ranking, layout, oracle, budget, sp, target)
+        result = _verify(spec, ranking, layout, oracle, budget, sp)
         if sp:
             sp.set(found=result is not None)
         return result
 
 
-def _verify(spec, ranking, layout, oracle, budget, sp, target):
+def _verify(spec, ranking, layout, oracle, budget, sp):
     """Verify the under-budget prefix of ``ranking``, cheapest first."""
     if sp and ranking.pruned:
         sp.set(pruned_placeholders=ranking.pruned)
-    scored = []
-    for expr, impl_cost in ranking.combos:
-        if oracle.cancel is not None:
-            oracle.cancel.check()
-        if impl_cost is None:
-            # Nested placeholders: resolve the remaining ones recursively
-            # with the same budget.
-            nested = synthesize_swizzles(spec, expr, layout, oracle, budget,
-                                         target=target)
-            if nested is not None:
-                scored.append(nested)
-            continue
-        scored.append((expr, impl_cost))
-
-    scored.sort(key=lambda item: item[1].key)
+    scored = sorted(ranking.combos, key=lambda item: item[1].key)
     if sp:
-        sp.set(combos=len(ranking.combos), scored=len(scored))
+        sp.set(combos=len(scored))
 
     # The under-budget prefix of the cost-ranked candidates; reaching an
     # over-budget entry is Algorithm 2's "cannot be implemented within

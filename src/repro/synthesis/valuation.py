@@ -41,7 +41,6 @@ import numpy as np
 
 from ..eval.plan import BankData, wrap_array
 from ..ir import expr as ir_expr
-from ..ir import traversal
 from ..ir.interp import BufferView, Environment
 from ..types import ScalarType
 from ..uber import instructions as U
@@ -63,67 +62,15 @@ class BufferSpec:
     hi: int  # exclusive
 
 
-def buffer_specs_of(spec: ir_expr.Expr) -> list[BufferSpec]:
-    """Buffer shapes read by an IR expression."""
-    out: dict[str, BufferSpec] = {}
-    for ld in traversal.loads_of(spec):
-        cur = out.get(ld.buffer)
-        lo, hi = ld.offset, ld.offset + ld.extent
-        if cur is None:
-            out[ld.buffer] = BufferSpec(ld.buffer, ld.elem, lo, hi)
-        else:
-            out[ld.buffer] = BufferSpec(
-                ld.buffer, cur.elem, min(cur.lo, lo), max(cur.hi, hi)
-            )
-    return sorted(out.values(), key=lambda b: b.name)
-
-
-def uber_buffer_specs(spec) -> list[BufferSpec]:
-    """Buffer shapes read by an uber expression.
-
-    Includes scalar loads hidden inside broadcast operands (a reduction's
-    loop-invariant factor, e.g. ``x64(i32(A[k]))``).
-    """
-    out: dict[str, BufferSpec] = {}
-
-    def add(buffer: str, elem: ScalarType, lo: int, hi: int) -> None:
-        cur = out.get(buffer)
-        if cur is None:
-            out[buffer] = BufferSpec(buffer, elem, lo, hi)
-        else:
-            out[buffer] = BufferSpec(
-                buffer, cur.elem, min(cur.lo, lo), max(cur.hi, hi)
-            )
-
-    for node in spec:
-        if isinstance(node, U.LoadData):
-            add(node.buffer, node.elem, node.offset, node.offset + node.extent)
-        elif isinstance(node, U.BroadcastScalar):
-            for sub in node.scalar:
-                if isinstance(sub, ir_expr.Load):
-                    add(sub.buffer, sub.elem, sub.offset,
-                        sub.offset + sub.extent)
-    return sorted(out.values(), key=lambda b: b.name)
+def buffer_specs_of(spec) -> list[BufferSpec]:
+    """Buffer shapes read by an IR or uber expression, by name."""
+    return list(footprint(spec)[0])
 
 
 def scalar_names_of(spec) -> list[tuple[str, ScalarType]]:
-    """Free scalar variables of an IR or uber expression (incl. broadcasts)."""
-    seen: dict[str, ScalarType] = {}
-    for node in spec:
-        scalar = None
-        if isinstance(node, ir_expr.ScalarVar):
-            scalar = node
-        elif isinstance(node, (U.BroadcastScalar,)) or (
-            hasattr(node, "scalar") and isinstance(
-                getattr(node, "scalar", None), ir_expr.Expr)
-        ):
-            for sub in getattr(node, "scalar"):
-                if isinstance(sub, ir_expr.ScalarVar):
-                    seen.setdefault(sub.name, sub.dtype)
-            continue
-        if scalar is not None:
-            seen.setdefault(scalar.name, scalar.dtype)
-    return sorted(seen.items())
+    """Free scalar variables of an IR or uber expression (incl. broadcasts),
+    by name."""
+    return list(footprint(spec)[1])
 
 
 #: bank order: the ramp goes first because it catches swizzle errors fastest
@@ -265,17 +212,81 @@ def make_environment(
     return Environment(buffers=views, scalars=scalar_vals)
 
 
-def footprint(spec) -> tuple:
-    """``(buffers, scalars)`` of an IR or uber expression, as tuples.
+#: the footprint of a node that reads nothing
+_NO_READS = ((), ())
+
+
+def _footprint_parts(node) -> tuple:
+    """``(own footprint, sub-expressions)`` of one IR or uber node.
+
+    Loads read their window, scalar variables bind themselves, and a
+    broadcast's scalar IR expression is a sub-expression, so the scalar
+    loads and variables inside it count.
+    """
+    if isinstance(node, (ir_expr.Load, U.LoadData)):
+        return ((BufferSpec(node.buffer, node.elem, node.offset,
+                            node.offset + node.extent),), ()), ()
+    if isinstance(node, ir_expr.ScalarVar):
+        return ((), ((node.name, node.dtype),)), ()
+    if isinstance(node, U.BroadcastScalar):
+        return _NO_READS, (node.scalar,)
+    return _NO_READS, node.children
+
+
+def _merge(parts: list) -> tuple:
+    """One footprint of ``parts``, given in pre-order: a buffer's span is
+    the min/max of its spans, and the first element type of a buffer and
+    dtype of a scalar win."""
+    parts = [part for part in parts if part is not _NO_READS]
+    if not parts:
+        return _NO_READS
+    if len(parts) == 1:
+        return parts[0]
+    buffers: dict = {}
+    scalars: dict = {}
+    for part_buffers, part_scalars in parts:
+        for buf in part_buffers:
+            cur = buffers.get(buf.name)
+            if cur is None:
+                buffers[buf.name] = buf
+            elif buf.lo < cur.lo or buf.hi > cur.hi:
+                buffers[buf.name] = BufferSpec(
+                    buf.name, cur.elem, min(cur.lo, buf.lo),
+                    max(cur.hi, buf.hi))
+        for name, dtype in part_scalars:
+            scalars.setdefault(name, dtype)
+    return (tuple(sorted(buffers.values(), key=lambda b: b.name)),
+            tuple(sorted(scalars.items())))
+
+
+def footprint(spec, memo: dict | None = None) -> tuple:
+    """``(buffers, scalars)`` of an IR or uber expression, as tuples sorted
+    by name.
 
     A bank is a pure function of footprint, seed and round count, so specs
-    with equal footprints share one bank.
+    with equal footprints share one bank.  Each node's footprint is merged
+    from its own reads and its sub-expressions' footprints, in pre-order
+    (:func:`_merge`).  ``memo`` maps nodes to their footprints: a node
+    found there is not walked again, and every node the walk meets is
+    added, so an oracle that keeps one memo for its lifetime merges each
+    new spec's footprint from its children's.
     """
-    if isinstance(spec, ir_expr.Expr):
-        buffers = buffer_specs_of(spec)
-    else:
-        buffers = uber_buffer_specs(spec)
-    return tuple(buffers), tuple(scalar_names_of(spec))
+    if memo is None:
+        memo = {}
+    stack = [spec]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        own, subs = _footprint_parts(node)
+        missing = [sub for sub in subs if sub not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        memo[node] = _merge([own, *[memo[sub] for sub in subs]])
+    return memo[spec]
 
 
 def bank_rounds(n_random_extra: int, seed: int) -> list:
@@ -285,7 +296,8 @@ def bank_rounds(n_random_extra: int, seed: int) -> list:
     return rounds
 
 
-def environment_bank(spec, n_random_extra: int = 2, seed: int = 0) -> BankData:
+def environment_bank(spec, n_random_extra: int = 2, seed: int = 0,
+                     memo: dict | None = None) -> BankData:
     """The standard valuation bank for a specification expression.
 
     Works for both IR and uber expressions.  Each buffer's windows, one
@@ -296,9 +308,10 @@ def environment_bank(spec, n_random_extra: int = 2, seed: int = 0) -> BankData:
     :func:`make_environment` binds for the ``i``-th ``(style, seed)`` of
     :func:`bank_rounds`, and the bank's environments are those
     ``make_environment`` calls, made the first time ``BankData.envs`` is
-    read.
+    read.  ``memo`` is a :func:`footprint` memo; when it holds ``spec``,
+    as the oracle's does, the bank does not walk ``spec`` again.
     """
-    buffers, scalars = footprint(spec)
+    buffers, scalars = footprint(spec, memo)
     rounds = bank_rounds(n_random_extra, seed)
     matrices = {}
     for buf in buffers:

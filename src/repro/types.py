@@ -157,6 +157,30 @@ def require_same_type(a, b, context: str = "") -> None:
         raise TypeMismatchError(f"type mismatch{where}: {a} vs {b}")
 
 
+class kept_property:
+    """A read-only property of an immutable node, computed on its first
+    read and kept in the node's ``__dict__``.
+
+    A non-data descriptor: once the value is kept, the instance attribute
+    shadows the descriptor, so later reads cost a dict lookup.  Unlike
+    ``functools.cached_property`` before Python 3.12, it takes no lock, so
+    threads reading properties of nodes that refer to each other cannot
+    deadlock; two threads that race compute the same value.  The kept
+    value is no dataclass field, so equality, hash and repr ignore it.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 def cache_expr_hash(cls):
     """Class decorator: memoize the dataclass-generated ``__hash__``.
 

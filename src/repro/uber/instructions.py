@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import TypeMismatchError
-from ..types import ScalarType, VectorType, cache_expr_hash
+from ..types import ScalarType, VectorType, cache_expr_hash, kept_property
 from ..ir import expr as ir_expr
 
 
@@ -78,7 +78,7 @@ class LoadData(UberExpr):
     elem: ScalarType
     stride: int = 1
 
-    @property
+    @kept_property
     def type(self) -> VectorType:
         return VectorType(self.elem, self.lanes)
 
@@ -96,7 +96,7 @@ class BroadcastScalar(UberExpr):
     elem: ScalarType
     lanes: int
 
-    @property
+    @kept_property
     def type(self) -> VectorType:
         return VectorType(self.elem, self.lanes)
 
@@ -113,7 +113,7 @@ class Widen(UberExpr):
         if self.out_elem.bits < self.value.type.elem.bits:
             raise TypeMismatchError("widen cannot shrink the element type")
 
-    @property
+    @kept_property
     def type(self) -> VectorType:
         return VectorType(self.out_elem, self.value.type.lanes)
 
@@ -154,7 +154,7 @@ class VsMpyAdd(UberExpr):
             if r.type.lanes != lanes:
                 raise TypeMismatchError("vs-mpy-add operands must share lanes")
 
-    @property
+    @kept_property
     def type(self) -> VectorType:
         return VectorType(self.out_elem, self.reads[0].type.lanes)
 
@@ -192,7 +192,7 @@ class VvMpyAdd(UberExpr):
         if self.acc is not None and self.acc.type.lanes != lanes:
             raise TypeMismatchError("vv-mpy-add accumulator lane mismatch")
 
-    @property
+    @kept_property
     def type(self) -> VectorType:
         return VectorType(self.out_elem, self.pairs[0][0].type.lanes)
 
@@ -235,7 +235,7 @@ class Narrow(UberExpr):
         if self.shift < 0 or self.shift >= self.value.type.elem.bits:
             raise TypeMismatchError(f"narrow shift {self.shift} out of range")
 
-    @property
+    @kept_property
     def type(self) -> VectorType:
         return VectorType(self.out_elem, self.value.type.lanes)
 
@@ -261,7 +261,7 @@ class AbsDiff(UberExpr):
         if self.a.type != self.b.type:
             raise TypeMismatchError("abs-diff operands must match")
 
-    @property
+    @kept_property
     def type(self) -> VectorType:
         t = self.a.type
         return VectorType(ScalarType(t.elem.bits, False), t.lanes)
@@ -285,7 +285,7 @@ class _UberBinary(UberExpr):
         if self.a.type != self.b.type:
             raise TypeMismatchError(f"{type(self).__name__} operands must match")
 
-    @property
+    @kept_property
     def type(self) -> VectorType:
         return self.a.type
 
@@ -331,7 +331,7 @@ class ShiftRight(UberExpr):
         if self.shift < 0 or self.shift >= self.value.type.elem.bits:
             raise TypeMismatchError(f"shift {self.shift} out of range")
 
-    @property
+    @kept_property
     def type(self) -> VectorType:
         return self.value.type
 
@@ -365,7 +365,7 @@ class Mux(UberExpr):
         if self.t.type.lanes != self.a.type.lanes:
             raise TypeMismatchError("mux lane count mismatch")
 
-    @property
+    @kept_property
     def type(self) -> VectorType:
         return self.t.type
 

@@ -5,10 +5,10 @@ semantics exactly."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, RealizationError, SynthesisError
 from repro.hvx import interp as hvx_interp
 from repro.hvx import isa as H
-from repro.hvx.cost import INFINITE_COST, Cost, cost_of
+from repro.hvx.cost import INFINITE_COST, cost_of
 from repro.ir.interp import BufferView, Environment
 from repro.synthesis.oracle import LAYOUT_INORDER, Oracle
 from repro.synthesis.sketch import (
@@ -189,12 +189,11 @@ class TestRanking:
         assert synthesize_swizzles(spec, sketch, LAYOUT_INORDER, oracle,
                                    INFINITE_COST, ranking=ranking)
 
-    def test_a_combo_needing_the_nested_search_is_never_bounded(
-            self, oracle, monkeypatch):
-        """A realization that still holds a placeholder is costed only by
-        the nested search, so no budget rejects its sketch."""
-        from repro.ir import builder as B
-
+    def test_a_realization_holding_a_foreign_placeholder_raises(
+            self, monkeypatch):
+        """A realization may embed only placeholders its sketch holds;
+        one that embeds another breaks the grammar's contract, which is
+        a bug, not "no implementation"."""
         outer = AbstractWindow("in", 0, 8, U8)
         inner = AbstractWindow("in", 1, 8, U8)
         real = swizzle_synth._ranked_realizations
@@ -202,11 +201,27 @@ class TestRanking:
             swizzle_synth, "_ranked_realizations",
             lambda ph, target: ([inner], False) if ph == outer
             else real(ph, target))
-        ranking, _stats = self._rank(outer)
-        assert ranking.combos == ((inner, None),)
-        tiny = Cost(per_resource=(), total=0, loads=0, splats=0)
-        assert not ranking.exceeds(tiny)
-        impl, _cost = synthesize_swizzles(
-            B.load("in", 1, 8, U8), outer, LAYOUT_INORDER, oracle,
-            INFINITE_COST, ranking=ranking)
-        assert is_concrete(impl)
+        with pytest.raises(RealizationError) as info:
+            self._rank(outer)
+        assert not isinstance(info.value, SynthesisError)
+
+    def test_a_broken_grammar_degrades_the_expression(self, monkeypatch):
+        """The pipeline's crash handling substitutes the verified baseline
+        for the expression and marks the compile degraded."""
+        from repro.pipeline import compile_pipeline
+        from repro.workloads.base import get
+
+        real = swizzle_synth._ranked_realizations
+
+        def foreign(ph, target):
+            options, pruned = real(ph, target)
+            if isinstance(ph, AbstractWindow):
+                return [AbstractWindow(ph.buffer, ph.offset + 1, ph.lanes,
+                                       ph.elem, ph.stride)], pruned
+            return options, pruned
+
+        monkeypatch.setattr(swizzle_synth, "_ranked_realizations", foreign)
+        compiled = compile_pipeline(get("mul").build(), backend="rake")
+        assert compiled.degraded
+        assert all(ce.selector != "rake" for cs in compiled.stages
+                   for ce in cs.exprs)
