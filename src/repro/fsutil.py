@@ -82,7 +82,10 @@ def encode_record(rec: dict) -> str:
 
 #: the head :func:`encode_record` writes: ``{"crc":N,`` with N an integer
 #: in JSON's own form and at most ten digits, as every CRC-32 is
-_CRC_FIRST = re.compile(r'\{"crc":(0|[1-9][0-9]{0,9}),')
+_CRC_HEAD = r'\{"crc":(0|[1-9][0-9]{0,9}),'
+_CRC_FIRST = re.compile(_CRC_HEAD)
+_CRC_FIRST_BYTES = re.compile(_CRC_HEAD.encode())
+_BRACE_CRC = zlib.crc32(b"{")
 
 #: ``raw_decode`` reports where the body's object ends
 _JSON = json.JSONDecoder()
@@ -130,6 +133,16 @@ def decode_record(line: str):
         if crc != zlib.crc32(body.encode()):
             return None
     return rec
+
+
+def _crc_checks(raw: bytes) -> bool:
+    """Whether ``raw`` is a line in :func:`encode_record`'s layout whose
+    CRC checks, by the test :func:`decode_record` makes first; nothing is
+    parsed or copied."""
+    head = _CRC_FIRST_BYTES.match(raw)
+    return (head is not None and raw.isascii()
+            and zlib.crc32(memoryview(raw)[head.end():], _BRACE_CRC)
+            == int(head[1]))
 
 
 def _utf8(line: str) -> bool:
@@ -194,7 +207,7 @@ class AppendLog:
         if owner is not None:
             weakref.finalize(owner, self.flush)
 
-    def load(self, accept, repair: bool = True) -> bool:
+    def load(self, accept, repair: bool = True, defer=None) -> bool:
         """Feed each record in the file to ``accept``; whether it was read.
 
         A line that is not UTF-8, is torn, fails its CRC, or that
@@ -202,8 +215,15 @@ class AppendLog:
         did and ``repair`` is set, the file moves aside to
         ``<name>.quarantine`` and the accepted records are rewritten
         atomically, so a bad line is scrubbed once instead of re-skipped
-        forever.  A missing file is an empty log; an unreadable one counts
-        in ``load_errors``.
+        forever: lines in :func:`encode_record`'s layout byte for byte,
+        older ones re-encoded.  A missing file is an empty log; an
+        unreadable one counts in ``load_errors``.
+
+        ``defer``, if given, is offered each line in that layout whose CRC
+        checks, as bytes, before it is decoded; a line it returns true for
+        it keeps unparsed, and the line is neither fed to ``accept`` nor
+        counted.  Its owner parses it later (:func:`decode_record`) and
+        checks it as ``accept`` would.
         """
         try:
             if self.load_site is not None:
@@ -219,12 +239,16 @@ class AppendLog:
         survivors = []
         # Lines end at "\n" alone: str.splitlines would also cut a legacy
         # line at a raw U+2028 or U+0085 inside a JSON string.
-        for line in data.decode(errors="surrogateescape").split("\n"):
+        for raw in data.split(b"\n"):
+            if defer is not None and _crc_checks(raw) and defer(raw):
+                survivors.append(raw)
+                continue
+            line = raw.decode(errors="surrogateescape")
             if not line.strip():
                 continue
             rec = decode_record(line) if _utf8(line) else None
             if rec is not None and accept(rec):
-                survivors.append(line)
+                survivors.append(raw)
             else:
                 self.corrupt_lines += 1
         if self.corrupt_lines and repair:
@@ -243,8 +267,10 @@ class AppendLog:
         self.quarantined = quarantine
         _warn("quarantined corrupt append log", path=str(quarantine),
               corrupt_lines=self.corrupt_lines)
-        text = "".join(encode_record(decode_record(line)) + "\n"
-                       for line in survivors)
+        text = "".join(
+            (raw.decode() if _crc_checks(raw)
+             else encode_record(decode_record(raw.decode()))) + "\n"
+            for raw in survivors)
         try:
             atomic_write_text(self.path, text)
         except OSError:

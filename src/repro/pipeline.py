@@ -129,7 +129,8 @@ def compile_pipeline(
     The caller may lend its own resources.  ``stats`` supplies an external
     :class:`SynthesisStats` to accumulate into; ``cache`` an external
     :class:`~repro.synthesis.engine.OracleCache`, or ``cache_dir`` a
-    directory for a persistent on-disk verdict store.  ``cancel`` supplies
+    directory for a persistent on-disk verdict store, opened scoped to this
+    compile (``OracleCache.with_disk``'s ``scope``).  ``cancel`` supplies
     a :class:`~repro.cancel.CancelToken` (the service's scheduler passes
     one per job, armed with the job's deadline); it is checked at every
     oracle query boundary, so a cancelled compile raises
@@ -170,14 +171,18 @@ def compile_pipeline(
         tracer = NULL_TRACER
     lowered = lower_pipeline(output, vector_bytes=tgt.vbytes)
     baseline = tgt.baseline()
-    if cache is None:
-        cache = (OracleCache.with_disk(cache_dir) if cache_dir
-                 else OracleCache())
     # The selector's oracle doubles as the final verifier, so verification
     # queries share the memoization cache and show up under the ``verify``
     # stage of the statistics.
-    oracle = Oracle(stats=stats or SynthesisStats(), cache=cache,
-                    cancel=cancel, tracer=tracer)
+    oracle = Oracle(stats=stats or SynthesisStats(), cancel=cancel,
+                    tracer=tracer)
+    if cache is None and cache_dir:
+        # A store opened for this compile parses only its own records
+        # until a lookup misses (``OracleCache``).
+        cache = OracleCache.with_disk(cache_dir, scope=oracle.compile_digest(
+            expr for stage in lowered.stages for expr in stage.exprs))
+    if cache is not None:
+        oracle.cache = cache
     rake = RakeSelector(options=options or LoweringOptions(), oracle=oracle,
                         target=tgt)
 

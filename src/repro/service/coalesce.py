@@ -3,10 +3,10 @@
 N identical concurrent submissions should run **one** synthesis and fan
 the result out to every waiter.  Identity is decided the same way the
 engine decides verdict identity: the request's workload pipeline is
-lowered and every stage expression is rendered through
-:func:`repro.synthesis.engine.canonical_spec` — the rename-insensitive
-structural rendering under the verdict cache and the rewrite-rule
-library — together with the knobs that
+lowered and hashed by :func:`repro.synthesis.engine.compile_digest` —
+the same compile identity a scoped verdict store opens by, over the
+rename-insensitive rendering under the verdict cache and the
+rewrite-rule library — together with the knobs that
 can change the *result* (backend, target, image size, rules).
 Parameters that only change scheduling (``priority``, ``deadline_s``)
 are deliberately excluded, so a patient submission and an urgent one
@@ -24,7 +24,7 @@ import hashlib
 import threading
 
 from ..frontend import lower_pipeline
-from ..synthesis.engine import canonical_spec
+from ..synthesis.engine import compile_digest
 from ..targets import resolve_target
 from ..workloads.base import get
 from .protocol import CompileRequest
@@ -48,11 +48,8 @@ def _spec_hash(workload: str, target: str = "hvx") -> str:
         return cached
     tgt = resolve_target(target)
     lowered = lower_pipeline(get(workload).build(), vector_bytes=tgt.vbytes)
-    parts = []
-    for stage in lowered.stages:
-        for expr in stage.exprs:
-            parts.append(canonical_spec(expr))
-    digest = hashlib.sha256("|".join(parts).encode()).hexdigest()
+    digest = compile_digest(
+        expr for stage in lowered.stages for expr in stage.exprs)
     with _SPEC_HASH_LOCK:
         _SPEC_HASH_CACHE[cache_key] = digest
     return digest

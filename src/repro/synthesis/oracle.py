@@ -230,6 +230,11 @@ class Oracle:
                f"{spec_part}|{cand_part}")
         return hashlib.sha256(raw.encode()).hexdigest()
 
+    def compile_digest(self, exprs) -> str:
+        """:func:`engine.compile_digest` of ``exprs``, rendered through the
+        template memo this oracle's query keys render through."""
+        return engine.compile_digest(exprs, self._canon_cache)
+
     def _stage_ctx(self):
         """Attribute out-of-stage queries (the pipeline's final check) to
         the ``verify`` stage so their cost is visible in Table 1 output."""

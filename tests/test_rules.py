@@ -157,7 +157,7 @@ class TestCanonicalSpecSharing:
         from repro.service import coalesce
         from repro.synthesis import engine
 
-        assert coalesce.canonical_spec is engine.canonical_spec
+        assert coalesce.compile_digest is engine.compile_digest
         assert codec.canonical_spec is engine.canonical_spec
 
     def test_spec_key_and_exact_key_agree_on_renames(self):

@@ -6,6 +6,7 @@ The ``paused`` constructor flag holds workers before they pick jobs,
 which is what makes queue-state assertions deterministic.
 """
 
+import hashlib
 import threading
 import time
 
@@ -13,6 +14,7 @@ import pytest
 
 import repro.workloads  # noqa: F401 - populate the registry
 from repro.errors import ProtocolError, QueueFullError, ServiceError
+from repro.frontend import lower_pipeline
 from repro.service.coalesce import Coalescer, request_key
 from repro.service.protocol import (
     JOB_CANCELLED,
@@ -24,6 +26,9 @@ from repro.service.protocol import (
     CompileResult,
 )
 from repro.service.scheduler import JobScheduler
+from repro.synthesis.engine import canonical_spec
+from repro.targets import resolve_target
+from repro.workloads.base import get, names
 
 
 def quick_compile(request, cancel, cache, **_):
@@ -81,6 +86,32 @@ class TestRequestKey:
             request_key(CompileRequest(workload="mul", target="neon"))
         assert request_key(CompileRequest(workload="mul", target="neon")) == \
             request_key(CompileRequest(workload="mul", target="neon"))
+
+    def test_keys_of_the_42_pairs_keep_their_formula(self):
+        """The cluster router shards by these keys, so every pair's key,
+        with rules on and off, is the one this inline formula computes:
+        the sha256 of the lowered stage expressions' canonical renderings,
+        joined with the result-affecting knobs."""
+
+        def formula(request):
+            lowered = lower_pipeline(
+                get(request.workload).build(),
+                vector_bytes=resolve_target(request.target).vbytes)
+            parts = [canonical_spec(expr)
+                     for stage in lowered.stages for expr in stage.exprs]
+            spec = hashlib.sha256("|".join(parts).encode()).hexdigest()
+            raw = "|".join((spec, request.backend, request.target,
+                            str(request.width), str(request.height),
+                            str(bool(request.rules))))
+            return hashlib.sha256(raw.encode()).hexdigest()
+
+        requests = [CompileRequest(workload=kernel, target=target,
+                                   rules=rules)
+                    for target in ("hvx", "neon") for kernel in names()
+                    for rules in (False, True)]
+        assert len(requests) == 84
+        for request in requests:
+            assert request_key(request) == formula(request)
 
 
 class TestCoalescer:
